@@ -29,6 +29,12 @@ Four replay engines implement identical semantics:
   per quantum by :mod:`repro.cpu.timing`.  Also value-identical to
   ``_run_fast`` by contract.
 
+For in-order machines without a RAC the two numpy engines charge no
+cycles: they tally a latency-free
+:class:`~repro.core.profile.MemoryProfile` and :meth:`System.run`
+returns its :func:`~repro.core.profile.retime`, the one latency path
+for those machines.
+
 :meth:`System.select_engine` is the single source of truth for the
 dispatch; ``engine=`` overrides it so every path stays reachable.  The
 test suite cross-checks the engines against an independent reference
@@ -45,6 +51,7 @@ from repro.coherence.homemap import HomeMap
 from repro.coherence.network import InterconnectModel
 from repro.coherence.protocol import DirectoryProtocol
 from repro.core.machine import MachineConfig
+from repro.core.profile import CpuProfile, MemoryProfile, profiled, retime
 from repro.core.results import RunResult
 from repro.cpu.inorder import InOrderCPU
 from repro.cpu.ooo import OutOfOrderCPU
@@ -76,10 +83,6 @@ ENGINES = ("auto", "fast", "general", "vectorized", "vectorized-mp")
 class System:
     """A single-use simulator instance for one machine configuration.
 
-    ``force_general`` routes even plain configurations through the
-    general loop; the two loops implement identical semantics and the
-    test suite verifies it using this switch.
-
     ``check`` selects the integrity-checking tier (``"off"``,
     ``"end-of-run"``, ``"per-quantum"``; see
     :class:`~repro.integrity.checker.CheckLevel`).  ``fault_plan``
@@ -91,18 +94,24 @@ class System:
     :class:`~repro.integrity.errors.ConfigError` when the configuration
     cannot run on it.  All engines produce value-identical results
     wherever their domains overlap.
+
+    In-order, RAC-free machines on the two numpy engines replay
+    without latencies: the engines tally a
+    :class:`~repro.core.profile.MemoryProfile` into :attr:`profile`,
+    and :meth:`run` returns its :func:`~repro.core.profile.retime`.
     """
 
-    def __init__(self, machine: MachineConfig, force_general: bool = False,
-                 *, check="off", fault_plan=None, engine: str = "auto"):
+    def __init__(self, machine: MachineConfig, *, check="off",
+                 fault_plan=None, engine: str = "auto"):
         self.machine = machine
-        self.force_general = force_general
         self.checker = Checker(check)
         self.fault_plan = fault_plan
         self.engine = self.select_engine(
-            machine, force_general=force_general, check=check,
-            fault_plan=fault_plan, engine=engine,
+            machine, check=check, fault_plan=fault_plan, engine=engine,
         )
+        #: The run's latency-free profile; set by :meth:`run` when the
+        #: engine produced one, ``None`` otherwise.
+        self.profile: Optional[MemoryProfile] = None
         self.nodes: List[NodeCaches] = [
             NodeCaches(
                 machine.scaled_l2_size,
@@ -115,8 +124,14 @@ class System:
             )
             for i in range(machine.num_nodes)
         ]
-        cpu_cls = OutOfOrderCPU if machine.cpu_model == "ooo" else InOrderCPU
-        self.cpus = [cpu_cls(i) for i in range(machine.ncpus)]
+        self._profiled = profiled(machine, self.engine)
+        if self._profiled:
+            self.cpus = [CpuProfile(machine.num_nodes)
+                         for _ in range(machine.ncpus)]
+        else:
+            cpu_cls = (OutOfOrderCPU if machine.cpu_model == "ooo"
+                       else InOrderCPU)
+            self.cpus = [cpu_cls(i) for i in range(machine.ncpus)]
         self.racs: Optional[List[RemoteAccessCache]] = None
         if machine.scaled_rac_size is not None:
             self.racs = [
@@ -140,9 +155,8 @@ class System:
     # -- engine selection ---------------------------------------------------------
 
     @staticmethod
-    def select_engine(machine: MachineConfig, *, force_general: bool = False,
-                      check="off", fault_plan=None,
-                      engine: str = "auto") -> str:
+    def select_engine(machine: MachineConfig, *, check="off",
+                      fault_plan=None, engine: str = "auto") -> str:
         """Resolve the replay engine for a configuration.
 
         This is the dispatch rule ``run`` uses and the provenance the
@@ -155,7 +169,7 @@ class System:
             )
         needs_general = bool(
             machine.cores_per_node > 1 or machine.victim_entries
-            or machine.tlb_entries or force_general
+            or machine.tlb_entries
         )
         if engine == "general":
             return "general"
@@ -170,8 +184,8 @@ class System:
             fault_plan is None
             and CheckLevel.coerce(check) is not CheckLevel.PER_QUANTUM
         )
-        vector_ok = not force_general and machine.vectorizable and run_ok
-        mp_ok = not force_general and machine.mp_vectorizable and run_ok
+        vector_ok = machine.vectorizable and run_ok
+        mp_ok = machine.mp_vectorizable and run_ok
         if engine == "vectorized":
             if not vector_ok:
                 raise ConfigError(
@@ -350,8 +364,7 @@ class System:
             # scalar loop handles them with identical results.  State is
             # untouched at this point: the kernel validates before it
             # mutates anything.
-            self.engine = "fast"
-            self._run_fast(trace, protocol, net)
+            self._fall_back_to_fast(trace, protocol, net)
 
     # -- the staged multiprocessor pipeline ----------------------------------------
 
@@ -371,8 +384,16 @@ class System:
             # Same contract as the uniprocessor kernel: validation
             # happens before any mutation, so the scalar loop can take
             # over from pristine state with identical results.
-            self.engine = "fast"
-            self._run_fast(trace, protocol, net)
+            self._fall_back_to_fast(trace, protocol, net)
+
+    def _fall_back_to_fast(self, trace, protocol: DirectoryProtocol,
+                           net: InterconnectModel) -> None:
+        """Replay on the scalar loop, which charges cycles itself."""
+        self.engine = "fast"
+        if self._profiled:
+            self._profiled = False
+            self.cpus = [InOrderCPU(i) for i in range(self.machine.ncpus)]
+        self._run_fast(trace, protocol, net)
 
     # -- the optimized common-case loop ------------------------------------------------
 
@@ -726,10 +747,6 @@ class System:
 
     def _collect(self, trace, protocol: DirectoryProtocol,
                  net: InterconnectModel) -> RunResult:
-        per_cpu = [cpu.breakdown() for cpu in self.cpus]
-        total = ExecutionBreakdown()
-        for b in per_cpu:
-            total.add(b)
         protocol_stats = ProtocolStats(
             upgrades=protocol.upgrades,
             invalidations=protocol.invalidations,
@@ -745,6 +762,24 @@ class System:
         # sum; a consumed stream reports the identical count from its
         # validating iterator's accounting.
         trace_refs = trace.measured_refs
+        measured_txns = getattr(trace, "measured_txns", 0)
+        if self._profiled:
+            self.profile = MemoryProfile(
+                num_nodes=self.machine.num_nodes,
+                cpus=self.cpus,
+                misses=self.misses,
+                l1=self.l1,
+                protocol=protocol_stats,
+                network=net.counters,
+                measured_txns=measured_txns,
+                l2_hits=self.l2_hits,
+                trace_refs=trace_refs,
+            )
+            return retime(self.profile, self.machine)
+        per_cpu = [cpu.breakdown() for cpu in self.cpus]
+        total = ExecutionBreakdown()
+        for b in per_cpu:
+            total.add(b)
         return RunResult(
             machine=self.machine,
             breakdown=total,
@@ -754,7 +789,7 @@ class System:
             protocol=protocol_stats,
             rac=rac_stats,
             network=net.counters,
-            measured_txns=getattr(trace, "measured_txns", 0),
+            measured_txns=measured_txns,
             tlb_misses=self.tlb_misses,
             l2_hits=self.l2_hits,
             victim_hits=self.victim_hits,
@@ -762,12 +797,12 @@ class System:
         )
 
 
-def simulate(machine: MachineConfig, trace, *, force_general: bool = False,
-             check="off", fault_plan=None, engine: str = "auto") -> RunResult:
+def simulate(machine: MachineConfig, trace, *, check="off",
+             fault_plan=None, engine: str = "auto") -> RunResult:
     """Convenience wrapper: build a System, replay ``trace``, return stats.
 
     ``check``, ``fault_plan`` and ``engine`` pass through to
     :class:`System`.
     """
-    return System(machine, force_general,
-                  check=check, fault_plan=fault_plan, engine=engine).run(trace)
+    return System(machine, check=check, fault_plan=fault_plan,
+                  engine=engine).run(trace)

@@ -137,7 +137,7 @@ def _loop_agreement(report: SelftestReport) -> None:
     trace_b = _synthetic_trace()
     try:
         fast = System(machine, check="per-quantum").run(trace_a)
-        general = System(machine, force_general=True,
+        general = System(machine, engine="general",
                          check="per-quantum").run(trace_b)
     except InvariantViolation as exc:
         report.fail(f"loop agreement: per-quantum check tripped: {exc}")

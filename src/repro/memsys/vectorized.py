@@ -36,7 +36,10 @@ L1s, and the L2 needs no replay at all (misses, dirty bits and final
 state all come from array reductions; only the flat L1 walk runs, on
 the compressed stream).  Otherwise the L2 is replayed scalar, jointly
 with the L1s (list-based, mirroring ``_run_fast`` operation for
-operation).  Out-of-order CPUs are handled by recording the
+operation).  In-order CPUs are charged no cycles here: the kernel
+tallies busy time, L2 hits and local misses into the run's
+:class:`~repro.core.profile.MemoryProfile`, which ``System.run``
+retimes.  Out-of-order CPUs are handled by recording the
 (position, l2-hit) event list during the walk and replaying the exact
 ``busy``/``stall`` call sequence against the CPU model afterwards.
 
@@ -1266,7 +1269,6 @@ def replay_uniprocessor(system, trace, protocol, net) -> None:
     l2_n = l2.num_sets
     l2_assoc = l2.assoc
     ooo = machine.cpu_model == "ooo"
-    lat = machine.latencies
 
     # Observability: the kernel has no quantum loop (it replays out of
     # trace order), so it publishes three synthetic phase spans from
@@ -1450,12 +1452,14 @@ def replay_uniprocessor(system, trace, protocol, net) -> None:
 
     cpu = system.cpus[0]
     if ooo:
-        _replay_ooo(cpu, tv, mrec_w, mrec_m, lat)
+        _replay_ooo(cpu, tv, mrec_w, mrec_m, machine.latencies)
     else:
-        cpu.busy_cycles = i_refs * INSTRS_PER_ILINE
-        cpu.kernel_busy_cycles = tv.kinstr_m * INSTRS_PER_ILINE
-        cpu.stall_cycles[0] = l2_hits * lat.l2_hit
-        cpu.stall_cycles[1] = l2_misses * lat.local
+        # In-order: tally the latency-free profile; System.run retimes
+        # it (repro.core.profile).
+        cpu.busy = i_refs * INSTRS_PER_ILINE
+        cpu.kernel_busy = tv.kinstr_m * INSTRS_PER_ILINE
+        cpu.l2_hits = l2_hits
+        cpu.local = l2_misses
 
     if traced:
         t_end = perf_counter()

@@ -8,7 +8,7 @@ construction (the differential and golden suites enforce it):
 
 1. **Census** — classify every line as provably private to one node
    or potentially shared, and pre-compute per-reference effective
-   flags (write/instr/kernel/dependent + private + local-home bits).
+   flags (write/instr + private + local-home bits + home node).
 2. **Private hierarchy** — replay each scheduling quantum's
    references through flat per-node cache state.  Private lines never
    interact with the directory: their misses and upgrades are
@@ -24,8 +24,12 @@ construction (the differential and golden suites enforce it):
    (``EV_MISS``/``EV_EVICT``/``EV_WCHECK``) serviced through
    :class:`repro.coherence.core.CoherenceCore` against the unchanged
    protocol object.
-4. **Timing** — deferred timing records are charged through the CPU
-   models by :mod:`repro.cpu.timing` once per quantum.
+4. **Timing** — batch mode charges no cycles: it tallies each CPU's
+   busy time, L2 hits, local service and hop-resolved remote service
+   into the run's :class:`~repro.core.profile.MemoryProfile`, which
+   ``System.run`` retimes.  Stream mode charges deferred timing
+   records through the CPU models (:mod:`repro.cpu.timing`) once per
+   quantum.
 
 Batching the coherence work to the quantum boundary is exact because
 of two structural facts: only the scheduled node issues requests
@@ -38,13 +42,21 @@ end of the run.
 
 Two execution modes cover the machine space:
 
-* **batch mode** — in-order CPUs without RACs (the paper's Figures
-  6 and 8 sweeps).  Per-node cache state lives in flat lists; the
-  directory sees only shared lines, via lightweight node facades.
-* **stream mode** — OOO CPUs (order-sensitive timing) or RAC
-  configurations (the protocol probes and fills the requester's RAC
-  mid-quantum).  The walk runs on the real cache objects and services
-  events inline, deferring only the timing phase.
+=========== ============================== ================================
+mode        machines                       coherence and timing
+=========== ============================== ================================
+batch       in-order CPUs, no RAC, any     inlined no-RAC protocol on flat
+            topology (Figures 6, 8, 10,    per-node state; latency-free
+            the islands/chiplet scenarios) counts, retimed per machine
+stream      OOO CPUs or RAC machines       CoherenceCore events against the
+                                           real caches; cycles charged per
+                                           quantum through the CPU models
+=========== ============================== ================================
+
+OOO timing is order-sensitive, and a RAC is probed and filled in the
+requester's own node mid-quantum; neither fits the batch walks.
+Topology does not matter to batch mode: a remote event's cost depends
+only on its (home, owner) hop path, which the walks count.
 
 Anything the engine cannot replay raises
 :class:`~repro.memsys.vectorized.VectorizedUnsupported` *before
@@ -61,13 +73,22 @@ import numpy as np
 from repro.coherence.core import EV_EVICT, EV_MISS, EV_WCHECK, CoherenceCore
 from repro.cpu.timing import charge_quantum_inorder, charge_quantum_ooo
 from repro.memsys.vectorized import VectorizedUnsupported, _materialize_l1
+from repro.params import INSTRS_PER_ILINE
+from repro.stats.breakdown import MissBreakdown
 from repro.trace.census import sharing_census
 
 __all__ = ["replay_multiprocessor"]
 
-# Effective-flag bits layered on top of the trace's four flag bits.
-EFF_PRIVATE = 16  # line provably touched by a single node
-EFF_LOCAL = 32    # line's home is the requesting node (or replicated)
+# Batch-mode effective flag word: the trace's write (1) and
+# instruction (2) bits, two census bits, then the reference's hop-tally
+# row: the home node the protocol reports (the requester itself for a
+# local line), plus the node count for an instruction fetch.  The
+# words of machines with up to 8 nodes stay below 256, inside
+# CPython's small-int cache, so the per-reference lists hold shared
+# objects.
+EFF_PRIVATE = 4  # line provably touched by a single node
+EFF_LOCAL = 8    # line's home is the requesting node (or replicated)
+EFF_HOME_SHIFT = 4
 
 MODE_DM = 0     # direct-mapped: flat occupant-per-set array
 MODE_SET = 1    # footprint fits: residency set, provably no evictions
@@ -183,20 +204,24 @@ class _NodeState:
 # replace per-event ``ServiceOutcome`` objects; in-order stall
 # accounting is commutative, so sums per latency class lose nothing.
 #
-# Each walk returns ``(i_l1m, d_l1m, l2h, c_li, c_ri, c_ld, c_rd,
-# u_l, u_r, ml_i, ml_d, mc_i, mc_d, md_i, md_d, upg_l, upg_rc,
-# inv_msgs, intervs, wbacks)``: L1I/L1D *misses* (hits are the
-# quantum's ref counts minus these, so the hot hit path carries no
-# counter), L2 hits, private miss counts and ownership upgrades
-# (instr/data x local/remote-clean; local/remote), then the
-# shared-line aggregates — misses by kind (local / remote-clean /
-# remote-dirty, instruction vs data), ownership upgrades (local /
-# 2-hop), invalidation messages, interventions and writebacks —
-# everything the protocol, network and miss-breakdown counters need.
+# Remote service is counted only into ``hv``, the requesting CPU's
+# hop-resolved tally (:class:`repro.core.profile.CpuProfile` layout for
+# ``nn`` nodes): the flag word's high bits are the event's tally row
+# (home node, instruction or data), and 3-hop misses add the dirty
+# owner.  One list increment per remote event replaces a per-kind
+# counter, so the hop paths cost the walks nothing extra.
+#
+# Each walk returns ``(i_l1m, d_l1m, l2h, l_i, l_d, u_l, inv_msgs,
+# intervs, wbacks)``: L1I/L1D *misses* (hits are the quantum's ref
+# counts minus these, so the hot hit path carries no counter), L2
+# hits, local-memory instruction and data misses, local ownership
+# upgrades, then invalidation messages, interventions and writebacks
+# — with the tally, everything the protocol, network and
+# miss-breakdown counters need.
 # ---------------------------------------------------------------------------
 
 
-def _walk_set(L, E, S1, nid, states, dsh, down):
+def _walk_set(L, E, S1, nid, states, dsh, down, hv, nn):
     st = states[nid]
     ia, ib, da, db = st.ia, st.ib, st.da, st.db
     resident = st.resident
@@ -204,10 +229,10 @@ def _walk_set(L, E, S1, nid, states, dsh, down):
     owned = st.owned
     dsh_get = dsh.get
     down_get = down.get
-    i_l1m = d_l1m = l2h = 0
-    c_li = c_ri = c_ld = c_rd = u_l = u_r = 0
-    ml_i = ml_d = mc_i = mc_d = md_i = md_d = 0
-    upg_l = upg_rc = inv_msgs = intervs = wbacks = 0
+    up = 2 * nn
+    rdb = 3 * nn
+    i_l1m = d_l1m = l2h = l_i = l_d = u_l = 0
+    inv_msgs = intervs = wbacks = 0
     for line, f, s1 in zip(L, E, S1):
         if f & 2:
             a = ia[s1]
@@ -224,13 +249,13 @@ def _walk_set(L, E, S1, nid, states, dsh, down):
                     da[s1] = line
                 if f & 1:
                     dirty.add(line)
-                    if f & 16:
+                    if f & 4:
                         if line not in owned:
                             owned.add(line)
-                            if f & 32:
+                            if f & 8:
                                 u_l += 1
                             else:
-                                u_r += 1
+                                hv[up + (f >> 4)] += 1
                     elif down_get(line) != nid:
                         s = dsh_get(line)
                         if s:
@@ -240,23 +265,23 @@ def _walk_set(L, E, S1, nid, states, dsh, down):
                                     inv_msgs += 1
                         dsh[line] = {nid}
                         down[line] = nid
-                        if f & 32:
-                            upg_l += 1
+                        if f & 8:
+                            u_l += 1
                         else:
-                            upg_rc += 1
+                            hv[up + (f >> 4)] += 1
                 continue
         # ---- L1 miss: probe the L2 (no evictions in SET mode) ----
         if line in resident:
             l2h += 1
             if f & 1:
                 dirty.add(line)
-                if f & 16:
+                if f & 4:
                     if line not in owned:
                         owned.add(line)
-                        if f & 32:
+                        if f & 8:
                             u_l += 1
                         else:
-                            u_r += 1
+                            hv[up + (f >> 4)] += 1
                 elif down_get(line) != nid:
                     s = dsh_get(line)
                     if s:
@@ -266,24 +291,21 @@ def _walk_set(L, E, S1, nid, states, dsh, down):
                                 inv_msgs += 1
                     dsh[line] = {nid}
                     down[line] = nid
-                    if f & 32:
-                        upg_l += 1
+                    if f & 8:
+                        u_l += 1
                     else:
-                        upg_rc += 1
+                        hv[up + (f >> 4)] += 1
         else:
             resident.add(line)
             if f & 1:
                 dirty.add(line)
-            if f & 16:
-                if f & 2:
-                    if f & 32:
-                        c_li += 1
-                    else:
-                        c_ri += 1
-                elif f & 32:
-                    c_ld += 1
+            if f & 4:
+                if not f & 8:
+                    hv[f >> 4] += 1
+                elif f & 2:
+                    l_i += 1
                 else:
-                    c_rd += 1
+                    l_d += 1
                 if f & 1:
                     owned.add(line)
             else:
@@ -321,19 +343,13 @@ def _walk_set(L, E, S1, nid, states, dsh, down):
                         else:
                             s.add(nid)
                     if odirty:
-                        if f & 2:
-                            md_i += 1
-                        else:
-                            md_d += 1
-                    elif f & 32:
-                        if f & 2:
-                            ml_i += 1
-                        else:
-                            ml_d += 1
+                        hv[rdb + (f >> 4) * nn + o] += 1
+                    elif not f & 8:
+                        hv[f >> 4] += 1
                     elif f & 2:
-                        mc_i += 1
+                        l_i += 1
                     else:
-                        mc_d += 1
+                        l_d += 1
                 else:
                     if f & 1:
                         s = dsh_get(line)
@@ -350,15 +366,12 @@ def _walk_set(L, E, S1, nid, states, dsh, down):
                             dsh[line] = {nid}
                         else:
                             s.add(nid)
-                    if f & 32:
-                        if f & 2:
-                            ml_i += 1
-                        else:
-                            ml_d += 1
+                    if not f & 8:
+                        hv[f >> 4] += 1
                     elif f & 2:
-                        mc_i += 1
+                        l_i += 1
                     else:
-                        mc_d += 1
+                        l_d += 1
         if f & 2:
             i_l1m += 1
             ib[s1] = ia[s1]
@@ -367,12 +380,10 @@ def _walk_set(L, E, S1, nid, states, dsh, down):
             d_l1m += 1
             db[s1] = da[s1]
             da[s1] = line
-    return (i_l1m, d_l1m, l2h, c_li, c_ri, c_ld, c_rd, u_l, u_r,
-            ml_i, ml_d, mc_i, mc_d, md_i, md_d,
-            upg_l, upg_rc, inv_msgs, intervs, wbacks)
+    return i_l1m, d_l1m, l2h, l_i, l_d, u_l, inv_msgs, intervs, wbacks
 
 
-def _walk_dm(L, E, S1, S2, nid, states, dsh, down):
+def _walk_dm(L, E, S1, S2, nid, states, dsh, down, hv, nn):
     st = states[nid]
     ia, ib, da, db = st.ia, st.ib, st.da, st.db
     dmset = st.dmset
@@ -381,10 +392,10 @@ def _walk_dm(L, E, S1, S2, nid, states, dsh, down):
     l1_n = st.l1_n
     dsh_get = dsh.get
     down_get = down.get
-    i_l1m = d_l1m = l2h = 0
-    c_li = c_ri = c_ld = c_rd = u_l = u_r = 0
-    ml_i = ml_d = mc_i = mc_d = md_i = md_d = 0
-    upg_l = upg_rc = inv_msgs = intervs = wbacks = 0
+    up = 2 * nn
+    rdb = 3 * nn
+    i_l1m = d_l1m = l2h = l_i = l_d = u_l = 0
+    inv_msgs = intervs = wbacks = 0
     for line, f, s1, s2 in zip(L, E, S1, S2):
         if f & 2:
             a = ia[s1]
@@ -401,13 +412,13 @@ def _walk_dm(L, E, S1, S2, nid, states, dsh, down):
                     da[s1] = line
                 if f & 1:
                     dirty.add(line)
-                    if f & 16:
+                    if f & 4:
                         if line not in owned:
                             owned.add(line)
-                            if f & 32:
+                            if f & 8:
                                 u_l += 1
                             else:
-                                u_r += 1
+                                hv[up + (f >> 4)] += 1
                     elif down_get(line) != nid:
                         s = dsh_get(line)
                         if s:
@@ -417,23 +428,23 @@ def _walk_dm(L, E, S1, S2, nid, states, dsh, down):
                                     inv_msgs += 1
                         dsh[line] = {nid}
                         down[line] = nid
-                        if f & 32:
-                            upg_l += 1
+                        if f & 8:
+                            u_l += 1
                         else:
-                            upg_rc += 1
+                            hv[up + (f >> 4)] += 1
                 continue
         occ = dmset[s2]
         if occ == line:
             l2h += 1
             if f & 1:
                 dirty.add(line)
-                if f & 16:
+                if f & 4:
                     if line not in owned:
                         owned.add(line)
-                        if f & 32:
+                        if f & 8:
                             u_l += 1
                         else:
-                            u_r += 1
+                            hv[up + (f >> 4)] += 1
                 elif down_get(line) != nid:
                     s = dsh_get(line)
                     if s:
@@ -443,10 +454,10 @@ def _walk_dm(L, E, S1, S2, nid, states, dsh, down):
                                 inv_msgs += 1
                     dsh[line] = {nid}
                     down[line] = nid
-                    if f & 32:
-                        upg_l += 1
+                    if f & 8:
+                        u_l += 1
                     else:
-                        upg_rc += 1
+                        hv[up + (f >> 4)] += 1
         else:
             if occ != -1:
                 if occ in dirty:
@@ -474,16 +485,13 @@ def _walk_dm(L, E, S1, S2, nid, states, dsh, down):
             dmset[s2] = line
             if f & 1:
                 dirty.add(line)
-            if f & 16:
-                if f & 2:
-                    if f & 32:
-                        c_li += 1
-                    else:
-                        c_ri += 1
-                elif f & 32:
-                    c_ld += 1
+            if f & 4:
+                if not f & 8:
+                    hv[f >> 4] += 1
+                elif f & 2:
+                    l_i += 1
                 else:
-                    c_rd += 1
+                    l_d += 1
                 if f & 1:
                     owned.add(line)
             else:
@@ -521,19 +529,13 @@ def _walk_dm(L, E, S1, S2, nid, states, dsh, down):
                         else:
                             s.add(nid)
                     if odirty:
-                        if f & 2:
-                            md_i += 1
-                        else:
-                            md_d += 1
-                    elif f & 32:
-                        if f & 2:
-                            ml_i += 1
-                        else:
-                            ml_d += 1
+                        hv[rdb + (f >> 4) * nn + o] += 1
+                    elif not f & 8:
+                        hv[f >> 4] += 1
                     elif f & 2:
-                        mc_i += 1
+                        l_i += 1
                     else:
-                        mc_d += 1
+                        l_d += 1
                 else:
                     if f & 1:
                         s = dsh_get(line)
@@ -550,15 +552,12 @@ def _walk_dm(L, E, S1, S2, nid, states, dsh, down):
                             dsh[line] = {nid}
                         else:
                             s.add(nid)
-                    if f & 32:
-                        if f & 2:
-                            ml_i += 1
-                        else:
-                            ml_d += 1
+                    if not f & 8:
+                        hv[f >> 4] += 1
                     elif f & 2:
-                        mc_i += 1
+                        l_i += 1
                     else:
-                        mc_d += 1
+                        l_d += 1
         if f & 2:
             i_l1m += 1
             ib[s1] = ia[s1]
@@ -567,12 +566,10 @@ def _walk_dm(L, E, S1, S2, nid, states, dsh, down):
             d_l1m += 1
             db[s1] = da[s1]
             da[s1] = line
-    return (i_l1m, d_l1m, l2h, c_li, c_ri, c_ld, c_rd, u_l, u_r,
-            ml_i, ml_d, mc_i, mc_d, md_i, md_d,
-            upg_l, upg_rc, inv_msgs, intervs, wbacks)
+    return i_l1m, d_l1m, l2h, l_i, l_d, u_l, inv_msgs, intervs, wbacks
 
 
-def _walk_assoc(L, E, S1, S2, nid, states, dsh, down):
+def _walk_assoc(L, E, S1, S2, nid, states, dsh, down, hv, nn):
     st = states[nid]
     ia, ib, da, db = st.ia, st.ib, st.da, st.db
     sets2 = st.sets2
@@ -583,10 +580,10 @@ def _walk_assoc(L, E, S1, S2, nid, states, dsh, down):
     l2_assoc = st.l2_assoc
     dsh_get = dsh.get
     down_get = down.get
-    i_l1m = d_l1m = l2h = 0
-    c_li = c_ri = c_ld = c_rd = u_l = u_r = 0
-    ml_i = ml_d = mc_i = mc_d = md_i = md_d = 0
-    upg_l = upg_rc = inv_msgs = intervs = wbacks = 0
+    up = 2 * nn
+    rdb = 3 * nn
+    i_l1m = d_l1m = l2h = l_i = l_d = u_l = 0
+    inv_msgs = intervs = wbacks = 0
     for line, f, s1, s2 in zip(L, E, S1, S2):
         if f & 2:
             a = ia[s1]
@@ -603,13 +600,13 @@ def _walk_assoc(L, E, S1, S2, nid, states, dsh, down):
                     da[s1] = line
                 if f & 1:
                     dirty.add(line)
-                    if f & 16:
+                    if f & 4:
                         if line not in owned:
                             owned.add(line)
-                            if f & 32:
+                            if f & 8:
                                 u_l += 1
                             else:
-                                u_r += 1
+                                hv[up + (f >> 4)] += 1
                     elif down_get(line) != nid:
                         s = dsh_get(line)
                         if s:
@@ -619,10 +616,10 @@ def _walk_assoc(L, E, S1, S2, nid, states, dsh, down):
                                     inv_msgs += 1
                         dsh[line] = {nid}
                         down[line] = nid
-                        if f & 32:
-                            upg_l += 1
+                        if f & 8:
+                            u_l += 1
                         else:
-                            upg_rc += 1
+                            hv[up + (f >> 4)] += 1
                 continue
         ways2 = sets2[s2]
         if ways2 and ways2[0] == line:
@@ -630,13 +627,13 @@ def _walk_assoc(L, E, S1, S2, nid, states, dsh, down):
             l2h += 1
             if f & 1:
                 dirty.add(line)
-                if f & 16:
+                if f & 4:
                     if line not in owned:
                         owned.add(line)
-                        if f & 32:
+                        if f & 8:
                             u_l += 1
                         else:
-                            u_r += 1
+                            hv[up + (f >> 4)] += 1
                 elif down_get(line) != nid:
                     s = dsh_get(line)
                     if s:
@@ -646,23 +643,23 @@ def _walk_assoc(L, E, S1, S2, nid, states, dsh, down):
                                 inv_msgs += 1
                     dsh[line] = {nid}
                     down[line] = nid
-                    if f & 32:
-                        upg_l += 1
+                    if f & 8:
+                        u_l += 1
                     else:
-                        upg_rc += 1
+                        hv[up + (f >> 4)] += 1
         elif line in resident:
             l2h += 1
             ways2.remove(line)
             ways2.insert(0, line)
             if f & 1:
                 dirty.add(line)
-                if f & 16:
+                if f & 4:
                     if line not in owned:
                         owned.add(line)
-                        if f & 32:
+                        if f & 8:
                             u_l += 1
                         else:
-                            u_r += 1
+                            hv[up + (f >> 4)] += 1
                 elif down_get(line) != nid:
                     s = dsh_get(line)
                     if s:
@@ -672,10 +669,10 @@ def _walk_assoc(L, E, S1, S2, nid, states, dsh, down):
                                 inv_msgs += 1
                     dsh[line] = {nid}
                     down[line] = nid
-                    if f & 32:
-                        upg_l += 1
+                    if f & 8:
+                        u_l += 1
                     else:
-                        upg_rc += 1
+                        hv[up + (f >> 4)] += 1
         else:
             if len(ways2) >= l2_assoc:
                 victim = ways2.pop()
@@ -706,16 +703,13 @@ def _walk_assoc(L, E, S1, S2, nid, states, dsh, down):
             resident.add(line)
             if f & 1:
                 dirty.add(line)
-            if f & 16:
-                if f & 2:
-                    if f & 32:
-                        c_li += 1
-                    else:
-                        c_ri += 1
-                elif f & 32:
-                    c_ld += 1
+            if f & 4:
+                if not f & 8:
+                    hv[f >> 4] += 1
+                elif f & 2:
+                    l_i += 1
                 else:
-                    c_rd += 1
+                    l_d += 1
                 if f & 1:
                     owned.add(line)
             else:
@@ -753,19 +747,13 @@ def _walk_assoc(L, E, S1, S2, nid, states, dsh, down):
                         else:
                             s.add(nid)
                     if odirty:
-                        if f & 2:
-                            md_i += 1
-                        else:
-                            md_d += 1
-                    elif f & 32:
-                        if f & 2:
-                            ml_i += 1
-                        else:
-                            ml_d += 1
+                        hv[rdb + (f >> 4) * nn + o] += 1
+                    elif not f & 8:
+                        hv[f >> 4] += 1
                     elif f & 2:
-                        mc_i += 1
+                        l_i += 1
                     else:
-                        mc_d += 1
+                        l_d += 1
                 else:
                     if f & 1:
                         s = dsh_get(line)
@@ -782,15 +770,12 @@ def _walk_assoc(L, E, S1, S2, nid, states, dsh, down):
                             dsh[line] = {nid}
                         else:
                             s.add(nid)
-                    if f & 32:
-                        if f & 2:
-                            ml_i += 1
-                        else:
-                            ml_d += 1
+                    if not f & 8:
+                        hv[f >> 4] += 1
                     elif f & 2:
-                        mc_i += 1
+                        l_i += 1
                     else:
-                        mc_d += 1
+                        l_d += 1
         if f & 2:
             i_l1m += 1
             ib[s1] = ia[s1]
@@ -799,9 +784,7 @@ def _walk_assoc(L, E, S1, S2, nid, states, dsh, down):
             d_l1m += 1
             db[s1] = da[s1]
             da[s1] = line
-    return (i_l1m, d_l1m, l2h, c_li, c_ri, c_ld, c_rd, u_l, u_r,
-            ml_i, ml_d, mc_i, mc_d, md_i, md_d,
-            upg_l, upg_rc, inv_msgs, intervs, wbacks)
+    return i_l1m, d_l1m, l2h, l_i, l_d, u_l, inv_msgs, intervs, wbacks
 
 
 # ---------------------------------------------------------------------------
@@ -892,6 +875,14 @@ def _walk_stream(L, F, node, node_id, core, timing, ooo, lat_l2hit,
 # ---------------------------------------------------------------------------
 
 
+def _remote_counts(hops: List[int], n: int) -> tuple:
+    """A hop tally's event totals: 2-hop data and instruction misses,
+    2-hop upgrades, 3-hop data and instruction misses."""
+    rd = 3 * n
+    return (sum(hops[:n]), sum(hops[n:2 * n]), sum(hops[2 * n:rd]),
+            sum(hops[rd:rd + n * n]), sum(hops[rd + n * n:]))
+
+
 def _per_quantum_counts(mask: np.ndarray, q_off: np.ndarray) -> List[int]:
     """Per-quantum sums of a boolean mask via cumulative differences."""
     c = np.concatenate(([0], np.cumsum(mask)))
@@ -968,18 +959,12 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
 
     nnodes = machine.num_nodes
     ooo = machine.cpu_model == "ooo"
-    # Stream mode services every miss through CoherenceCore →
-    # protocol → InterconnectModel, so it is per-hop exact; the batch
-    # walks below charge class-aggregate latencies and are only valid
-    # when every remote hop costs the same.  Non-flat topologies
-    # therefore route to stream mode alongside RACs and OOO.
-    stream = (ooo or system.racs is not None
-              or not machine.topology.is_flat)
-    lat = machine.latencies
-    lat_l2hit = lat.l2_hit
-    lat_loc = lat.local
-    lat_rc = lat.remote_clean
-    lat_upg = lat.remote_upgrade
+    # Batch mode charges no cycles: it tallies the run's latency-free
+    # profile, counting remote service events per (home, owner) hop
+    # path, and System.run retimes it for any topology.  OOO timing is
+    # order-sensitive and RACs change service mid-quantum, so those
+    # machines stream through CoherenceCore with cycles charged inline.
+    stream = ooo or system.racs is not None
     l2_assoc = machine.l2_assoc
     l1_n = node0.l1i.num_sets
     l2_n = node0.l2.num_sets
@@ -1020,6 +1005,7 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
     i_refs = i_miss = d_refs = d_miss = l2hits = writes = 0
 
     if stream:
+        lat_l2hit = machine.latencies.l2_hit
         core = CoherenceCore(protocol, net, system.misses.record)
         timing: list = []
         with tracer.span("mp.census", phase="projections"):
@@ -1092,6 +1078,10 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
 
     # ---- batch mode -----------------------------------------------------
     def _build_eff():
+        if np.any((flags & 3) == 3):
+            # An instruction fetch with the write flag would alias a
+            # data row of the hop tally; the scalar loop replays it.
+            raise VectorizedUnsupported("instruction fetch marked as write")
         shift = (trace.page_bytes // 64).bit_length() - 1
         home = (lines >> shift) % nnodes
         local = home == sc.nodes
@@ -1102,9 +1092,11 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
             )
             local = local | np.isin(lines >> shift, tp)
         eff = (
-            flags
-            | (sc.private.astype(np.int64) << 4)
-            | (local.astype(np.int64) << 5)
+            (flags & 3)
+            | (sc.private.astype(np.int64) * EFF_PRIVATE)
+            | (local.astype(np.int64) * EFF_LOCAL)
+            | ((np.where(local, sc.nodes, home)
+                + nnodes * ((flags & 2) != 0)) << EFF_HOME_SHIFT)
         )
         return eff.tolist()
 
@@ -1124,7 +1116,6 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
             _derived(sc, ("s2", l2_n), lambda: (lines % l2_n).tolist(), cap=2)
             if need_s2 else None
         )
-    lat_rd = lat.remote_dirty
     dsh: dict = {}   # line -> sharer set (DirectoryState._sharers)
     down: dict = {}  # line -> owning node (DirectoryState._owner)
 
@@ -1137,6 +1128,8 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
                 l2hits, writes,
             )
             i_refs = i_miss = d_refs = d_miss = l2hits = writes = 0
+            tally_seen = [(0,) * 5] * nnodes
+            remote = [0] * 5
         start = q_start[qi]
         end = start + q_len[qi]
         nid = q_nodes[qi]
@@ -1144,69 +1137,47 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
         L = L_all[start:end]
         E = E_all[start:end]
         S1 = S1_all[start:end]
+        # Read the CPU's tallies fresh: the boundary above resets them.
+        cpu = cpus[nid]
+        hv = cpu.hops
         if traced:
             t0 = perf_counter()
         if mode == MODE_SET:
-            res = _walk_set(L, E, S1, nid, states, dsh, down)
+            res = _walk_set(L, E, S1, nid, states, dsh, down, hv, nnodes)
         elif mode == MODE_DM:
             res = _walk_dm(L, E, S1, S2_all[start:end], nid, states,
-                           dsh, down)
+                           dsh, down, hv, nnodes)
         else:
             res = _walk_assoc(L, E, S1, S2_all[start:end], nid, states,
-                              dsh, down)
+                              dsh, down, hv, nnodes)
         if traced:
             t1 = perf_counter()
             t_walk += t1 - t0
-        (i_l1m, d_l1m, l2h,
-         c_li, c_ri, c_ld, c_rd, u_l, u_r,
-         ml_i, ml_d, mc_i, mc_d, md_i, md_d,
-         upg_l, upg_rc, inv_msgs, intervs, wbacks) = res
-        # Apply the quantum's aggregates — shared-line service first,
-        # then the private fast path — exactly as service_miss /
-        # ensure_owner / service_latency would have, in bulk.  Read
-        # the stats objects fresh: the boundary above swaps them out.
-        cpu = cpus[nid]
-        if ml_i or ml_d or mc_i or mc_d or md_i or md_d or inv_msgs \
-                or upg_l or upg_rc or intervs or wbacks:
+        i_l1m, d_l1m, l2h, l_i, l_d, u_l, inv_msgs, intervs, wbacks = res
+        # Apply the quantum's local-service aggregates exactly as
+        # service_miss / ensure_owner / service_latency would have, in
+        # bulk; remote service sits in the hop tally until the run
+        # ends.  Read the stats objects fresh: the boundary above swaps
+        # them out.
+        if l_i or l_d or u_l or inv_msgs or intervs or wbacks:
             m = system.misses
-            m.i_local += ml_i
-            m.i_remote += mc_i + md_i
-            m.d_local += ml_d
-            m.d_remote_clean += mc_d
-            m.d_remote_dirty += md_d
-            protocol.upgrades += upg_l + upg_rc
+            m.i_local += l_i
+            m.d_local += l_d
+            protocol.upgrades += u_l
             protocol.invalidations += inv_msgs
             protocol.interventions += intervs
             protocol.writebacks += wbacks
             counters = net.counters
-            counters.local_requests += ml_i + ml_d + upg_l
-            counters.requests_2hop += mc_i + mc_d + upg_rc
-            counters.requests_3hop += md_i + md_d
+            counters.local_requests += l_i + l_d + u_l
             counters.invalidations += inv_msgs
-            stall = cpu.stall_cycles
-            stall[1] += (ml_i + ml_d + upg_l) * lat_loc
-            stall[2] += (mc_i + mc_d) * lat_rc + upg_rc * lat_upg
-            stall[3] += (md_i + md_d) * lat_rd
-        if c_li or c_ri or c_ld or c_rd or u_l or u_r:
-            m = system.misses
-            m.i_local += c_li
-            m.i_remote += c_ri
-            m.d_local += c_ld
-            m.d_remote_clean += c_rd
-            protocol.upgrades += u_l + u_r
-            counters = net.counters
-            counters.local_requests += c_li + c_ld + u_l
-            counters.requests_2hop += c_ri + c_rd + u_r
-            stall = cpu.stall_cycles
-            stall[1] += (c_li + c_ld + u_l) * lat_loc
-            stall[2] += (c_ri + c_rd) * lat_rc + u_r * lat_upg
+            cpu.local += l_i + l_d + u_l
         if traced:
             t2 = perf_counter()
             t_coh += t2 - t1
         n_i = n_i_q[qi]
-        charge_quantum_inorder(
-            cpu, (), l2h, lat_l2hit, n_i, n_ki_q[qi],
-        )
+        cpu.l2_hits += l2h
+        cpu.busy += n_i * INSTRS_PER_ILINE
+        cpu.kernel_busy += n_ki_q[qi] * INSTRS_PER_ILINE
         if traced:
             t_charge += perf_counter() - t2
         n = q_len[qi]
@@ -1217,7 +1188,18 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
         l2hits += l2h
         writes += n_w_q[qi]
         if sampler is not None and qi >= warmup_end:
-            sampler.sample(qi, system.misses, i_refs, len(dsh))
+            # The series wants cumulative remote misses per quantum:
+            # add this CPU's tally growth since it last ran.
+            now = _remote_counts(hv, nnodes)
+            remote = [r + a - b
+                      for r, a, b in zip(remote, now, tally_seen[nid])]
+            tally_seen[nid] = now
+            rc_d, rc_i, _, rd_d, rd_i = remote
+            m = system.misses
+            sampler.sample(qi, MissBreakdown(
+                i_local=m.i_local, i_remote=rc_i + rd_i, d_local=m.d_local,
+                d_remote_clean=rc_d, d_remote_dirty=rd_d,
+            ), i_refs, len(dsh))
 
     if traced:
         # Aggregate phase spans reconstructed from accumulated segment
@@ -1228,6 +1210,18 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
                         mode="batch")
         tracer.add_span("mp.timing", loop_start + t_walk + t_coh,
                         t_charge, mode="batch")
+
+    # Remote misses and upgrades of the measured phase, from the tallies.
+    m = system.misses
+    counters = net.counters
+    for cpu in cpus:
+        rc_d, rc_i, upg, rd_d, rd_i = _remote_counts(cpu.hops, nnodes)
+        m.i_remote += rc_i + rd_i
+        m.d_remote_clean += rc_d
+        m.d_remote_dirty += rd_d
+        protocol.upgrades += upg
+        counters.requests_2hop += rc_d + rc_i + upg
+        counters.requests_3hop += rd_d + rd_i
 
     # ---- materialize flat state back into the real objects --------------
     with tracer.span("mp.materialize"):

@@ -14,6 +14,11 @@ guarantees:
   silently demote to misses.  With a
   :class:`~repro.runner.journal.CampaignJournal` attached, completed
   jobs survive SIGINT/SIGKILL and are served on resume.
+* **One replay per cache geometry** — pending jobs group by
+  :func:`~repro.core.profile.profile_key`; one representative per
+  group replays (returning its
+  :class:`~repro.core.profile.MemoryProfile`) and the parent retimes
+  the rest, and any later job on a memoized profile, bit-identically.
 * **Trace sharing** — before forking, every distinct
   :class:`~repro.runner.tracestore.TraceSpec` is spilled to the trace
   archive once; workers reload it through the same
@@ -37,10 +42,11 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import IO, List, Optional, Sequence
+from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.profile import MemoryProfile, profile_key, retime
 from repro.core.results import RunResult
-from repro.core.system import System, simulate
+from repro.core.system import System
 from repro.integrity.errors import CampaignJobError
 from repro.obs import current_metrics, current_tracer
 from repro.runner.cache import ResultCache
@@ -48,12 +54,15 @@ from repro.runner.jobs import SimJob
 from repro.runner.journal import CampaignJournal
 from repro.runner.supervisor import (
     JobFailed,
+    JobFailure,
     RetryPolicy,
     SupervisedExecutor,
+    simulate_job,
 )
 from repro.runner.telemetry import (
     SOURCE_CACHE,
     SOURCE_JOURNAL,
+    SOURCE_RETIMED,
     SOURCE_SIMULATED,
     CampaignTelemetry,
     NullProgress,
@@ -128,6 +137,9 @@ class CampaignRunner:
         self._supervisor: Optional[SupervisedExecutor] = None
         self.shared_memory = shared_memory
         self._arena = None
+        #: Memory profiles by profile key, kept across batches: a later
+        #: job on an already-replayed cache geometry is retimed.
+        self._profiles: Dict[tuple, MemoryProfile] = {}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -208,18 +220,70 @@ class CampaignRunner:
                 )
             served.append((i, source))
 
-        # Duplicate pending points simulate once, so the expected
-        # simulation count is the number of distinct hashes.
-        expected_sim = len({jobs[i].content_hash() for i in pending})
-        self._progress.start_batch(self._batch, len(jobs), expected_sim)
+        # Plan the replays.  Duplicate pending points (equal hashes)
+        # share one result; a job whose memory profile this runner
+        # already holds is retimed; the rest group by profile key and
+        # replay once per group, the other members retimed from the
+        # representative's profile.
+        by_hash: Dict[str, List[int]] = {}
+        for i in pending:
+            by_hash.setdefault(jobs[i].content_hash(), []).append(i)
+        keys: Dict[int, Optional[tuple]] = {}
+        memo_hits: List[int] = []
+        groups: Dict[object, List[int]] = {}
+        for job_hash, indices in by_hash.items():
+            d = indices[0]
+            job = jobs[d]
+            key = keys[d] = profile_key(job.spec, job.machine, job.check)
+            if key in self._profiles:
+                memo_hits.append(d)
+            else:
+                groups.setdefault(job_hash if key is None else key,
+                                  []).append(d)
+        self._progress.start_batch(self._batch, len(jobs), len(groups))
         for i, source in served:
             self._record(jobs[i], 0.0, source)
 
-        if pending:
-            if self.jobs > 1 and len(pending) > 1:
-                self._run_parallel(jobs, pending, results)
-            else:
-                self._run_serial(jobs, pending, results)
+        def settle(d: int, result: RunResult, seconds: float,
+                   source: str) -> None:
+            # Persist before anything else, so a kill after this
+            # instant cannot lose the work.
+            self._persist(jobs[d], result)
+            self._record(jobs[d], seconds, source)
+            for i in by_hash[jobs[d].content_hash()]:
+                results[i] = result
+                if i != d:  # hash-level duplicates are free, like cache hits
+                    self._record(jobs[i], 0.0, SOURCE_CACHE)
+
+        for d in memo_hits:
+            settle(d, *self._retime(jobs[d], self._profiles[keys[d]]),
+                   SOURCE_RETIMED)
+
+        siblings = {group[0]: group[1:] for group in groups.values()}
+        leftover: List[int] = []
+
+        def replayed(d: int, result: RunResult, seconds: float,
+                     profile: Optional[MemoryProfile]) -> None:
+            settle(d, result, seconds, SOURCE_SIMULATED)
+            if profile is None:
+                # The engine fell back to the scalar loop: the group's
+                # other members must replay on their own.
+                leftover.extend(siblings.get(d, ()))
+                return
+            self._profiles[keys[d]] = profile
+            for sib in siblings.get(d, ()):
+                settle(sib, *self._retime(jobs[sib], profile),
+                       SOURCE_RETIMED)
+
+        failures = []
+        for d, failure in self._replay(jobs, list(siblings), replayed):
+            failures.append(failure)
+            leftover.extend(siblings[d])
+        if leftover:
+            failures += [failure for _, failure in
+                         self._replay(jobs, leftover, replayed)]
+        if failures:
+            raise CampaignJobError(failures)
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
 
@@ -235,16 +299,44 @@ class CampaignRunner:
         self._progress.job_done(rec)
 
     def _persist(self, job: SimJob, result: RunResult) -> None:
-        """Checkpoint a fresh simulation into the cache and journal."""
+        """Checkpoint a fresh result into the cache and journal."""
         if self.cache is not None:
             self.cache.store(job, result)
         if self.journal is not None:
             self.journal.append(job, result)
 
-    def _run_serial(self, jobs: Sequence[SimJob], pending: List[int],
-                    results: List[Optional[RunResult]]) -> None:
+    def _retime(self, job: SimJob,
+                profile: MemoryProfile) -> Tuple[RunResult, float]:
+        """Retime ``job`` from a sibling's profile; ``(result, seconds)``."""
         tracer = current_tracer()
-        for i in pending:
+        start = time.perf_counter()
+        if tracer.enabled:
+            with tracer.span("campaign.job", job=job.label,
+                             hash=job.content_hash(),
+                             engine=System.select_engine(
+                                 job.machine, check=job.check),
+                             source=SOURCE_RETIMED):
+                result = retime_job(job, profile)
+        else:
+            result = retime_job(job, profile)
+        current_metrics().count("campaign.retimed")
+        return result, time.perf_counter() - start
+
+    def _replay(self, jobs: Sequence[SimJob], indices: List[int],
+                done: Callable) -> List[Tuple[int, JobFailure]]:
+        """Replay ``jobs[i]`` for each of ``indices`` (distinct hashes),
+        calling ``done(i, result, seconds, profile)`` as each finishes;
+        returns the terminal failures of a parallel batch.
+
+        With workers, every replay runs in the pool, even a lone one:
+        the parent then never holds a replay's working set.
+        """
+        if not indices:
+            return []
+        if self.jobs > 1:
+            return self._replay_parallel(jobs, indices, done)
+        tracer = current_tracer()
+        for i in indices:
             job = jobs[i]
             trace = self.trace_store.get(job.spec)
             start = time.perf_counter()
@@ -254,13 +346,11 @@ class CampaignRunner:
                                  engine=System.select_engine(
                                      job.machine, check=job.check),
                                  source=SOURCE_SIMULATED):
-                    result = simulate(job.machine, trace, check=job.check)
+                    result, profile = simulate_job(job, trace)
             else:
-                result = simulate(job.machine, trace, check=job.check)
-            seconds = time.perf_counter() - start
-            results[i] = result
-            self._persist(job, result)
-            self._record(job, seconds, SOURCE_SIMULATED)
+                result, profile = simulate_job(job, trace)
+            done(i, result, time.perf_counter() - start, profile)
+        return []
 
     def _publish_shared(self, specs) -> Optional[dict]:
         """Map each spec to a shared-memory handle (best effort).
@@ -283,13 +373,13 @@ class CampaignRunner:
                 current_metrics().count("campaign.shm_fallbacks")
         return handles or None
 
-    def _run_parallel(self, jobs: Sequence[SimJob], pending: List[int],
-                      results: List[Optional[RunResult]]) -> None:
+    def _replay_parallel(self, jobs: Sequence[SimJob], indices: List[int],
+                         done: Callable) -> List[Tuple[int, JobFailure]]:
         # Materialize each distinct workload into the shared archive
         # once, so no worker pays for trace generation.  The archive
         # stays the durable fallback even when the same workloads are
         # also published to shared memory below.
-        distinct_specs = {jobs[i].spec for i in pending}
+        distinct_specs = {jobs[i].spec for i in indices}
         if self.trace_store.spill_dir:
             for spec in distinct_specs:
                 self.trace_store.ensure_archived(spec)
@@ -298,40 +388,20 @@ class CampaignRunner:
         tracer = current_tracer()
         metrics = current_metrics()
         with_obs = tracer.enabled or metrics.enabled
-
-        # Duplicate jobs (the same point appearing twice in a batch)
-        # simulate once and fan out by hash.
-        by_hash: dict = {}
-        for i in pending:
-            by_hash.setdefault(jobs[i].content_hash(), []).append(i)
-        distinct = [jobs[indices[0]] for indices in by_hash.values()]
+        index_of = {jobs[i].content_hash(): i for i in indices}
 
         def on_result(job: SimJob, result: RunResult, seconds: float,
-                      obs) -> None:
-            # Fires the moment a job completes: persist before anything
-            # else, so a kill after this instant cannot lose the work.
+                      obs, profile: Optional[MemoryProfile]) -> None:
             if obs is not None:
                 tracer.absorb(obs["spans"])
                 metrics.absorb(obs["metrics"])
-            self._persist(job, result)
-            self._record(job, seconds, SOURCE_SIMULATED)
+            done(index_of[job.content_hash()], result, seconds, profile)
 
         outcomes = self._ensure_supervisor().run(
-            distinct, with_obs=with_obs, on_result=on_result,
-            shm_handles=shm_handles)
-
-        failures = []
-        for outcome in outcomes:
-            indices = by_hash[outcome.job.content_hash()]
-            if outcome.failure is not None:
-                failures.append(outcome.failure)
-                continue
-            for j, i in enumerate(indices):
-                if j:  # hash-level duplicates are free, like cache hits
-                    self._record(jobs[i], 0.0, SOURCE_CACHE)
-                results[i] = outcome.result
-        if failures:
-            raise CampaignJobError(failures)
+            [jobs[i] for i in indices], with_obs=with_obs,
+            on_result=on_result, shm_handles=shm_handles)
+        return [(index_of[outcome.job.content_hash()], outcome.failure)
+                for outcome in outcomes if outcome.failure is not None]
 
 
 # -- the active runner (driver-facing indirection) -----------------------------
@@ -361,16 +431,37 @@ def run_simulations(jobs: Sequence[SimJob]) -> List[RunResult]:
 
     With no active runner this is the historical serial path: each
     trace materializes through the process-wide store and simulates
-    inline, with no caching and no extra processes.
+    inline, with no caching and no extra processes — except that a
+    job whose :func:`~repro.core.profile.profile_key` matches an
+    earlier job of the batch is retimed from that job's profile
+    instead of replayed.
     """
     runner = _ACTIVE
     if runner is not None:
         return runner.run_jobs(jobs)
     store = default_trace_store()
-    return [
-        simulate(job.machine, store.get(job.spec), check=job.check)
-        for job in jobs
-    ]
+    profiles: Dict[tuple, MemoryProfile] = {}
+    results = []
+    for job in jobs:
+        key = profile_key(job.spec, job.machine, job.check)
+        profile = profiles.get(key)
+        if profile is not None:
+            results.append(retime_job(job, profile))
+            continue
+        result, profile = simulate_job(job, store.get(job.spec))
+        if profile is not None:
+            profiles[key] = profile
+        results.append(result)
+    return results
+
+
+def retime_job(job: SimJob, profile: MemoryProfile) -> RunResult:
+    """``job``'s result from a profile of the same :func:`profile_key`,
+    checked like a replay at the job's integrity level."""
+    result = retime(profile, job.machine)
+    if job.check != "off":
+        result.verify()
+    return result
 
 
 def simulate_spec(job: SimJob) -> RunResult:

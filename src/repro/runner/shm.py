@@ -16,11 +16,18 @@ replay one physical mapping.
 Crash safety: only the *parent* ever unlinks a segment
 (:meth:`SharedTraceArena.cleanup`, also registered ``atexit``), so a
 worker crash or a SupervisedExecutor pool respawn needs no
-coordination — respawned workers simply re-attach by name.  Workers
-deliberately unregister their attachment from the stdlib resource
-tracker; otherwise each worker exit would try to unlink the segment
-out from under its siblings (Python 3.12's ``track=False`` is not
-available on 3.11).
+coordination — respawned workers simply re-attach by name.
+
+Resource-tracker bookkeeping: attaching to a segment registers it
+with the attaching process's resource tracker, which unlinks whatever
+is still registered when its clients exit.
+The tracker keeps one set entry per name, so the parent's create and
+a forked worker's attach (workers share the parent's tracker) collapse
+into a single registration that the parent's ``unlink`` retires.  A
+worker therefore unregisters its attachment only when it runs its
+*own* tracker (a spawned worker); unregistering from the shared one
+would delete the parent's entry and make the parent's ``unlink``
+raise ``KeyError`` inside the tracker.
 """
 
 from __future__ import annotations
@@ -59,7 +66,8 @@ class SharedTraceHandle:
     carries; the three lengths fix the segment layout: ``offsets``
     (int64, ``num_quanta + 1``), ``refs`` (int64), ``text_pages``
     (int64) in that order — all 8-byte aligned — followed by ``cpus``
-    (int32, ``num_quanta``).
+    (int32, ``num_quanta``).  ``tracker_pid`` is the publishing
+    parent's resource-tracker process, which forked workers share.
     """
 
     name: str
@@ -67,6 +75,7 @@ class SharedTraceHandle:
     num_quanta: int
     num_refs: int
     num_text: int
+    tracker_pid: Optional[int]
 
     @property
     def nbytes(self) -> int:
@@ -158,10 +167,10 @@ class SharedTraceArena:
         self._seq += 1
         shm = shared_memory.SharedMemory(name=name, create=True,
                                          size=max(1, total))
-        _OWNED.add(shm.name)
         handle = SharedTraceHandle(
             name=shm.name, meta=json.dumps(meta),
             num_quanta=len(cpus), num_refs=len(refs), num_text=len(text),
+            tracker_pid=_tracker_pid(),
         )
         v_cpus, v_offsets, v_refs, v_text = _views(shm.buf, handle)
         v_offsets[:] = offsets
@@ -196,10 +205,10 @@ class SharedTraceArena:
 
 # -- worker side ---------------------------------------------------------------
 
-#: Names created by an arena in *this* process.  Attaching to one's
-#: own segment must not unregister it from the resource tracker (the
-#: stdlib collapses create- and attach-registrations into one entry).
-_OWNED: set = set()
+def _tracker_pid() -> Optional[int]:
+    """This process's resource-tracker pid (``None`` before it starts)."""
+    return getattr(resource_tracker._resource_tracker, "_pid", None)
+
 
 #: Per-process attachment cache: a worker replaying many jobs against
 #: the same workload attaches (and rebuilds the quantum views) once.
@@ -223,11 +232,13 @@ def attach_shared_trace(handle: SharedTraceHandle) -> OltpTrace:
     if cached is not None:
         return cached[0]
     shm = shared_memory.SharedMemory(name=handle.name)
-    if handle.name not in _OWNED:
+    if _tracker_pid() != handle.tracker_pid:
         try:
-            # The resource tracker would unlink this segment when
-            # *this* process exits, racing the parent and every
-            # sibling worker (3.11 has no ``track=False``).
+            # A tracker of this process's own would unlink the segment
+            # when this process exits, racing the parent and every
+            # sibling worker (3.11 has no ``track=False``).  The
+            # parent's tracker, by contrast, already holds the one
+            # entry the parent's unlink retires.
             resource_tracker.unregister(shm._name, "shared_memory")
         except Exception:
             pass

@@ -44,8 +44,9 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.profile import MemoryProfile
 from repro.core.results import RunResult
-from repro.core.system import System, simulate
+from repro.core.system import System
 from repro.integrity.errors import ConfigError, ReproError
 from repro.obs import current_metrics
 from repro.runner.jobs import SimJob, canonical_json
@@ -94,8 +95,16 @@ def _worker_init(spill_dir: Optional[str], capacity: int,
         install_worker_faults(fault_plans, fault_token_dir)
 
 
+def simulate_job(job: SimJob, trace
+                 ) -> Tuple[RunResult, Optional[MemoryProfile]]:
+    """Replay ``job`` on ``trace``; return the result and, when the
+    machine produces one, its latency-free memory profile."""
+    system = System(job.machine, check=job.check)
+    return system.run(trace), system.profile
+
+
 def _worker_run(job: SimJob, with_obs: bool = False, shm_handle=None):
-    """Simulate one job; return ``(seconds, result_dict, crc32, obs)``.
+    """Simulate one job; return ``(seconds, payload, crc32, obs)``.
 
     ``shm_handle`` (a :class:`~repro.runner.shm.SharedTraceHandle`)
     replays the job against the parent's shared-memory trace segment —
@@ -105,9 +114,12 @@ def _worker_run(job: SimJob, with_obs: bool = False, shm_handle=None):
 
     Results cross the process boundary as :meth:`RunResult.to_dict`
     payloads — the exact representation the cache stores — so the
-    parent reconstructs identical values either way.  ``crc32`` guards
-    the payload's canonical JSON against corruption in flight; the
-    supervisor re-verifies it before accepting the result.
+    parent reconstructs identical values either way.  The payload is
+    ``{"result": ..., "profile": ...}``: the job's
+    :class:`~repro.core.profile.MemoryProfile` rides along (``None``
+    for machines without one) so the parent can retime siblings.
+    ``crc32`` guards the payload's canonical JSON against corruption
+    in flight; the supervisor re-verifies it before accepting it.
 
     When the parent has observability enabled (``with_obs``), the
     worker traces and meters the run locally and ships the serialized
@@ -133,13 +145,13 @@ def _worker_run(job: SimJob, with_obs: bool = False, shm_handle=None):
     if not with_obs:
         start = time.perf_counter()
         try:
-            result = simulate(job.machine, trace, check=job.check)
+            result, profile = simulate_job(job, trace)
         except ReproError as exc:
             raise JobFailed(
                 f"{job.label}: {type(exc).__name__}: {exc}"
             ) from None
         seconds = time.perf_counter() - start
-        return seconds, *_sealed(result, injector), None
+        return seconds, *_sealed(result, profile, injector), None
 
     from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 
@@ -152,19 +164,24 @@ def _worker_run(job: SimJob, with_obs: bool = False, shm_handle=None):
             with tracer.span("campaign.job", job=job.label,
                              hash=job.content_hash(), engine=engine,
                              source=SOURCE_SIMULATED):
-                result = simulate(job.machine, trace, check=job.check)
+                result, profile = simulate_job(job, trace)
     except ReproError as exc:
         raise JobFailed(f"{job.label}: {type(exc).__name__}: {exc}") from None
     seconds = time.perf_counter() - start
     obs = {"spans": tracer.to_dicts(), "metrics": registry.to_dict()}
-    payload, crc = _sealed(result, injector)
+    payload, crc = _sealed(result, profile, injector)
     return seconds, payload, crc, obs
 
 
-def _sealed(result: RunResult, injector) -> Tuple[dict, int]:
-    """Serialize ``result`` with its integrity CRC (chaos may corrupt
-    the payload *after* the CRC is taken — that is the point)."""
-    payload = result.to_dict()
+def _sealed(result: RunResult, profile: Optional[MemoryProfile],
+            injector) -> Tuple[dict, int]:
+    """Serialize ``result`` and ``profile`` with their integrity CRC
+    (chaos may corrupt the payload *after* the CRC is taken — that is
+    the point)."""
+    payload = {
+        "result": result.to_dict(),
+        "profile": None if profile is None else profile.to_dict(),
+    }
     crc = zlib.crc32(canonical_json(payload).encode())
     if injector is not None:
         payload = injector.corrupt_result(payload)
@@ -371,8 +388,8 @@ class SupervisedExecutor:
             shm_handles: Optional[Dict] = None) -> List[JobOutcome]:
         """Run every job to a terminal :class:`JobOutcome`.
 
-        ``on_result(job, result, seconds, obs)`` fires as each job
-        *completes* (not in submission order), so the caller can
+        ``on_result(job, result, seconds, obs, profile)`` fires as
+        each job *completes* (not in submission order), so the caller can
         persist results — cache, journal — the moment they exist;
         a kill after that instant can never lose the job.
 
@@ -500,12 +517,14 @@ class SupervisedExecutor:
                     retry_or_fail(attempt, FAILURE_CORRUPT,
                                   "worker result failed its checksum")
                     continue
-                result = RunResult.from_dict(payload)
+                result = RunResult.from_dict(payload["result"])
+                profile = (None if payload["profile"] is None
+                           else MemoryProfile.from_dict(payload["profile"]))
                 outcomes[attempt.index] = JobOutcome(
                     attempt.job, result=result, seconds=seconds,
                     attempts=attempt.attempts + 1)
                 if on_result is not None:
-                    on_result(attempt.job, result, seconds, obs)
+                    on_result(attempt.job, result, seconds, obs, profile)
             if pool_broke:
                 self.stats.crashes += 1
                 metrics.count("campaign.worker_crashes")

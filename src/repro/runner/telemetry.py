@@ -1,8 +1,9 @@
 """Campaign telemetry: per-job timing, cache accounting, progress/ETA.
 
 The runner records one :class:`JobRecord` per job (wall-clock seconds,
-whether the result came from the cache or a simulation, which batch —
-usually a figure — it belonged to).  :class:`CampaignTelemetry`
+whether the result was simulated, retimed from a sibling's memory
+profile, or served by the cache or journal, which batch — usually a
+figure — it belonged to).  :class:`CampaignTelemetry`
 aggregates them into the per-figure table and the one-line
 machine-greppable summary the CLI prints::
 
@@ -23,6 +24,9 @@ from typing import IO, List, Optional
 SOURCE_CACHE = "cache"
 SOURCE_SIMULATED = "simulated"
 SOURCE_JOURNAL = "journal"
+#: Computed in the parent from another job's memory profile
+#: (:func:`repro.core.profile.retime`) instead of replaying the trace.
+SOURCE_RETIMED = "retimed"
 
 # -- terminal capability ------------------------------------------------------
 
@@ -108,7 +112,7 @@ class JobRecord:
     batch: str
     job_hash: str
     seconds: float
-    source: str  # SOURCE_CACHE or SOURCE_SIMULATED
+    source: str  # one of the SOURCE_* constants
     #: Replay engine the job's configuration resolves to ("fast",
     #: "general", "vectorized" or "vectorized-mp").  Provenance only:
     #: the engine is not part of the job's content hash, because all
@@ -167,6 +171,11 @@ class CampaignTelemetry:
         return sum(1 for r in self.records if r.source == SOURCE_SIMULATED)
 
     @property
+    def retimed(self) -> int:
+        """Jobs retimed from a sibling's memory profile (not replayed)."""
+        return sum(1 for r in self.records if r.source == SOURCE_RETIMED)
+
+    @property
     def cache_hits(self) -> int:
         return sum(1 for r in self.records if r.source == SOURCE_CACHE)
 
@@ -196,9 +205,12 @@ class CampaignTelemetry:
     # -- rendering -------------------------------------------------------------
 
     def summary_line(self) -> str:
+        retimed = self.retimed
         line = (
             f"campaign summary: jobs={self.total_jobs} "
-            f"simulated={self.simulated} cache_hits={self.cache_hits} "
+            f"simulated={self.simulated} "
+            + (f"retimed={retimed} " if retimed else "")
+            + f"cache_hits={self.cache_hits} "
             f"hit_rate={100 * self.hit_rate:.0f}% workers={self.workers} "
             f"wall={self.wall_seconds:.1f}s"
         )
@@ -218,7 +230,8 @@ class CampaignTelemetry:
         Records are grouped by batch in one pass (the table used to
         rescan every record per batch row, O(batches × records)); the
         ``served`` column counts jobs answered without simulating
-        (result cache, resume journal, or hash-duplicates); the
+        (result cache, resume journal, hash-duplicates, or retimed
+        from a sibling's memory profile); the
         ``engine`` column shows each batch's dominant replay engine
         (ties break alphabetically, ``-`` when no record names one).
 
@@ -265,6 +278,7 @@ class CampaignTelemetry:
             "workers": self.workers,
             "jobs": self.total_jobs,
             "simulated": self.simulated,
+            "retimed": self.retimed,
             "cache_hits": self.cache_hits,
             "journal_hits": self.journal_hits,
             "resilience": self.resilience.to_dict(),

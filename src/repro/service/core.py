@@ -493,7 +493,7 @@ class JobService:
                 )
 
     def _on_result(self, job: SimJob, result: RunResult,
-                   seconds: float, obs) -> None:
+                   seconds: float, obs, profile=None) -> None:
         """Executor completion callback: persist, then publish.
 
         Persisting first preserves the campaign invariant — once a

@@ -163,7 +163,7 @@ class TestGeneralLoopEquivalence:
         l2_size, l2_assoc = geometry
         machine = MachineConfig.base(2, l2_size=l2_size, l2_assoc=l2_assoc, scale=1)
         fast = System(machine).run(self._random_trace(seed))
-        general = System(machine, force_general=True).run(self._random_trace(seed))
+        general = System(machine, engine="general").run(self._random_trace(seed))
         assert fast.breakdown.total == general.breakdown.total
         assert fast.misses.as_dict() == general.misses.as_dict()
         assert fast.protocol.upgrades == general.protocol.upgrades
@@ -178,7 +178,7 @@ class TestGeneralLoopEquivalence:
         t2 = self._random_trace(5)
         t2.warmup_quanta = 20
         fast = System(machine).run(t1)
-        general = System(machine, force_general=True).run(t2)
+        general = System(machine, engine="general").run(t2)
         assert fast.breakdown.total == general.breakdown.total
         assert fast.misses.as_dict() == general.misses.as_dict()
 

@@ -1,0 +1,444 @@
+"""Memory profiles: one replay per cache geometry, retimed exactly.
+
+The contract under test: for any two machines A and B with equal
+:func:`profile_key` — same trace, same cache geometry, any latency
+table, base-table override or topology —
+``retime(profile(A), B).to_dict()`` equals a cold replay of B on the
+scalar ``fast`` engine, which charges every cycle as it goes.  It is
+checked on every golden, on every job of Figures 3-13 and the
+islands/chiplet ladders, and by a Hypothesis suite over random latency
+tables and topologies.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.machine import MachineConfig
+from repro.core.profile import (
+    CpuProfile,
+    MemoryProfile,
+    profile_key,
+    profiled,
+    retime,
+)
+from repro.core.system import System, simulate
+from repro.cpu.events import encode
+from repro.experiments.cli import FIGURES, run_figure
+from repro.experiments.common import Settings
+from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
+from repro.params import KB, IntegrationLevel, L2Technology, LatencyTable
+from repro.runner import (
+    CampaignRunner,
+    SimJob,
+    TraceSpec,
+    default_trace_store,
+    run_simulations,
+    use_runner,
+)
+from repro.scenario.topology import TopologySpec
+from repro.trace.synthetic import make_trace
+
+from tests.core.test_differential import synthetic_mp_trace, synthetic_trace
+from tests.golden import regen
+
+TINY = Settings(scale=256, uni_txns=15, mp_txns=30, seed=3)
+
+#: Valid (integration level, L2 technology) pairs.
+LEVELS = [
+    (IntegrationLevel.CONSERVATIVE_BASE, L2Technology.OFF_CHIP_SRAM),
+    (IntegrationLevel.BASE, L2Technology.OFF_CHIP_SRAM),
+    (IntegrationLevel.L2, L2Technology.ON_CHIP_SRAM),
+    (IntegrationLevel.L2, L2Technology.ON_CHIP_DRAM),
+    (IntegrationLevel.L2_MC, L2Technology.ON_CHIP_SRAM),
+    (IntegrationLevel.FULL, L2Technology.ON_CHIP_SRAM),
+    (IntegrationLevel.FULL, L2Technology.ON_CHIP_DRAM),
+]
+
+
+def profile_of(machine, trace, check="off"):
+    system = System(machine, check=check)
+    result = system.run(trace)
+    assert system.profile is not None, machine.label
+    return result, system.profile
+
+
+def cold(machine, trace, check="off"):
+    """A replay that charges cycles itself (no profile involved)."""
+    system = System(machine, engine="fast", check=check)
+    result = system.run(trace)
+    assert system.profile is None
+    return result.to_dict()
+
+
+def relatives(machine):
+    """Machines sharing ``machine``'s cache geometry: every latency
+    table of Figure 3 plus islands/chiplet topologies when it has
+    more than one node."""
+    out = [machine.with_(label=f"{level.value} {tech.value}",
+                         integration=level, l2_technology=tech)
+           for level, tech in LEVELS]
+    n = machine.num_nodes
+    if n > 1:
+        out.append(machine.with_(
+            label="islands", topology=TopologySpec.islands(
+                group_size=n // 2, island_extra=120)))
+        out.append(machine.with_(
+            label="chiplet",
+            topology=TopologySpec.chiplet((0, 60, 140))))
+    out.append(machine.with_(label="override", topology=TopologySpec.uniform(
+        LatencyTable(7, 111, 222, 333, remote_upgrade=150))))
+    return out
+
+
+class TestGoldens:
+    @pytest.mark.parametrize("name", sorted(regen.CASES))
+    def test_retime_equals_cold_replay(self, name):
+        trace = regen.trace_from_dict(
+            json.loads(regen.trace_path(name).read_text()))
+        expected = json.loads(regen.expected_path(name).read_text())
+        machine = MachineConfig.from_dict(expected["machine"])
+        if machine.rac_size is not None:
+            # RAC machines keep charging cycles: no profile, no key.
+            assert profile_key(None, machine) is None
+            assert System(machine).run(trace).to_dict() == expected
+            return
+        result, profile = profile_of(machine, trace)
+        assert result.to_dict() == expected
+        assert retime(profile, machine).to_dict() == expected
+        for other in relatives(machine):
+            assert retime(profile, other).to_dict() == cold(other, trace), \
+                other.label
+
+
+class _RecordingRunner:
+    """Stands in for a campaign runner: records every job a figure
+    driver submits and replays it inline."""
+
+    def __init__(self):
+        self.jobs = []
+
+    def run_jobs(self, jobs):
+        self.jobs.extend(jobs)
+        store = default_trace_store()
+        return [simulate(job.machine, store.get(job.spec), check=job.check)
+                for job in jobs]
+
+
+@pytest.fixture(scope="module")
+def figure_jobs():
+    recorder = _RecordingRunner()
+    with use_runner(recorder):
+        for name in FIGURES + ("islands-mp8", "chiplet-mp8"):
+            run_figure(name, TINY)
+    return recorder.jobs
+
+
+class TestFigureJobs:
+    def test_every_profiled_job_retimes_exactly(self, figure_jobs):
+        store = default_trace_store()
+        groups = {}
+        for job in figure_jobs:
+            key = profile_key(job.spec, job.machine, job.check)
+            if key is None:
+                assert (job.machine.cpu_model == "ooo"
+                        or job.machine.rac_size is not None), job.label
+                continue
+            groups.setdefault(key, []).append(job)
+        assert groups
+        for jobs in groups.values():
+            trace = store.get(jobs[0].spec)
+            _, profile = profile_of(jobs[0].machine, trace, jobs[0].check)
+            for job in jobs:
+                assert (retime(profile, job.machine).to_dict()
+                        == cold(job.machine, trace, job.check)), job.label
+
+
+# -- Hypothesis: random latency models on random traces ------------------------
+
+latency_tables = st.builds(
+    LatencyTable,
+    l2_hit=st.integers(1, 60),
+    local=st.integers(1, 400),
+    remote_clean=st.integers(1, 600),
+    remote_dirty=st.integers(1, 800),
+    remote_upgrade=st.integers(1, 600),
+)
+
+topologies = st.one_of(
+    st.builds(TopologySpec.uniform, st.none() | latency_tables),
+    # Group sizes that tile every node count drawn below.
+    st.builds(TopologySpec.islands, st.sampled_from([1, 2]),
+              st.integers(0, 300)),
+    st.builds(TopologySpec.chiplet,
+              st.lists(st.integers(0, 300), min_size=1, max_size=7)
+              .map(lambda xs: (0, *xs))),
+    st.builds(
+        lambda table, extra: TopologySpec(
+            kind="islands", group_size=2, island_extra=extra,
+            base_table=table),
+        latency_tables, st.integers(0, 300)),
+)
+
+GEOMETRY = st.sampled_from([(2 * KB, 1), (4 * KB, 2), (8 * KB, 4),
+                            (32 * KB, 8)])
+
+
+def _machine(ncpus, geometry, level, topology=None, replicate=False):
+    l2_size, l2_assoc = geometry
+    integration, tech = level
+    machine = MachineConfig(
+        label="hyp", ncpus=ncpus, integration=integration,
+        l2_size=l2_size, l2_assoc=l2_assoc, l2_technology=tech,
+        replicate_code=replicate, scale=1,
+    )
+    return machine if topology is None else machine.with_(topology=topology)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 50), ncpus=st.sampled_from([2, 4, 8]),
+       geometry=GEOMETRY, replicate=st.booleans(),
+       source=st.sampled_from(LEVELS), target=st.sampled_from(LEVELS),
+       topology=topologies)
+def test_retime_matches_cold_replay_mp(seed, ncpus, geometry, replicate,
+                                       source, target, topology):
+    trace = synthetic_mp_trace(seed, ncpus, nquanta=60,
+                               replicate=replicate)
+    a = _machine(ncpus, geometry, source, replicate=replicate)
+    b = _machine(ncpus, geometry, target, topology, replicate=replicate)
+    _, profile = profile_of(a, trace)
+    assert retime(profile, b).to_dict() == cold(b, trace)
+    assert simulate(b, trace).to_dict() == cold(b, trace)
+
+
+def written_text_trace(seed, ncpus):
+    """Data writes land on replicated text pages, so replicated (local)
+    lines see 3-hop interventions: their home is the requester."""
+    rng = random.Random(seed)
+    text = frozenset(range(40, 44))
+    quanta = []
+    for _ in range(80):
+        cpu = rng.randrange(ncpus)
+        refs = []
+        for _ in range(rng.randint(4, 40)):
+            line = rng.choice((40 * 4, 500)) + rng.randrange(16)
+            instr = rng.random() < 0.3
+            refs.append(encode(line, instr=instr,
+                               write=not instr and rng.random() < 0.5))
+        quanta.append((cpu, refs))
+    return make_trace(ncpus, quanta, page_bytes=256, text_pages=text,
+                      warmup_quanta=5)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 50), geometry=GEOMETRY, topology=topologies)
+def test_retime_matches_cold_replay_replicated_writes(seed, geometry,
+                                                      topology):
+    trace = written_text_trace(seed, 8)
+    a = _machine(8, geometry, LEVELS[1], replicate=True)
+    b = _machine(8, geometry, LEVELS[-1], topology, replicate=True)
+    _, profile = profile_of(a, trace)
+    assert retime(profile, b).to_dict() == cold(b, trace)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 50), geometry=GEOMETRY,
+       source=st.sampled_from(LEVELS), table=st.none() | latency_tables)
+def test_retime_matches_cold_replay_uni(seed, geometry, source, table):
+    trace = synthetic_trace(seed, warmup=5)
+    a = _machine(1, geometry, source)
+    b = a.with_(topology=TopologySpec.uniform(table))
+    _, profile = profile_of(a, trace)
+    assert retime(profile, b).to_dict() == cold(b, trace)
+
+
+# -- the profile itself --------------------------------------------------------
+
+class TestProfile:
+    def test_round_trip_is_exact(self):
+        machine = MachineConfig.fully_integrated(4, l2_size=8 * KB, scale=1)
+        _, profile = profile_of(machine, synthetic_mp_trace(3, 4))
+        again = MemoryProfile.from_dict(
+            json.loads(json.dumps(profile.to_dict())))
+        assert again.to_dict() == profile.to_dict()
+        assert (retime(again, machine).to_dict()
+                == retime(profile, machine).to_dict())
+
+    def test_remote_events_name_their_hop_paths(self):
+        n = 4
+        machine = MachineConfig.fully_integrated(n, l2_size=8 * KB, scale=1)
+        result, profile = profile_of(machine, synthetic_mp_trace(5, n))
+        seen = {}
+        for c, cpu in enumerate(profile.cpus):
+            # CpuProfile.hops layout: 2-hop misses by row (home, then
+            # instruction homes), 2-hop upgrades by home, 3-hop misses
+            # by (row, owner).
+            for i, count in enumerate(cpu.hops):
+                if not count:
+                    continue
+                if i < 3 * n:
+                    kind = ("2-hop data", "2-hop instr", "upgrade")[i // n]
+                    assert i % n != c, "a 2-hop home is remote"
+                else:
+                    row, owner = divmod(i - 3 * n, n)
+                    kind = "3-hop " + ("instr" if row >= n else "data")
+                    assert owner != c, "the dirty owner is another node"
+                seen[kind] = seen.get(kind, 0) + count
+        misses = result.misses
+        assert seen["2-hop data"] == misses.d_remote_clean
+        assert seen["3-hop data"] == misses.d_remote_dirty
+        assert (seen["2-hop instr"] + seen.get("3-hop instr", 0)
+                == misses.i_remote)
+        assert seen["upgrade"] > 0
+        assert sum(seen.values()) == (result.network.requests_2hop
+                                      + result.network.requests_3hop)
+
+    def test_quantum_series_matches_the_scalar_engine(self):
+        # Batch mode keeps remote misses in the hop tallies until the
+        # run ends; the per-quantum series must still see them as they
+        # happen.
+        machine = MachineConfig.fully_integrated(4, l2_size=8 * KB, scale=1)
+        series = {}
+        for engine in ("fast", "vectorized-mp"):
+            registry = MetricsRegistry()
+            with use_metrics(registry):
+                System(machine, engine=engine).run(synthetic_mp_trace(5, 4))
+            (series[engine],) = registry.to_dict()["series"]
+        for column in ("quantum", "miss_local", "miss_2hop", "miss_3hop",
+                       "i_refs"):
+            assert series["vectorized-mp"][column] == series["fast"][column]
+
+    def test_ooo_and_rac_machines_have_no_profile(self):
+        spec = TraceSpec(ncpus=8, scale=32, txns=10, seed=1)
+        base = MachineConfig.fully_integrated(8)
+        assert profile_key(spec, base) is not None
+        assert profile_key(spec, base.with_(cpu_model="ooo")) is None
+        assert profile_key(spec, base.with_(rac_size=8 * 1024 * KB)) is None
+        assert profile_key(spec, base, check="per-quantum") is None
+        assert not profiled(base, "fast")
+
+    def test_key_ignores_latency_model_not_geometry(self):
+        spec = TraceSpec(ncpus=8, scale=32, txns=10, seed=1)
+        a = MachineConfig.integrated_l2(8)
+        b = MachineConfig.fully_integrated(8).with_(
+            topology=TopologySpec.islands(group_size=4, island_extra=90))
+        assert profile_key(spec, a) == profile_key(spec, b)
+        assert profile_key(spec, a) != profile_key(spec, a.with_(l2_assoc=4))
+        assert profile_key(spec, a) != profile_key(spec, a, "end-of-run")
+
+    def test_scalar_fallback_yields_no_profile(self):
+        # An instruction fetch carrying the write flag is outside the
+        # numpy kernel's contract: the scalar loop replays it instead.
+        trace = make_trace(1, [(0, [encode(5, write=True, instr=True),
+                                    encode(9)])], page_bytes=256)
+        machine = MachineConfig.base(1, scale=1)
+        system = System(machine)
+        result = system.run(trace)
+        assert system.engine == "fast" and system.profile is None
+        assert result.to_dict() == cold(machine, trace)
+
+    def test_cpu_profile_reset(self):
+        cpu = CpuProfile(2)
+        cpu.busy = cpu.local = 3
+        cpu.hops[5] = 1
+        cpu.reset()
+        assert cpu.to_dict() == CpuProfile(2).to_dict()
+
+
+# -- runner integration --------------------------------------------------------
+
+def _ladder(ncpus):
+    from repro.experiments.integration import ladder_configs
+
+    spec = TraceSpec(ncpus=ncpus, scale=TINY.scale, txns=TINY.mp_txns,
+                     seed=TINY.seed)
+    return [SimJob(spec=spec, machine=m)
+            for _, m in ladder_configs(ncpus, TINY.scale)]
+
+
+class TestRunner:
+    def test_fig10_replays_two_mp_profiles_then_nothing(self, tmp_path):
+        from repro.experiments.campaign import run_campaign
+
+        def mp_ladder_sources(report):
+            return [r.source for r in report.telemetry.records
+                    if r.engine == "vectorized-mp"
+                    and not r.label.startswith("Cons")]
+
+        cold_run = run_campaign(("fig10",), TINY, jobs=2,
+                                cache_dir=str(tmp_path), progress=False)
+        assert sorted(mp_ladder_sources(cold_run)) == [
+            "retimed", "retimed", "simulated", "simulated"]
+        assert "retimed=" in cold_run.telemetry.summary_line()
+        warm = run_campaign(("fig10",), TINY, jobs=2,
+                            cache_dir=str(tmp_path), progress=False)
+        assert warm.telemetry.simulated == 0
+        assert warm.telemetry.retimed == 0
+        assert warm.figures == cold_run.figures
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memo_spans_batches(self, workers):
+        jobs = _ladder(8)
+        store = default_trace_store()
+        want = [simulate(j.machine, store.get(j.spec)).to_dict()
+                for j in jobs]
+        registry = MetricsRegistry()
+        with use_metrics(registry), CampaignRunner(jobs=workers) as runner:
+            first = runner.run_jobs(jobs[:2])  # Base 8M1w, L2 2M8w
+            second = runner.run_jobs(jobs[2:])  # L2+MC, All: both 2M8w
+        assert [r.to_dict() for r in first + second] == want
+        sources = [r.source for r in runner.telemetry.records]
+        assert sources == ["simulated", "simulated", "retimed", "retimed"]
+        assert registry.counters["campaign.retimed"] == 2
+
+    def test_fallback_replays_the_siblings(self):
+        trace = make_trace(1, [(0, [encode(5, write=True, instr=True),
+                                    encode(9), encode(77, write=True)])],
+                           page_bytes=256)
+
+        class OneTrace:
+            spill_dir = None
+            capacity = 1
+
+            def get(self, spec):
+                return trace
+
+        spec = TraceSpec(ncpus=1, scale=1, txns=1, seed=1)
+        jobs = [SimJob(spec=spec, machine=MachineConfig.base(1, scale=1)),
+                SimJob(spec=spec, machine=MachineConfig.integrated_l2(
+                    1, l2_size=8 * 1024 * KB, l2_assoc=1, scale=1))]
+        with CampaignRunner(jobs=1, trace_store=OneTrace()) as runner:
+            results = runner.run_jobs(jobs)
+        assert [r.to_dict() for r in results] == [
+            cold(j.machine, trace) for j in jobs]
+        assert runner.telemetry.simulated == 2
+        assert runner.telemetry.retimed == 0
+
+    def test_inline_batch_retimes_and_traces_it(self):
+        tracer = Tracer()
+        jobs = _ladder(8)
+        store = default_trace_store()
+        with use_tracer(tracer):
+            results = run_simulations(jobs)
+        assert [r.to_dict() for r in results] == [
+            cold(j.machine, store.get(j.spec)) for j in jobs]
+        runs = [s for s in tracer.spans if s.name == "system.run"]
+        retimes = [s for s in tracer.spans if s.name == "retime"]
+        assert len(runs) == 2  # one replay per geometry
+        assert len(retimes) == len(jobs)
+
+
+def test_profile_verb_lists_the_retime_span(tmp_path, monkeypatch, capsys):
+    from repro.experiments.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["profile", "fig10", "--scale", "256", "--uni-txns", "15",
+                 "--mp-txns", "30"]) == 0
+    table = capsys.readouterr().out.split("span self-time profile")[1]
+    assert "  retime " in table

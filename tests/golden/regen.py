@@ -57,8 +57,8 @@ def _scenario_topology(name: str):
 #: multiprocessor (staged pipeline, full coherence), one 8-node
 #: RAC configuration (the pipeline's stream mode), plus two scenario
 #: points: the Zipf-skewed uniprocessor workload and the
-#: hardware-islands 8-node topology (stream mode via non-flat
-#: routing).
+#: hardware-islands 8-node topology (batch mode; its per-hop extras
+#: are charged when the run's memory profile is retimed).
 CASES = {
     "uni": {
         "machine": lambda: MachineConfig.base(1, scale=128),

@@ -39,7 +39,7 @@ def test_loops_agree_under_per_quantum_checking(seed):
     machine = MachineConfig.base(4, l2_size=8192, l2_assoc=2, scale=1)
     fast_sys = System(machine, check="per-quantum")
     fast = fast_sys.run(_random_trace(seed))
-    general_sys = System(machine, force_general=True, check="per-quantum")
+    general_sys = System(machine, engine="general", check="per-quantum")
     general = general_sys.run(_random_trace(seed))
 
     assert fast_sys.checker.checks_run > 1
@@ -56,7 +56,7 @@ def test_loops_agree_under_per_quantum_checking(seed):
 def test_uniprocessor_agreement(seed):
     machine = MachineConfig.integrated_l2_mc(l2_size=16384, l2_assoc=4, scale=1)
     fast = System(machine, check="per-quantum").run(_random_trace(seed, ncpus=1))
-    general = System(machine, force_general=True,
+    general = System(machine, engine="general",
                      check="per-quantum").run(_random_trace(seed, ncpus=1))
     assert fast.breakdown.total == general.breakdown.total
     assert fast.misses.as_dict() == general.misses.as_dict()

@@ -35,12 +35,17 @@ def _states(mode):
 
 
 def _walk(mode, states, dsh, down):
+    """One walk; returns its counters and the CpuProfile hop tally."""
     L, E, S1 = [LINE], [REMOTE_READ], [LINE % L1_N]
+    n = len(states)
+    hops = [0] * (3 * n + 2 * n * n)
     if mode == MODE_SET:
-        return _walk_set(L, E, S1, 0, states, dsh, down)
-    S2 = [LINE % L2_N]
-    walk = _walk_dm if mode == MODE_DM else _walk_assoc
-    return walk(L, E, S1, S2, 0, states, dsh, down)
+        res = _walk_set(L, E, S1, 0, states, dsh, down, hops, n)
+    else:
+        S2 = [LINE % L2_N]
+        walk = _walk_dm if mode == MODE_DM else _walk_assoc
+        res = walk(L, E, S1, S2, 0, states, dsh, down, hops, n)
+    return res, hops
 
 
 @pytest.mark.parametrize("mode", [MODE_SET, MODE_DM, MODE_ASSOC])
@@ -53,13 +58,14 @@ def test_stale_ownership_recovers_like_the_protocol(mode):
     states = _states(mode)
     dsh = {}
     down = {LINE: 0}  # stale: node 0 "owns" a line it does not hold
-    res = _walk(mode, states, dsh, down)
+    res, hops = _walk(mode, states, dsh, down)
     i_l1m, d_l1m, l2h = res[:3]
-    mc_d = res[12]
-    intervs = res[18]
+    intervs = res[7]
     assert d_l1m == 1 and i_l1m == 0 and l2h == 0
     assert intervs == 0, "stale entry must not look like a remote owner"
-    assert mc_d == 1, "recovered miss is serviced as ownerless"
+    # One 2-hop data miss at the flag word's home (0).
+    assert hops[0] == 1 and sum(hops) == 1, \
+        "recovered miss is serviced as ownerless"
     assert dsh == {LINE: {0}} and down == {LINE: 0}
     assert states[0].holds(LINE) and not states[1].holds(LINE)
 

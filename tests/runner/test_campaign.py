@@ -54,10 +54,14 @@ class TestDeterminism:
     def test_cold_run_simulated_every_distinct_point(self, runs):
         _, serial, _, _ = runs
         # fig10's uniprocessor ladder overlaps fig5's machine set, so a
-        # few points are intra-run cache hits; everything else simulates.
+        # few points are intra-run cache hits; points sharing a cache
+        # geometry with an earlier replay are retimed from its memory
+        # profile; everything else simulates.
         assert serial.telemetry.simulated > 0
+        assert serial.telemetry.retimed > 0
         assert (
-            serial.telemetry.simulated + serial.telemetry.cache_hits
+            serial.telemetry.simulated + serial.telemetry.retimed
+            + serial.telemetry.cache_hits
             == serial.telemetry.total_jobs
         )
 
@@ -91,7 +95,10 @@ class TestCampaignModes:
         report = run_campaign(("fig5",), tiny, jobs=1, cache_dir=None,
                               progress=False)
         assert report.telemetry.cache_hits == 0
-        assert report.telemetry.simulated == report.telemetry.total_jobs
+        # Cons 8M4w shares Base 8M4w's cache geometry: one replay.
+        assert report.telemetry.retimed == 1
+        assert (report.telemetry.simulated + report.telemetry.retimed
+                == report.telemetry.total_jobs)
         assert "Figure 5" in report.figures[0][1]
 
     def test_no_cache_flag_still_simulates(self, tmp_path):
@@ -99,7 +106,9 @@ class TestCampaignModes:
         report = run_campaign(("fig5",), tiny, jobs=1,
                               cache_dir=str(tmp_path), use_cache=False,
                               progress=False)
-        assert report.telemetry.simulated == report.telemetry.total_jobs
+        assert report.telemetry.retimed == 1
+        assert (report.telemetry.simulated + report.telemetry.retimed
+                == report.telemetry.total_jobs)
         assert not (tmp_path / "results").exists()
 
     def test_telemetry_summary_line_is_greppable(self, runs):

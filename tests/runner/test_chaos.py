@@ -197,7 +197,8 @@ class TestKillAndResume:
             proc.wait(timeout=30)
 
         # Resume without chaos: journaled jobs are served, the rest
-        # simulate, and the figure is identical to the clean baseline.
+        # simulate (or retime from a sibling's profile), and the figure
+        # is identical to the clean baseline.
         resumed = run_campaign(("fig5",), TINY, jobs=2, cache_dir=None,
                                progress=False, resume=str(journal))
         assert resumed.ok
@@ -205,6 +206,7 @@ class TestKillAndResume:
         assert resumed.journal_stats.entries_loaded >= 2
         assert (resumed.telemetry.journal_hits
                 + resumed.telemetry.simulated
+                + resumed.telemetry.retimed
                 + resumed.telemetry.cache_hits
                 == resumed.telemetry.total_jobs)
         assert resumed.figures == baseline.figures

@@ -1,6 +1,6 @@
 """Shared-memory trace arena: one mapping, N workers, zero leaks.
 
-Three contracts under test:
+Four contracts under test:
 
 * **replay parity** — a trace attached from a shared segment is
   bit-identical to the store's materialized copy, in-process and
@@ -12,7 +12,10 @@ Three contracts under test:
   found it;
 * **crash safety** — a chaos-crashed worker and the supervisor's pool
   respawn leave no leaked segments either: respawned workers re-attach
-  by name and the parent still unlinks exactly once.
+  by name and the parent still unlinks exactly once;
+* **tracker consistency** — a worker sharing the parent's resource
+  tracker never deletes the parent's registration, so the parent's
+  unlink leaves no ``KeyError`` traceback on stderr.
 
 Leak checks filter ``/dev/shm`` by this process's pid (segment names
 embed the creator pid), so parallel test workers cannot see each
@@ -21,8 +24,13 @@ other's segments.
 
 import glob
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import repro
 
 from repro.core.machine import MachineConfig
 from repro.core.system import simulate
@@ -154,3 +162,36 @@ class TestCampaignSharedMemory:
                                     chaos=chaos)
         assert crashed == baseline
         assert not my_segments()
+
+
+class TestResourceTracker:
+    """Workers must leave the parent's resource-tracker entry alone."""
+
+    CAMPAIGN = textwrap.dedent("""
+        import os, sys
+        from repro.experiments.campaign import run_campaign
+        from repro.experiments.common import Settings
+        report = run_campaign(
+            ("fig5", "fig6"), Settings(scale=256, uni_txns=15, mp_txns=30,
+                                       seed=3),
+            jobs=2, cache_dir=sys.argv[1], progress=False)
+        assert report.ok, report.failures
+        print(os.getpid())
+    """)
+
+    def test_two_worker_campaign_leaves_no_tracker_error(self, tmp_path):
+        # A fresh interpreter, so the resource tracker it starts writes
+        # to a stderr we capture.  fig6's trace is published after the
+        # fig5 batch forked the pool: the worker attaching it shares
+        # the parent's tracker entry.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CAMPAIGN, str(tmp_path / "cache")],
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        pid = int(proc.stdout.split()[-1])
+        assert f"KeyError: '/{SEGMENT_PREFIX}" not in proc.stderr
+        assert "leaked shared_memory" not in proc.stderr
+        assert not glob.glob(f"/dev/shm/{SEGMENT_PREFIX}{pid}_*")
