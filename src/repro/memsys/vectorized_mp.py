@@ -91,8 +91,7 @@ EFF_LOCAL = 8    # line's home is the requesting node (or replicated)
 EFF_HOME_SHIFT = 4
 
 MODE_DM = 0     # direct-mapped: flat occupant-per-set array
-MODE_SET = 1    # footprint fits: residency set, provably no evictions
-MODE_ASSOC = 2  # general LRU: list-of-lists, mirrors SetAssocCache
+MODE_ASSOC = 2  # set-associative LRU: list-of-lists, mirrors SetAssocCache
 
 
 class _NodeState:
@@ -121,7 +120,7 @@ class _NodeState:
         self.dmset = [-1] * l2_n if mode == MODE_DM else None
         # ASSOC mode keeps a flat membership set alongside the per-set
         # LRU lists so hit/miss probes hash instead of scanning ways.
-        self.resident = set() if mode != MODE_DM else None
+        self.resident = set() if mode == MODE_ASSOC else None
         self.sets2 = (
             [[] for _ in range(l2_n)] if mode == MODE_ASSOC else None
         )
@@ -137,10 +136,7 @@ class _NodeState:
         hits mark the L2 copy), so dirtiness is L2-level only —
         exactly like ``NodeCaches.invalidate`` on scalar-engine state.
         """
-        mode = self.mode
-        if mode == MODE_SET:
-            self.resident.discard(line)
-        elif mode == MODE_DM:
+        if self.mode == MODE_DM:
             s2 = line % self.l2_n
             if self.dmset[s2] == line:
                 self.dmset[s2] = -1
@@ -178,8 +174,7 @@ class _NodeState:
         return False
 
     def holds(self, line: int) -> bool:
-        mode = self.mode
-        if mode == MODE_DM:
+        if self.mode == MODE_DM:
             return self.dmset[line % self.l2_n] == line
         return line in self.resident
 
@@ -188,9 +183,9 @@ class _NodeState:
 
 
 # ---------------------------------------------------------------------------
-# Batch-mode walks.  One specialized inner loop per L2 mode; all three
-# share the same structure, mirroring ``_run_fast`` reference for
-# reference.
+# Batch-mode walks.  One inner loop per L2 shape — ``_walk_dm`` for a
+# direct-mapped L2, ``_walk_assoc`` for a set-associative one — with
+# the same structure, mirroring ``_run_fast`` reference for reference.
 #
 # Shared-line coherence is serviced *inline*, transcribing the no-RAC
 # ``DirectoryProtocol`` paths (``service_miss`` / ``ensure_owner`` /
@@ -219,168 +214,6 @@ class _NodeState:
 # — with the tally, everything the protocol, network and
 # miss-breakdown counters need.
 # ---------------------------------------------------------------------------
-
-
-def _walk_set(L, E, S1, nid, states, dsh, down, hv, nn):
-    st = states[nid]
-    ia, ib, da, db = st.ia, st.ib, st.da, st.db
-    resident = st.resident
-    dirty = st.dirty
-    owned = st.owned
-    dsh_get = dsh.get
-    down_get = down.get
-    up = 2 * nn
-    rdb = 3 * nn
-    i_l1m = d_l1m = l2h = l_i = l_d = u_l = 0
-    inv_msgs = intervs = wbacks = 0
-    for line, f, s1 in zip(L, E, S1):
-        if f & 2:
-            a = ia[s1]
-            if a == line or ib[s1] == line:
-                if a != line:
-                    ib[s1] = a
-                    ia[s1] = line
-                continue
-        else:
-            a = da[s1]
-            if a == line or db[s1] == line:
-                if a != line:
-                    db[s1] = a
-                    da[s1] = line
-                if f & 1:
-                    dirty.add(line)
-                    if f & 4:
-                        if line not in owned:
-                            owned.add(line)
-                            if f & 8:
-                                u_l += 1
-                            else:
-                                hv[up + (f >> 4)] += 1
-                    elif down_get(line) != nid:
-                        s = dsh_get(line)
-                        if s:
-                            for other in tuple(s):
-                                if other != nid:
-                                    states[other].invalidate(line)
-                                    inv_msgs += 1
-                        dsh[line] = {nid}
-                        down[line] = nid
-                        if f & 8:
-                            u_l += 1
-                        else:
-                            hv[up + (f >> 4)] += 1
-                continue
-        # ---- L1 miss: probe the L2 (no evictions in SET mode) ----
-        if line in resident:
-            l2h += 1
-            if f & 1:
-                dirty.add(line)
-                if f & 4:
-                    if line not in owned:
-                        owned.add(line)
-                        if f & 8:
-                            u_l += 1
-                        else:
-                            hv[up + (f >> 4)] += 1
-                elif down_get(line) != nid:
-                    s = dsh_get(line)
-                    if s:
-                        for other in tuple(s):
-                            if other != nid:
-                                states[other].invalidate(line)
-                                inv_msgs += 1
-                    dsh[line] = {nid}
-                    down[line] = nid
-                    if f & 8:
-                        u_l += 1
-                    else:
-                        hv[up + (f >> 4)] += 1
-        else:
-            resident.add(line)
-            if f & 1:
-                dirty.add(line)
-            if f & 4:
-                if not f & 8:
-                    hv[f >> 4] += 1
-                elif f & 2:
-                    l_i += 1
-                else:
-                    l_d += 1
-                if f & 1:
-                    owned.add(line)
-            else:
-                o = down_get(line)
-                if o == nid:
-                    # Stale ownership (should be unreachable —
-                    # evictions notify the directory); recover like
-                    # the protocol.
-                    s = dsh_get(line)
-                    if s is not None:
-                        s.discard(nid)
-                        if not s:
-                            del dsh[line]
-                        if down_get(line) == nid:
-                            del down[line]
-                    o = None
-                if o is not None:
-                    # A remote node owns the line: intervene.
-                    intervs += 1
-                    ost = states[o]
-                    odirty = line in ost.dirty
-                    if f & 1:
-                        ost.invalidate(line)
-                        inv_msgs += 1
-                        dsh[line] = {nid}
-                        down[line] = nid
-                    else:
-                        if odirty:
-                            ost.dirty.remove(line)  # downgrade
-                            wbacks += 1  # sharing writeback to home
-                        del down[line]
-                        s = dsh_get(line)
-                        if s is None:
-                            dsh[line] = {nid}
-                        else:
-                            s.add(nid)
-                    if odirty:
-                        hv[rdb + (f >> 4) * nn + o] += 1
-                    elif not f & 8:
-                        hv[f >> 4] += 1
-                    elif f & 2:
-                        l_i += 1
-                    else:
-                        l_d += 1
-                else:
-                    if f & 1:
-                        s = dsh_get(line)
-                        if s:
-                            for other in tuple(s):
-                                if other != nid:
-                                    states[other].invalidate(line)
-                                    inv_msgs += 1
-                        dsh[line] = {nid}
-                        down[line] = nid
-                    else:
-                        s = dsh_get(line)
-                        if s is None:
-                            dsh[line] = {nid}
-                        else:
-                            s.add(nid)
-                    if not f & 8:
-                        hv[f >> 4] += 1
-                    elif f & 2:
-                        l_i += 1
-                    else:
-                        l_d += 1
-        if f & 2:
-            i_l1m += 1
-            ib[s1] = ia[s1]
-            ia[s1] = line
-        else:
-            d_l1m += 1
-            db[s1] = da[s1]
-            da[s1] = line
-    return i_l1m, d_l1m, l2h, l_i, l_d, u_l, inv_msgs, intervs, wbacks
 
 
 def _walk_dm(L, E, S1, S2, nid, states, dsh, down, hv, nn):
@@ -907,32 +740,6 @@ def _derived(sc, key, build, cap=4):
     return v
 
 
-def _select_l2_modes(sc, nnodes: int, l2_n: int, l2_assoc: int) -> List[int]:
-    """Choose the flat-L2 representation per node.
-
-    A node whose busiest L2 set never sees more than ``l2_assoc``
-    distinct lines over the whole trace can never evict (invalidations
-    only *remove* lines), so a plain residency set is exact — and far
-    faster than LRU bookkeeping.
-    """
-    if l2_assoc == 1:
-        return [MODE_DM] * nnodes
-    keys = _derived(
-        sc, ("pairs", nnodes),
-        lambda: np.unique(sc.lines * nnodes + sc.nodes),
-    )
-    knodes = keys % nnodes
-    ksets = (keys // nnodes) % l2_n
-    per = np.bincount(
-        knodes * l2_n + ksets, minlength=nnodes * l2_n
-    ).reshape(nnodes, l2_n)
-    worst = per.max(axis=1)
-    return [
-        MODE_SET if worst[n] <= l2_assoc else MODE_ASSOC
-        for n in range(nnodes)
-    ]
-
-
 def replay_multiprocessor(system, trace, protocol, net) -> None:
     """Replay ``trace`` on a multiprocessor machine, staged and exact.
 
@@ -1104,18 +911,12 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
         E_all = _derived(
             sc, ("eff", nnodes, machine.replicate_code), _build_eff, cap=2
         )
-        modes = _derived(
-            sc, ("modes", nnodes, l2_n, l2_assoc),
-            lambda: _select_l2_modes(sc, nnodes, l2_n, l2_assoc), cap=8,
+        S2_all = _derived(
+            sc, ("s2", l2_n), lambda: (lines % l2_n).tolist(), cap=2
         )
-        states = [
-            _NodeState(modes[n], l1_n, l2_n, l2_assoc) for n in range(nnodes)
-        ]
-        need_s2 = any(m != MODE_SET for m in modes)
-        S2_all = (
-            _derived(sc, ("s2", l2_n), lambda: (lines % l2_n).tolist(), cap=2)
-            if need_s2 else None
-        )
+    mode = MODE_DM if l2_assoc == 1 else MODE_ASSOC
+    walk = _walk_dm if mode == MODE_DM else _walk_assoc
+    states = [_NodeState(mode, l1_n, l2_n, l2_assoc) for _ in range(nnodes)]
     dsh: dict = {}   # line -> sharer set (DirectoryState._sharers)
     down: dict = {}  # line -> owning node (DirectoryState._owner)
 
@@ -1133,23 +934,13 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
         start = q_start[qi]
         end = start + q_len[qi]
         nid = q_nodes[qi]
-        mode = states[nid].mode
-        L = L_all[start:end]
-        E = E_all[start:end]
-        S1 = S1_all[start:end]
         # Read the CPU's tallies fresh: the boundary above resets them.
         cpu = cpus[nid]
         hv = cpu.hops
         if traced:
             t0 = perf_counter()
-        if mode == MODE_SET:
-            res = _walk_set(L, E, S1, nid, states, dsh, down, hv, nnodes)
-        elif mode == MODE_DM:
-            res = _walk_dm(L, E, S1, S2_all[start:end], nid, states,
-                           dsh, down, hv, nnodes)
-        else:
-            res = _walk_assoc(L, E, S1, S2_all[start:end], nid, states,
-                              dsh, down, hv, nnodes)
+        res = walk(L_all[start:end], E_all[start:end], S1_all[start:end],
+                   S2_all[start:end], nid, states, dsh, down, hv, nnodes)
         if traced:
             t1 = perf_counter()
             t_walk += t1 - t0
@@ -1236,14 +1027,9 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
             _materialize_l1(node.l1i, st.ia, st.ib)
             _materialize_l1(node.l1d, st.da, st.db)
             l2_sets = node.l2._sets
-            if st.mode == MODE_DM:
+            if mode == MODE_DM:
                 for s2, occ in enumerate(st.dmset):
                     l2_sets[s2][:] = () if occ == -1 else (occ,)
-            elif st.mode == MODE_SET:
-                for ways in l2_sets:
-                    ways.clear()
-                for ln in sorted(st.resident):
-                    l2_sets[ln % l2_n].append(ln)
             else:
                 for s2, ways in enumerate(st.sets2):
                     l2_sets[s2][:] = ways
@@ -1256,10 +1042,8 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
             # run; reconstruct the entries _run_fast would have left
             # behind.
             owned = st.owned
-            if st.mode == MODE_DM:
+            if mode == MODE_DM:
                 resident_iter = (occ for occ in st.dmset if occ != -1)
-            elif st.mode == MODE_SET:
-                resident_iter = iter(st.resident)
             else:
                 resident_iter = (ln for ways in st.sets2 for ln in ways)
             for ln in resident_iter:

@@ -222,8 +222,9 @@ def attach_shared_trace(handle: SharedTraceHandle) -> OltpTrace:
     """Map a published segment and view it as an ``OltpTrace``.
 
     Quantum ``refs`` are numpy slices of the shared buffer — no copy;
-    every replay engine accepts them (the scalar loops iterate them,
-    the vectorized kernels ``np.frombuffer`` them).  Raises the
+    every replay engine accepts them (``iter_quanta`` hands the scalar
+    loops each quantum as Python ints, the vectorized kernels
+    ``np.frombuffer`` them).  Raises the
     underlying ``FileNotFoundError`` if the parent already unlinked
     the segment (the supervisor retries such a job like any other
     transient failure).

@@ -112,11 +112,12 @@ def grid_machine(l2_size, l2_assoc, technology, cpu_model="inorder",
 
 
 GEOMETRIES = [
-    (2 * KB, 1),    # direct-mapped, heavy eviction
-    (4 * KB, 2),    # hybrid: some sets overflow
-    (8 * KB, 4),    # 4-way, overflow-dominated (specialized walk)
-    (16 * KB, 4),   # 4-way, mixed overflow/known-outcome schedule
-    (32 * KB, 8),   # no-evict: every set holds its footprint
+    (2 * KB, 1),    # direct-mapped, heavy eviction: precomputed schedule
+    (4 * KB, 2),    # 2-way, some sets overflow: scalar walk
+    (8 * KB, 4),    # 4-way, overflow-dominated: scalar walk
+    (16 * KB, 4),   # 4-way, some sets never overflow: scalar walk
+    (32 * KB, 8),   # no-evict, every set holds its footprint: first-touch
+                    # schedule
 ]
 TECHNOLOGIES = [
     L2Technology.OFF_CHIP_SRAM,
@@ -159,6 +160,25 @@ class TestThreeEngineEquivalence:
         results = run_all_engines(machine, trace)
         assert results["vectorized"] == results["fast"]
         assert results["fast"] == results["general"]
+
+    @pytest.mark.parametrize("cpu_model", ["inorder", "ooo"])
+    @pytest.mark.parametrize("geometry", GEOMETRIES,
+                             ids=lambda g: f"{g[0] // KB}K{g[1]}w")
+    def test_end_of_run_checker_accepts_final_state(self, geometry,
+                                                    cpu_model):
+        """The kernel assembles the final L2 and directory state from
+        its schedule or from the scalar walk; the integrity checker
+        must see a state indistinguishable from the scalar loop's."""
+        l2_size, l2_assoc = geometry
+        machine = grid_machine(l2_size, l2_assoc, L2Technology.ON_CHIP_SRAM,
+                               cpu_model=cpu_model)
+        trace = synthetic_trace(17, warmup=8)
+        vec = System(machine, engine="vectorized", check="end-of-run")
+        a = vec.run(trace).to_dict()
+        assert vec.engine == "vectorized"
+        b = System(machine, engine="fast",
+                   check="end-of-run").run(trace).to_dict()
+        assert a == b
 
     def test_auto_selection_matches_forced_engines(self):
         machine = grid_machine(4 * KB, 2, L2Technology.OFF_CHIP_SRAM)
@@ -243,8 +263,8 @@ class TestMultiprocessorEquivalence:
     @pytest.mark.parametrize("l2_assoc", [1, 2, 8],
                              ids=lambda a: f"{a}w")
     def test_runresults_identical_across_l2_modes(self, l2_assoc):
-        """Direct-mapped, overflowing and no-evict L2 footprints pick
-        different flat representations; all must stay exact."""
+        """Direct-mapped, overflowing and no-evict L2 footprints must
+        all stay exact."""
         machine = mp_machine(4, l2_assoc=l2_assoc)
         trace = synthetic_mp_trace(21, 4)
         results = run_mp_engines(machine, trace)

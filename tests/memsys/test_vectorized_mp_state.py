@@ -13,11 +13,9 @@ import pytest
 from repro.memsys.vectorized_mp import (
     MODE_ASSOC,
     MODE_DM,
-    MODE_SET,
     _NodeState,
     _walk_assoc,
     _walk_dm,
-    _walk_set,
 )
 
 L1_N = 4
@@ -36,19 +34,15 @@ def _states(mode):
 
 def _walk(mode, states, dsh, down):
     """One walk; returns its counters and the CpuProfile hop tally."""
-    L, E, S1 = [LINE], [REMOTE_READ], [LINE % L1_N]
+    L, E, S1, S2 = [LINE], [REMOTE_READ], [LINE % L1_N], [LINE % L2_N]
     n = len(states)
     hops = [0] * (3 * n + 2 * n * n)
-    if mode == MODE_SET:
-        res = _walk_set(L, E, S1, 0, states, dsh, down, hops, n)
-    else:
-        S2 = [LINE % L2_N]
-        walk = _walk_dm if mode == MODE_DM else _walk_assoc
-        res = walk(L, E, S1, S2, 0, states, dsh, down, hops, n)
+    walk = _walk_dm if mode == MODE_DM else _walk_assoc
+    res = walk(L, E, S1, S2, 0, states, dsh, down, hops, n)
     return res, hops
 
 
-@pytest.mark.parametrize("mode", [MODE_SET, MODE_DM, MODE_ASSOC])
+@pytest.mark.parametrize("mode", [MODE_DM, MODE_ASSOC])
 def test_stale_ownership_recovers_like_the_protocol(mode):
     """A stale self-owner entry (impossible via the walks themselves)
     must not be treated as a remote owner; the miss is serviced as
@@ -70,7 +64,7 @@ def test_stale_ownership_recovers_like_the_protocol(mode):
     assert states[0].holds(LINE) and not states[1].holds(LINE)
 
 
-@pytest.mark.parametrize("mode", [MODE_SET, MODE_DM, MODE_ASSOC])
+@pytest.mark.parametrize("mode", [MODE_DM, MODE_ASSOC])
 def test_stale_owner_with_sharers_drops_only_the_requester(mode):
     """When a sharer set survives alongside the stale owner entry, the
     recovery removes the requester (and the owner record) and keeps

@@ -43,6 +43,7 @@ from repro.runner.shm import (
     detach_all,
 )
 from repro.runner.tracestore import TraceSpec, TraceStore
+from repro.trace.stream import iter_quanta
 
 SPEC = TraceSpec(ncpus=2, scale=256, txns=30, seed=3)
 MACHINES = (
@@ -81,6 +82,17 @@ class TestAttachParity:
             want = simulate(mc, base).to_dict()
             got = simulate(mc, shared).to_dict()
             assert got == want, mc.label
+        del shared
+
+    def test_scalar_loops_iterate_python_ints(self, arena, store):
+        """The scalar engines see shared refs as Python ints, not boxed
+        numpy scalars, and ``fast`` matches the materialized trace."""
+        shared = attach_shared_trace(arena.publish(SPEC, store))
+        for _, quantum, _, _ in iter_quanta(shared):
+            assert all(type(ref) is int for ref in quantum.refs)
+        mc = MACHINES[0]
+        want = simulate(mc, store.get(SPEC), engine="fast").to_dict()
+        assert simulate(mc, shared, engine="fast").to_dict() == want
         del shared
 
     def test_publish_is_idempotent(self, arena, store):

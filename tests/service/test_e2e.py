@@ -12,6 +12,7 @@ These are the two contracts that make service mode trustworthy:
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import re
@@ -27,6 +28,7 @@ import pytest
 from repro.experiments.common import Settings
 from repro.runner import run_simulations
 from repro.runner.jobs import canonical_json
+from repro.runner.shm import SEGMENT_PREFIX
 from repro.service import figure_jobs
 from repro.service.corpus import perturbed_jobs
 
@@ -99,9 +101,12 @@ class TestKillRestartResume:
         ]
 
         def start():
+            # Each server gets its own session, so its pool workers and
+            # resource tracker share one process group with it.
             proc = subprocess.Popen(
                 args, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                text=True, env=env, cwd=str(tmp_path))
+                text=True, env=env, cwd=str(tmp_path),
+                start_new_session=True)
             line = proc.stdout.readline()
             match = re.search(r"http://[\d.]+:\d+", line)
             assert match, f"no listen line: {line!r}"
@@ -111,42 +116,57 @@ class TestKillRestartResume:
         ids = [job.content_hash() for job in jobs]
 
         first, base = start()
-        body = json.dumps({"jobs": [j.to_dict() for j in jobs]}).encode()
-        req = urllib.request.Request(
-            f"{base}/jobs", data=body,
-            headers={"Content-Type": "application/json"})
-        accepted = json.load(urllib.request.urlopen(req))
-        assert accepted["count"] == len(jobs)
-        time.sleep(0.25)  # let some jobs finish, leave some in flight
-        first.send_signal(signal.SIGKILL)
-        first.wait(timeout=30)
-
-        second, base = start()
         try:
-            deadline = time.time() + 180
-            statuses = {}
-            while len(statuses) < len(ids) and time.time() < deadline:
-                for job_id in ids:
-                    if job_id in statuses:
-                        continue
-                    status = fetch_json(f"{base}/jobs/{job_id}")
-                    if status["status"] in ("done", "failed"):
-                        statuses[job_id] = status
-                time.sleep(0.1)
-            assert len(statuses) == len(ids), "restart lost accepted jobs"
-            assert all(s["status"] == "done" for s in statuses.values())
-            assert all(s["recovered"] for s in statuses.values())
+            body = json.dumps({"jobs": [j.to_dict() for j in jobs]}).encode()
+            req = urllib.request.Request(
+                f"{base}/jobs", data=body,
+                headers={"Content-Type": "application/json"})
+            accepted = json.load(urllib.request.urlopen(req))
+            assert accepted["count"] == len(jobs)
+            time.sleep(0.25)  # let some jobs finish, leave some in flight
+            first.send_signal(signal.SIGKILL)
+            first.wait(timeout=30)
 
-            served = results_csv(
-                (job.label, job_hash,
-                 fetch_json(f"{base}/jobs/{job_hash}/result")["result"])
-                for job, job_hash in zip(jobs, ids)
-            )
+            second, base = start()
+            try:
+                deadline = time.time() + 180
+                statuses = {}
+                while len(statuses) < len(ids) and time.time() < deadline:
+                    for job_id in ids:
+                        if job_id in statuses:
+                            continue
+                        status = fetch_json(f"{base}/jobs/{job_id}")
+                        if status["status"] in ("done", "failed"):
+                            statuses[job_id] = status
+                    time.sleep(0.1)
+                assert len(statuses) == len(ids), "restart lost accepted jobs"
+                assert all(s["status"] == "done" for s in statuses.values())
+                assert all(s["recovered"] for s in statuses.values())
+
+                served = results_csv(
+                    (job.label, job_hash,
+                     fetch_json(f"{base}/jobs/{job_hash}/result")["result"])
+                    for job, job_hash in zip(jobs, ids)
+                )
+            finally:
+                second.send_signal(signal.SIGTERM)
+                out, _ = second.communicate(timeout=120)
+            assert second.returncode == 0, out
+            assert "drained=yes" in out
         finally:
-            second.send_signal(signal.SIGTERM)
-            out, _ = second.communicate(timeout=120)
-        assert second.returncode == 0, out
-        assert "drained=yes" in out
+            # SIGKILL left the first server's pool workers, resource
+            # tracker and trace segment behind: kill its process group
+            # and unlink the segments it created (named by its pid).
+            try:
+                os.killpg(first.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            first.wait(timeout=30)
+            first.stdout.close()
+            pattern = f"/dev/shm/{SEGMENT_PREFIX}{first.pid}_*"
+            for path in glob.glob(pattern):
+                os.unlink(path)
+            assert not glob.glob(pattern)
 
         # The uninterrupted ground truth: the same corpus simulated
         # serially in this process.
