@@ -1,7 +1,7 @@
 """Service-mode throughput benchmark: warm submissions over HTTP.
 
 Starts an in-process job service behind a real HTTP server, primes the
-Figure 5 corpus (each job simulates exactly once), then drives ≥1000
+Figure 5 corpus (each job is computed exactly once), then drives ≥1000
 warm submissions at concurrency 64 through the load generator.  Warm
 submissions answer from the in-memory entry table, so this measures
 the service's HTTP + dedup round-trip, not simulation.
@@ -28,8 +28,8 @@ REQUESTS = int(os.environ.get("BENCH_SERVICE_REQUESTS", "1000"))
 CONCURRENCY = 64
 WORKERS = 4
 
-#: Small corpus sizes: priming is 9 quick simulations; the measured
-#: phase never simulates at all.
+#: Small corpus sizes: priming is 8 quick replays and one retime (9
+#: jobs over 8 cache geometries); the measured phase never simulates.
 BENCH_SETTINGS = Settings(scale=256, uni_txns=15, mp_txns=30, seed=3)
 
 

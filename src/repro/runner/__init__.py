@@ -10,6 +10,8 @@ cache-first, fault-tolerant multiprocess executor:
 * :mod:`repro.runner.journal` — the fsynced checkpoint/resume journal
 * :mod:`repro.runner.supervisor` — the self-healing worker pool
   (timeouts, retry with backoff, crash isolation, chaos harness hooks)
+* :mod:`repro.runner.memo` — the profile memo: retime instead of
+  replaying, one replay per cache geometry
 * :mod:`repro.runner.executor` — the runner and driver-facing API
 * :mod:`repro.runner.telemetry` — per-job timing, cache accounting,
   resilience counters, ETA
@@ -24,9 +26,11 @@ from repro.runner.executor import (
     active_runner,
     run_simulations,
     simulate_spec,
+    use_profile_memo,
     use_runner,
 )
 from repro.runner.jobs import CODE_VERSION, SimJob, canonical_json
+from repro.runner.memo import PROFILE_MEMO_LIMIT, ProfileMemo
 from repro.runner.journal import (
     JOURNAL_FORMAT_VERSION,
     CampaignJournal,
@@ -63,6 +67,8 @@ __all__ = [
     "JobOutcome",
     "JobRecord",
     "JournalStats",
+    "PROFILE_MEMO_LIMIT",
+    "ProfileMemo",
     "ResilienceStats",
     "ResultCache",
     "RetryPolicy",
@@ -75,5 +81,6 @@ __all__ = [
     "default_trace_store",
     "run_simulations",
     "simulate_spec",
+    "use_profile_memo",
     "use_runner",
 ]

@@ -14,9 +14,9 @@ guarantees:
   silently demote to misses.  With a
   :class:`~repro.runner.journal.CampaignJournal` attached, completed
   jobs survive SIGINT/SIGKILL and are served on resume.
-* **One replay per cache geometry** — pending jobs group by
-  :func:`~repro.core.profile.profile_key`; one representative per
-  group replays (returning its
+* **One replay per cache geometry** — pending jobs plan against the
+  runner's :class:`~repro.runner.memo.ProfileMemo`: one representative
+  per :func:`~repro.core.profile.profile_key` replays (returning its
   :class:`~repro.core.profile.MemoryProfile`) and the parent retimes
   the rest, and any later job on a memoized profile, bit-identically.
 * **Trace sharing** — before forking, every distinct
@@ -44,7 +44,7 @@ import time
 from contextlib import contextmanager
 from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.profile import MemoryProfile, profile_key, retime
+from repro.core.profile import MemoryProfile
 from repro.core.results import RunResult
 from repro.core.system import System
 from repro.integrity.errors import CampaignJobError
@@ -52,6 +52,7 @@ from repro.obs import current_metrics, current_tracer
 from repro.runner.cache import ResultCache
 from repro.runner.jobs import SimJob
 from repro.runner.journal import CampaignJournal
+from repro.runner.memo import ProfileMemo, retime_job
 from repro.runner.supervisor import (
     JobFailed,
     JobFailure,
@@ -76,6 +77,7 @@ __all__ = [
     "active_runner",
     "run_simulations",
     "simulate_spec",
+    "use_profile_memo",
     "use_runner",
 ]
 
@@ -137,9 +139,9 @@ class CampaignRunner:
         self._supervisor: Optional[SupervisedExecutor] = None
         self.shared_memory = shared_memory
         self._arena = None
-        #: Memory profiles by profile key, kept across batches: a later
-        #: job on an already-replayed cache geometry is retimed.
-        self._profiles: Dict[tuple, MemoryProfile] = {}
+        #: Kept across batches: a later job on an already-replayed
+        #: cache geometry is retimed.
+        self._memo = ProfileMemo()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -221,26 +223,12 @@ class CampaignRunner:
             served.append((i, source))
 
         # Plan the replays.  Duplicate pending points (equal hashes)
-        # share one result; a job whose memory profile this runner
-        # already holds is retimed; the rest group by profile key and
-        # replay once per group, the other members retimed from the
-        # representative's profile.
+        # share one result; the distinct ones plan against the memo.
         by_hash: Dict[str, List[int]] = {}
         for i in pending:
             by_hash.setdefault(jobs[i].content_hash(), []).append(i)
-        keys: Dict[int, Optional[tuple]] = {}
-        memo_hits: List[int] = []
-        groups: Dict[object, List[int]] = {}
-        for job_hash, indices in by_hash.items():
-            d = indices[0]
-            job = jobs[d]
-            key = keys[d] = profile_key(job.spec, job.machine, job.check)
-            if key in self._profiles:
-                memo_hits.append(d)
-            else:
-                groups.setdefault(job_hash if key is None else key,
-                                  []).append(d)
-        self._progress.start_batch(self._batch, len(jobs), len(groups))
+        plan = self._memo.plan(jobs, [group[0] for group in by_hash.values()])
+        self._progress.start_batch(self._batch, len(jobs), len(plan.replays))
         for i, source in served:
             self._record(jobs[i], 0.0, source)
 
@@ -255,33 +243,23 @@ class CampaignRunner:
                 if i != d:  # hash-level duplicates are free, like cache hits
                     self._record(jobs[i], 0.0, SOURCE_CACHE)
 
-        for d in memo_hits:
-            settle(d, *self._retime(jobs[d], self._profiles[keys[d]]),
-                   SOURCE_RETIMED)
-
-        siblings = {group[0]: group[1:] for group in groups.values()}
-        leftover: List[int] = []
+        for d, profile in plan.retimed:
+            settle(d, *self._retime(jobs[d], profile), SOURCE_RETIMED)
 
         def replayed(d: int, result: RunResult, seconds: float,
                      profile: Optional[MemoryProfile]) -> None:
             settle(d, result, seconds, SOURCE_SIMULATED)
-            if profile is None:
-                # The engine fell back to the scalar loop: the group's
-                # other members must replay on their own.
-                leftover.extend(siblings.get(d, ()))
-                return
-            self._profiles[keys[d]] = profile
-            for sib in siblings.get(d, ()):
+            for sib in plan.replayed(d, profile):
                 settle(sib, *self._retime(jobs[sib], profile),
                        SOURCE_RETIMED)
 
         failures = []
-        for d, failure in self._replay(jobs, list(siblings), replayed):
+        for d, failure in self._replay(jobs, plan.replays, replayed):
             failures.append(failure)
-            leftover.extend(siblings[d])
-        if leftover:
+            plan.failed(d)
+        if plan.leftover:
             failures += [failure for _, failure in
-                         self._replay(jobs, leftover, replayed)]
+                         self._replay(jobs, plan.leftover, replayed)]
         if failures:
             raise CampaignJobError(failures)
         assert all(r is not None for r in results)
@@ -426,42 +404,55 @@ def use_runner(runner: CampaignRunner):
         _ACTIVE = previous
 
 
+_INLINE_MEMO: Optional[ProfileMemo] = None
+
+
+@contextmanager
+def use_profile_memo():
+    """Share one fresh profile memo across every inline
+    :func:`run_simulations` batch in the block, so a later batch on an
+    already-replayed cache geometry retimes instead of replaying.
+    Outside such a block each inline batch plans against its own memo.
+    """
+    global _INLINE_MEMO
+    previous = _INLINE_MEMO
+    _INLINE_MEMO = ProfileMemo()
+    try:
+        yield _INLINE_MEMO
+    finally:
+        _INLINE_MEMO = previous
+
+
 def run_simulations(jobs: Sequence[SimJob]) -> List[RunResult]:
     """Run a batch of jobs through the active runner.
 
     With no active runner this is the historical serial path: each
     trace materializes through the process-wide store and simulates
-    inline, with no caching and no extra processes — except that a
-    job whose :func:`~repro.core.profile.profile_key` matches an
-    earlier job of the batch is retimed from that job's profile
-    instead of replayed.
+    inline, with no caching and no extra processes — except that the
+    batch plans against a :class:`~repro.runner.memo.ProfileMemo`, so
+    one job per :func:`~repro.core.profile.profile_key` replays and the
+    rest are retimed from its profile.
     """
     runner = _ACTIVE
     if runner is not None:
         return runner.run_jobs(jobs)
     store = default_trace_store()
-    profiles: Dict[tuple, MemoryProfile] = {}
-    results = []
-    for job in jobs:
-        key = profile_key(job.spec, job.machine, job.check)
-        profile = profiles.get(key)
-        if profile is not None:
-            results.append(retime_job(job, profile))
-            continue
-        result, profile = simulate_job(job, store.get(job.spec))
-        if profile is not None:
-            profiles[key] = profile
-        results.append(result)
-    return results
+    memo = ProfileMemo() if _INLINE_MEMO is None else _INLINE_MEMO
+    plan = memo.plan(jobs)
+    results: List[Optional[RunResult]] = [None] * len(jobs)
+    for i, profile in plan.retimed:
+        results[i] = retime_job(jobs[i], profile)
 
+    def replay(indices: List[int]) -> None:
+        for i in indices:
+            results[i], profile = simulate_job(jobs[i],
+                                               store.get(jobs[i].spec))
+            for sib in plan.replayed(i, profile):
+                results[sib] = retime_job(jobs[sib], profile)
 
-def retime_job(job: SimJob, profile: MemoryProfile) -> RunResult:
-    """``job``'s result from a profile of the same :func:`profile_key`,
-    checked like a replay at the job's integrity level."""
-    result = retime(profile, job.machine)
-    if job.check != "off":
-        result.verify()
-    return result
+    replay(plan.replays)
+    replay(plan.leftover)
+    return results  # type: ignore[return-value]
 
 
 def simulate_spec(job: SimJob) -> RunResult:

@@ -15,8 +15,9 @@ Two sources of :class:`~repro.runner.jobs.SimJob` specs:
   capacities, power-of-two associativities) and tags the config label
   with its index, so every job has a unique content hash while all of
   them replay the **same single trace** — generating load never costs
-  a second trace build, and per-job simulation cost stays flat no
-  matter how many cold jobs a run asks for.
+  a second trace build.  The grid has 32 cache geometries, so a
+  service replays at most 32 of them per trace; every other cold job
+  is retimed from the memoized profile of its geometry.
 """
 
 from __future__ import annotations
@@ -88,11 +89,13 @@ def perturbed_jobs(count: int, settings: Optional[Settings] = None,
     """``count`` distinct-by-hash cold jobs sharing one trace.
 
     Perturbation ``i`` pairs an L2 capacity and associativity from the
-    valid design grid and stamps ``i`` into the config label, which
-    participates in the content hash — so the stream of distinct jobs
-    is unbounded while every job replays the same uniprocessor trace
-    at the same cost.  ``start`` offsets the index, letting successive
-    load-generator runs draw non-overlapping cold corpora.
+    valid 8 x 4 design grid and stamps ``i`` into the config label,
+    which participates in the content hash — so the stream of distinct
+    jobs is unbounded while every job runs on the same uniprocessor
+    trace.  Jobs ``i`` and ``i + 32`` share a cache geometry, so at
+    most 32 of them replay per trace and the rest are retimes.
+    ``start`` offsets the index, letting successive load-generator runs
+    draw non-overlapping cold corpora.
     """
     settings = settings or Settings.quick()
     spec = trace_spec(1, settings)

@@ -316,7 +316,8 @@ def run_server(service: JobService, host: str = "127.0.0.1",
     c = service.counters
     print(
         f"service summary: submitted={c.submitted} accepted={c.accepted} "
-        f"simulated={c.simulated} cache_hits={c.cache_hits} "
+        f"simulated={c.simulated} retimed={c.retimed} "
+        f"cache_hits={c.cache_hits} "
         f"journal_hits={c.journal_hits} dedup_hits={c.dedup_hits} "
         f"failed={c.failed} recovered={c.recovered} "
         f"drained={'yes' if drained else 'TIMEOUT'}",

@@ -13,7 +13,9 @@ A run has two phases:
    genuinely dedup/cache-hit;
 2. **measure** — a deterministic interleaving of warm repeats and
    fresh cold jobs (``mix`` sets the ratio) is pushed at full
-   concurrency; every submission records two latencies:
+   concurrency.  A cold job replays unless the service already holds
+   the memory profile of its cache geometry, in which case it is
+   retimed at submit time.  Every submission records two latencies:
 
    * ``submit_accept`` — POST round-trip until the service acknowledged
      (queued/done) the job;
@@ -23,7 +25,8 @@ A run has two phases:
 The report (:func:`render` for humans, JSON via ``--report``) gives
 per-phase, per-class nearest-rank percentiles (p50/p90/p99/max),
 overall throughput, and the full status-code histogram — the CI smoke
-asserts every response was 2xx and that warm p99 stays under cold p50.
+asserts every response was 2xx and that warm p99 stays under cold p50
+(most cold jobs replay, so the cold median is a replay).
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ a second one; the later submitter "attaches" to the first's outcome
 and only the ``submissions`` counter grows.
 
 An entry walks ``queued → running → done | failed``; entries answered
-from the result cache or the journal are born ``done``.  Every field a
+from the result cache, the journal or a memoized memory profile are
+born ``done``.  Every field a
 client can act on is exposed through :meth:`JobEntry.status_dict`,
 which is exactly what ``GET /jobs/<id>`` returns.
 """
@@ -31,7 +32,9 @@ STATUSES = (STATUS_QUEUED, STATUS_RUNNING, STATUS_DONE, STATUS_FAILED)
 
 #: Where a finished entry's result came from.  ``simulated`` went
 #: through the worker pool; ``cache``/``journal`` were answered at
-#: submit time; ``recovered`` marks a job re-queued from the journal's
+#: submit time; ``retimed`` was priced from a memoized memory profile,
+#: at submit time or once its batch's replay of the same cache
+#: geometry returned; ``recovered`` marks a job re-queued from the journal's
 #: accept records after a restart (it becomes ``simulated`` once run).
 SOURCE_RECOVERED = "recovered"
 

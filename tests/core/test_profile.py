@@ -434,6 +434,39 @@ class TestRunner:
         assert len(retimes) == len(jobs)
 
 
+def test_all_verb_replays_once_per_profile_key(tmp_path, monkeypatch,
+                                              capsys):
+    from repro.experiments.cli import main
+
+    class Recorder:
+        """Records every job and runs it on the inline path, under the
+        verb's own profile memo."""
+
+        def __init__(self):
+            self.jobs = []
+
+        def run_jobs(self, jobs):
+            self.jobs.extend(jobs)
+            with use_runner(None):
+                return run_simulations(jobs)
+
+    monkeypatch.chdir(tmp_path)
+    recorder = Recorder()
+    with use_runner(recorder):
+        assert main(["all", "--scale", "256", "--uni-txns", "15",
+                     "--mp-txns", "30", "--trace-out", "all.json"]) == 0
+    capsys.readouterr()
+    events = json.loads((tmp_path / "all.json").read_text())["traceEvents"]
+    replays = [e["args"]["label"] for e in events
+               if e["name"] == "system.run"]
+    keys = [profile_key(j.spec, j.machine, j.check) for j in recorder.jobs]
+    profiled_keys = {key for key in keys if key is not None}
+    assert len(keys) > len(profiled_keys) + keys.count(None)
+    assert len(replays) == len(profiled_keys) + keys.count(None)
+    # fig10's Conservative Base shares fig6's 8M4w geometry.
+    assert not [label for label in replays if label.startswith("Cons")]
+
+
 def test_profile_verb_lists_the_retime_span(tmp_path, monkeypatch, capsys):
     from repro.experiments.cli import main
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from repro.core.machine import MachineConfig
 from repro.core.system import simulate
+from repro.params import BASE_L2_SIZE
 from repro.runner import SimJob, TraceSpec
 from repro.runner.tracestore import TraceStore
 
@@ -13,11 +14,16 @@ SCALE = 256
 TXNS = 15
 
 
-def tiny_job(index: int = 0, ncpus: int = 1) -> SimJob:
-    """A cheap, hash-distinct job (index varies the machine label)."""
+def tiny_job(index: int = 0, ncpus: int = 1,
+             l2_size: int = BASE_L2_SIZE) -> SimJob:
+    """A cheap, hash-distinct job (index varies the machine label).
+
+    Jobs with equal ``ncpus`` and ``l2_size`` share one cache geometry,
+    so the service replays one and retimes the others.
+    """
     spec = TraceSpec(ncpus=ncpus, scale=SCALE, txns=TXNS,
                      warmup_txns=5, seed=3)
-    machine = MachineConfig.base(ncpus, scale=SCALE).with_(
+    machine = MachineConfig.base(ncpus, l2_size=l2_size, scale=SCALE).with_(
         label=f"svc-test-{index}")
     return SimJob(spec=spec, machine=machine)
 

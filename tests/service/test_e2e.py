@@ -25,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.profile import profile_key
 from repro.experiments.common import Settings
 from repro.runner import run_simulations
 from repro.runner.jobs import canonical_json
@@ -81,8 +82,12 @@ class TestHTTPMatchesSerial:
             payload = fetch_json(f"{base}/jobs/{job_hash}/result")
             assert canonical_json(payload["result"]) == canonical_json(
                 expected.to_dict())
-        # Every duplicate submission attached instead of re-running.
-        assert service.counters.simulated == len(jobs)
+        # Every duplicate submission attached instead of re-running,
+        # and one job per cache geometry replayed: the rest retimed.
+        keys = {profile_key(j.spec, j.machine, j.check) for j in jobs}
+        assert (service.counters.simulated + service.counters.retimed
+                == len(jobs))
+        assert service.counters.simulated == len(keys)
         assert service.counters.dedup_hits == 36 - len(jobs)
 
 

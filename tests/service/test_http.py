@@ -10,6 +10,8 @@ from urllib.parse import urlsplit
 
 import pytest
 
+from repro.obs import MetricsRegistry, use_metrics
+
 from _helpers import broken_job, tiny_job
 
 
@@ -61,6 +63,23 @@ class TestRoutes:
         assert result["id"] == job_id
         assert result["source"] == "simulated"
         assert result["result"]["breakdown"]["busy"] > 0
+
+    def test_memo_hit_reports_retimed(self, live_server):
+        service, base = live_server
+        first = tiny_job(0)
+        post(f"{base}/jobs", first.to_dict())
+        service.wait(first.content_hash(), timeout=60)
+        with use_metrics(MetricsRegistry()):
+            status, payload = post(f"{base}/jobs", tiny_job(1).to_dict())
+            _, stats = get(f"{base}/stats")
+        assert status == 200
+        (entry,) = payload["jobs"]
+        assert entry["status"] == "done"
+        assert entry["source"] == "retimed"
+        _, result = get(f"{base}/jobs/{entry['id']}/result")
+        assert result["source"] == "retimed"
+        assert stats["counters"]["retimed"] == 1
+        assert stats["metrics"]["counters"]["service.retimed"] == 1
 
     def test_submit_batch(self, live_server):
         service, base = live_server

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.integrity.errors import ConfigError
+from repro.params import MB
 from repro.service import loadgen
 
 from _helpers import tiny_job
@@ -73,7 +74,9 @@ class TestLiveRun:
     def test_small_session_reports_clean(self, live_server):
         _, base = live_server
         warm = [tiny_job(i) for i in range(2)]
-        cold = [tiny_job(200 + i) for i in range(3)]
+        # Distinct cache geometries, none the warm jobs': every cold
+        # job replays instead of retiming a memoized profile.
+        cold = [tiny_job(200 + i, l2_size=(i + 1) * MB) for i in range(3)]
         report = loadgen.generate(
             base, warm, cold, requests=12, concurrency=4,
             mix=(3, 1), poll_timeout=120,
@@ -85,7 +88,7 @@ class TestLiveRun:
         assert done["warm"]["count"] == 9
         assert done["cold"]["count"] == 3
         # Warm submissions answer from the in-memory entry table; cold
-        # ones simulate.  Warm latency must sit well under cold.
+        # ones replay.  Warm latency must sit well under cold.
         assert done["warm"]["p50"] < done["cold"]["p50"]
         text = loadgen.render(report)
         assert "verdict: OK" in text
