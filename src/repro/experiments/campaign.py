@@ -1,11 +1,12 @@
 """The ``repro-oltp campaign`` verb: every figure, parallel and cached.
 
 A campaign installs a :class:`~repro.runner.CampaignRunner` as the
-active runner and replays the ordinary figure drivers through it, so
-each driver's configurations fan out across ``--jobs`` worker
-processes and land in (or are served from) the content-addressed
-result cache.  The second campaign over an unchanged tree therefore
-runs **zero** simulations.
+active runner and runs the ordinary figure drivers through it, all at
+once: each round gathers every configuration the drivers are waiting
+on into one batch, so the ``--jobs`` worker processes stay busy across
+figures instead of draining at the end of each one.  Results land in
+(or are served from) the content-addressed result cache, so the
+second campaign over an unchanged tree runs **zero** simulations.
 
 Cache layout under ``--cache-dir`` (default ``.repro-oltp-cache``)::
 
@@ -22,11 +23,12 @@ checksum and silently re-simulated.
 Campaigns are **resilient by default**: workers run under the
 :class:`~repro.runner.SupervisedExecutor` (crash respawn, per-job
 timeouts via ``--job-timeout``, bounded retry via ``--max-retries``),
-a figure whose jobs fail terminally is reported and *skipped* instead
-of aborting the remaining figures, and ``--resume <journal>`` makes
-the whole campaign checkpointed: completed jobs are fsynced into an
-append-only journal and served from it after a SIGINT/SIGKILL, with
-final output bit-identical to an uninterrupted run.
+a figure whose jobs fail terminally is reported and *skipped* while
+every other figure, in its round or later, completes, and
+``--resume <journal>`` makes the whole campaign checkpointed: completed
+jobs are fsynced into an append-only journal and served from it after
+a SIGINT/SIGKILL, with final output bit-identical to an uninterrupted
+run.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import IO, Dict, List, Optional, Sequence, Tuple
 
@@ -148,9 +149,12 @@ def run_campaign(
     ``shared_memory=False`` makes every worker load its own trace copy
     instead of attaching the parent's shared-memory view.
 
-    A figure whose jobs fail terminally (after retries) is recorded in
-    ``report.failures`` and the campaign *continues* with the next
-    figure — the per-job report replaces the historical exception.
+    Every figure driver runs at once, and the jobs they wait on run
+    together, one batch per round (see
+    :meth:`~repro.runner.CampaignRunner.gather`).  A figure whose jobs
+    fail terminally (after retries) is recorded in ``report.failures``
+    and skipped; the other figures, in its round and after, complete.
+    The per-job report replaces the historical exception.
     """
     # Late import: cli imports this module at load time.
     from repro.experiments.cli import run_figure
@@ -177,31 +181,28 @@ def run_campaign(
     )
     try:
         with use_runner(runner):
-            for name in figures:
-                runner.begin_batch(name)
-                started = time.perf_counter()
-                try:
-                    text = run_figure(name, settings, chart=chart,
-                                      csv_dir=csv_dir)
-                except CampaignJobError as exc:
-                    report.failures[name] = [
-                        f.to_dict() for f in exc.failures
-                    ]
-                    text = f"[{name} FAILED: {exc}]"
-                    print(f"campaign: {name} failed: {exc}", file=stream)
-                except ReproError as exc:
-                    # A driver-level error (bad config, invariant hit on
-                    # the serial path): report it, keep the campaign.
-                    report.failures[name] = [{
-                        "label": name, "job_hash": "",
-                        "kind": "error", "message": str(exc), "attempts": 1,
-                    }]
-                    text = f"[{name} FAILED: {exc}]"
-                    print(f"campaign: {name} failed: {exc}", file=stream)
-                runner.telemetry.end_batch(
-                    name, time.perf_counter() - started
-                )
-                report.figures.append((name, text))
+            outcomes = runner.gather(
+                figures,
+                lambda name: run_figure(name, settings, chart=chart,
+                                        csv_dir=csv_dir),
+            )
+        for name, (text, exc, seconds) in zip(figures, outcomes):
+            if isinstance(exc, CampaignJobError):
+                report.failures[name] = [f.to_dict() for f in exc.failures]
+            elif isinstance(exc, ReproError):
+                # A driver-level error (bad config, invariant hit in
+                # the driver): report it, keep the campaign.
+                report.failures[name] = [{
+                    "label": name, "job_hash": "",
+                    "kind": "error", "message": str(exc), "attempts": 1,
+                }]
+            elif exc is not None:
+                raise exc
+            if exc is not None:
+                text = f"[{name} FAILED: {exc}]"
+                print(f"campaign: {name} failed: {exc}", file=stream)
+            runner.telemetry.end_batch(name, seconds)
+            report.figures.append((name, text))
     finally:
         runner.close()
         if journal is not None:

@@ -1,7 +1,7 @@
 """The campaign executor: cache-first, supervised, order-preserving.
 
 :class:`CampaignRunner` turns a list of :class:`~repro.runner.jobs.SimJob`
-into a list of :class:`~repro.core.results.RunResult` with four
+into a list of :class:`~repro.core.results.RunResult` with these
 guarantees:
 
 * **Determinism** — results come back in job order regardless of
@@ -24,13 +24,22 @@ guarantees:
   archive once; workers reload it through the same
   :class:`~repro.runner.tracestore.TraceStore` code path the drivers
   use, instead of pickling multi-megabyte traces per job.
+* **One batch per round** — :meth:`CampaignRunner.gather` runs many
+  drivers (figures) at once, one at a time on their own threads; the
+  jobs every waiting driver asked for run as one batch, concatenated
+  in driver order, so the workers never idle at a figure boundary and
+  a job shared by two figures is credited to the earlier one.
+  Replays start longest first: more CPUs, then the unprofiled (OOO,
+  RAC) machines.
 * **Fault tolerance** — parallel batches run through a
   :class:`~repro.runner.supervisor.SupervisedExecutor`: crashed or
   hung workers are respawned and their in-flight jobs re-queued,
   transient errors retry with backoff, and a job that fails terminally
   surfaces as a structured
   :class:`~repro.integrity.errors.CampaignJobError` *after* every
-  successful result of the batch has been persisted.
+  successful result of the batch has been persisted.  In process, a
+  simulation error fails its own job the same way.  In a round, each
+  driver's error carries only the failures of its own jobs.
 
 The experiment drivers do not talk to a runner directly: they call
 :func:`run_simulations`, which routes through the runner installed by
@@ -40,20 +49,22 @@ serial simulation — the historical behaviour — when none is active.
 
 from __future__ import annotations
 
+import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.profile import MemoryProfile
+from repro.core.profile import MemoryProfile, profile_key
 from repro.core.results import RunResult
 from repro.core.system import System
-from repro.integrity.errors import CampaignJobError
+from repro.integrity.errors import CampaignJobError, ReproError
 from repro.obs import current_metrics, current_tracer
 from repro.runner.cache import ResultCache
 from repro.runner.jobs import SimJob
 from repro.runner.journal import CampaignJournal
 from repro.runner.memo import ProfileMemo, retime_job
 from repro.runner.supervisor import (
+    FAILURE_ERROR,
     JobFailed,
     JobFailure,
     RetryPolicy,
@@ -80,6 +91,39 @@ __all__ = [
     "use_profile_memo",
     "use_runner",
 ]
+
+
+class _Cancelled(BaseException):
+    """Unwinds a gathered driver whose campaign was interrupted."""
+
+
+class _Driver:
+    """One :meth:`CampaignRunner.gather` driver and its hand-off slots.
+
+    ``wake`` hands the driver the turn; ``parked`` (shared by every
+    driver of one gather) hands it back when the driver blocks in
+    :meth:`park` or finishes.
+    """
+
+    def __init__(self, name: str, parked: threading.Semaphore):
+        self.name = name
+        self.parked = parked
+        self.wake = threading.Semaphore(0)
+        #: Jobs waiting for the next round, and that round's reply.
+        self.request: Optional[List[SimJob]] = None
+        self.reply: object = None
+        self.value: object = None
+        self.error: Optional[BaseException] = None
+        self.seconds = 0.0
+        self.finished = False
+
+    def park(self, jobs: List[SimJob]) -> object:
+        """Queue ``jobs`` and block until a round replies."""
+        self.request = jobs
+        self.parked.release()
+        self.wake.acquire()
+        reply, self.reply = self.reply, None
+        return reply
 
 
 class CampaignRunner:
@@ -135,19 +179,16 @@ class CampaignRunner:
             ProgressPrinter(self.telemetry, stream) if progress
             else NullProgress()
         )
-        self._batch = ""
         self._supervisor: Optional[SupervisedExecutor] = None
         self.shared_memory = shared_memory
         self._arena = None
         #: Kept across batches: a later job on an already-replayed
         #: cache geometry is retimed.
         self._memo = ProfileMemo()
+        #: ``driver``: the :class:`_Driver` a :meth:`gather` thread runs.
+        self._local = threading.local()
 
     # -- lifecycle -------------------------------------------------------------
-
-    def begin_batch(self, name: str) -> None:
-        """Tag subsequent jobs with ``name`` (normally a figure id)."""
-        self._batch = name
 
     def _ensure_supervisor(self) -> SupervisedExecutor:
         if self._supervisor is None:
@@ -188,8 +229,100 @@ class CampaignRunner:
         job fails terminally — after every *successful* job of the
         batch has been recorded, cached, and journaled, so a retry of
         the batch repeats only the failures.
+
+        Called from a driver that :meth:`gather` runs, the jobs wait
+        for the next round instead of running at once.
         """
-        jobs = list(jobs)
+        driver = getattr(self._local, "driver", None)
+        if driver is not None:
+            reply = driver.park(list(jobs))
+        else:
+            reply = self._run_round([("", list(jobs))])[0]
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def gather(self, names: Sequence[str], driver: Callable[[str], object]
+               ) -> List[Tuple[object, Optional[BaseException], float]]:
+        """Run ``driver(name)`` for every name, batching their jobs.
+
+        Each driver runs on its own daemon thread, one at a time, until
+        it finishes or blocks in :meth:`run_jobs`.  Once every driver
+        has, the blocked drivers' jobs run as one round on this thread,
+        concatenated in ``names`` order, and each driver resumes with
+        its own slice of the results (or a
+        :class:`~repro.integrity.errors.CampaignJobError` carrying only
+        its own failures).  Returns ``(value, error, seconds)`` per
+        name: what the driver returned or raised, and its elapsed
+        time.  Elapsed times overlap, since drivers wait on shared
+        rounds.
+
+        Only one thread runs at a time, so driver code needs no locks,
+        and a round — including any fork of the worker pool — runs
+        while every driver is parked on a semaphore, holding no lock.
+        """
+        parked = threading.Semaphore(0)
+        drivers = [_Driver(name, parked) for name in names]
+
+        def body(d: _Driver) -> None:
+            self._local.driver = d
+            d.wake.acquire()
+            if isinstance(d.reply, _Cancelled):  # interrupted before it began
+                return
+            start = time.perf_counter()
+            try:
+                d.value = driver(d.name)
+            except BaseException as exc:  # handed back to the caller
+                d.error = exc
+            d.seconds = time.perf_counter() - start
+            d.finished = True
+            parked.release()
+
+        def resume(d: _Driver) -> None:
+            d.wake.release()
+            parked.acquire()
+
+        started: List[_Driver] = []
+        try:
+            for d in drivers:
+                threading.Thread(target=body, args=(d,), daemon=True,
+                                 name=f"driver-{d.name}").start()
+                started.append(d)
+                resume(d)
+            while True:
+                waiting = [d for d in drivers if d.request is not None]
+                if not waiting:
+                    break
+                requests = [(d.name, d.request) for d in waiting]
+                try:
+                    replies = self._run_round(requests)
+                except ReproError as exc:
+                    replies = [exc] * len(waiting)
+                for d, reply in zip(waiting, replies):
+                    d.request = None
+                    d.reply = reply
+                    resume(d)
+        finally:
+            # Interrupted: unblock every driver still alive; each
+            # unwinds with _Cancelled at its next run_jobs.
+            for d in started:
+                if not d.finished:
+                    d.reply = _Cancelled()
+                    d.wake.release()
+        return [(d.value, d.error, d.seconds) for d in drivers]
+
+    def _run_round(self, requests: List[Tuple[str, List[SimJob]]]
+                   ) -> List[object]:
+        """Run every request's jobs as one batch.
+
+        ``requests`` pairs a batch name (normally a figure) with its
+        jobs; returns, per request, its results in job order or a
+        :class:`~repro.integrity.errors.CampaignJobError` with the
+        failures of its own jobs.
+        """
+        round_start = time.perf_counter()
+        jobs = [job for _, batch in requests for job in batch]
+        names = [name for name, batch in requests for _ in batch]
         tracer = current_tracer()
         results: List[Optional[RunResult]] = [None] * len(jobs)
 
@@ -223,25 +356,32 @@ class CampaignRunner:
             served.append((i, source))
 
         # Plan the replays.  Duplicate pending points (equal hashes)
-        # share one result; the distinct ones plan against the memo.
+        # share one result, credited to the earliest; the distinct ones
+        # plan against the memo.  The longest replays start first:
+        # more CPUs, then the unprofiled (OOO, RAC) machines.
         by_hash: Dict[str, List[int]] = {}
         for i in pending:
             by_hash.setdefault(jobs[i].content_hash(), []).append(i)
         plan = self._memo.plan(jobs, [group[0] for group in by_hash.values()])
-        self._progress.start_batch(self._batch, len(jobs), len(plan.replays))
+        plan.replays.sort(key=lambda i: (
+            -jobs[i].machine.ncpus,
+            profile_key(jobs[i].spec, jobs[i].machine,
+                        jobs[i].check) is not None,
+        ))
+        self._progress.start_batch(len(jobs), len(plan.replays))
         for i, source in served:
-            self._record(jobs[i], 0.0, source)
+            self._record(jobs[i], names[i], 0.0, source)
 
         def settle(d: int, result: RunResult, seconds: float,
                    source: str) -> None:
             # Persist before anything else, so a kill after this
             # instant cannot lose the work.
             self._persist(jobs[d], result)
-            self._record(jobs[d], seconds, source)
+            self._record(jobs[d], names[d], seconds, source)
             for i in by_hash[jobs[d].content_hash()]:
                 results[i] = result
                 if i != d:  # hash-level duplicates are free, like cache hits
-                    self._record(jobs[i], 0.0, SOURCE_CACHE)
+                    self._record(jobs[i], names[i], 0.0, SOURCE_CACHE)
 
         for d, profile in plan.retimed:
             settle(d, *self._retime(jobs[d], profile), SOURCE_RETIMED)
@@ -253,26 +393,43 @@ class CampaignRunner:
                 settle(sib, *self._retime(jobs[sib], profile),
                        SOURCE_RETIMED)
 
-        failures = []
-        for d, failure in self._replay(jobs, plan.replays, replayed):
-            failures.append(failure)
+        failures = self._replay(jobs, plan.replays, replayed)
+        for d, _ in failures:
             plan.failed(d)
         if plan.leftover:
-            failures += [failure for _, failure in
-                         self._replay(jobs, plan.leftover, replayed)]
-        if failures:
-            raise CampaignJobError(failures)
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
+            failures += self._replay(jobs, plan.leftover, replayed)
+        failure_of = {i: failure for d, failure in failures
+                      for i in by_hash[jobs[d].content_hash()]}
+        if tracer.enabled:
+            tracer.add_span(
+                "campaign.round", round_start,
+                time.perf_counter() - round_start,
+                figures=",".join(name for name, _ in requests),
+                jobs=len(jobs), replays=len(plan.replays),
+            )
 
-    def _record(self, job: SimJob, seconds: float, source: str) -> None:
+        replies: List[object] = []
+        start = 0
+        for _, batch in requests:
+            stop = start + len(batch)
+            own: List[JobFailure] = []
+            for i in range(start, stop):
+                failure = failure_of.get(i)
+                if failure is not None and failure not in own:
+                    own.append(failure)
+            replies.append(CampaignJobError(own) if own
+                           else results[start:stop])
+            start = stop
+        return replies
+
+    def _record(self, job: SimJob, batch: str, seconds: float,
+                source: str) -> None:
         # Engine provenance: which replay path this configuration
         # resolves to.  Depends only on the machine and run options, so
         # it is equally meaningful for cached and simulated results.
         engine = System.select_engine(job.machine, check=job.check)
         rec = self.telemetry.record(
-            job.label, self._batch, job.content_hash(), seconds, source,
-            engine,
+            job.label, batch, job.content_hash(), seconds, source, engine,
         )
         self._progress.job_done(rec)
 
@@ -283,19 +440,23 @@ class CampaignRunner:
         if self.journal is not None:
             self.journal.append(job, result)
 
+    @staticmethod
+    def _job_span(job: SimJob, source: str):
+        """A ``campaign.job`` span for ``job`` (no-op when untraced)."""
+        tracer = current_tracer()
+        if not tracer.enabled:
+            return nullcontext()
+        return tracer.span("campaign.job", job=job.label,
+                           hash=job.content_hash(),
+                           engine=System.select_engine(job.machine,
+                                                       check=job.check),
+                           source=source)
+
     def _retime(self, job: SimJob,
                 profile: MemoryProfile) -> Tuple[RunResult, float]:
         """Retime ``job`` from a sibling's profile; ``(result, seconds)``."""
-        tracer = current_tracer()
         start = time.perf_counter()
-        if tracer.enabled:
-            with tracer.span("campaign.job", job=job.label,
-                             hash=job.content_hash(),
-                             engine=System.select_engine(
-                                 job.machine, check=job.check),
-                             source=SOURCE_RETIMED):
-                result = retime_job(job, profile)
-        else:
+        with self._job_span(job, SOURCE_RETIMED):
             result = retime_job(job, profile)
         current_metrics().count("campaign.retimed")
         return result, time.perf_counter() - start
@@ -304,31 +465,34 @@ class CampaignRunner:
                 done: Callable) -> List[Tuple[int, JobFailure]]:
         """Replay ``jobs[i]`` for each of ``indices`` (distinct hashes),
         calling ``done(i, result, seconds, profile)`` as each finishes;
-        returns the terminal failures of a parallel batch.
+        returns the terminal failures.
 
         With workers, every replay runs in the pool, even a lone one:
-        the parent then never holds a replay's working set.
+        the parent then never holds a replay's working set.  In
+        process, a simulation error fails its job only, as a worker's
+        would.
         """
         if not indices:
             return []
         if self.jobs > 1:
             return self._replay_parallel(jobs, indices, done)
-        tracer = current_tracer()
+        failures = []
         for i in indices:
             job = jobs[i]
-            trace = self.trace_store.get(job.spec)
-            start = time.perf_counter()
-            if tracer.enabled:
-                with tracer.span("campaign.job", job=job.label,
-                                 hash=job.content_hash(),
-                                 engine=System.select_engine(
-                                     job.machine, check=job.check),
-                                 source=SOURCE_SIMULATED):
+            try:
+                trace = self.trace_store.get(job.spec)
+                start = time.perf_counter()
+                with self._job_span(job, SOURCE_SIMULATED):
                     result, profile = simulate_job(job, trace)
-            else:
-                result, profile = simulate_job(job, trace)
+            except ReproError as exc:
+                self.telemetry.resilience.failures += 1
+                current_metrics().count("campaign.failures")
+                failures.append((i, JobFailure(
+                    job.label, job.content_hash(), FAILURE_ERROR,
+                    f"{job.label}: {type(exc).__name__}: {exc}", 1)))
+                continue
             done(i, result, time.perf_counter() - start, profile)
-        return []
+        return failures
 
     def _publish_shared(self, specs) -> Optional[dict]:
         """Map each spec to a shared-memory handle (best effort).

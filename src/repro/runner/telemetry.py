@@ -133,7 +133,7 @@ class JobRecord:
 
 @dataclass
 class BatchRecord:
-    """One named batch (normally a figure): its jobs' wall-clock."""
+    """One named batch (normally a figure): its driver's elapsed time."""
 
     name: str
     seconds: float = 0.0
@@ -234,6 +234,10 @@ class CampaignTelemetry:
         from a sibling's memory profile); the
         ``engine`` column shows each batch's dominant replay engine
         (ties break alphabetically, ``-`` when no record names one).
+        The ``wall`` column is each figure driver's elapsed time; a
+        campaign runs its drivers side by side and their jobs in shared
+        rounds, so these times overlap and sum to more than the
+        campaign's wall time.
 
         ``color`` opts into ANSI styling of the header and summary; it
         defaults to off and callers should gate it on
@@ -296,7 +300,10 @@ class CampaignTelemetry:
 class ProgressPrinter:
     """Streams one line per finished job, with a running ETA.
 
-    The ETA extrapolates the mean simulated-job cost over the jobs
+    A batch is everything the runner runs at once: a campaign round
+    holds the jobs of several figures, so each line names its own
+    job's batch and counts it against the whole round.  The ETA
+    extrapolates the mean simulated-job cost over the jobs
     still expected to *simulate* in the current batch, divided by the
     worker count.  The runner resolves its cache pass before the batch
     starts and passes ``expected_sim``, so jobs it already knows will
@@ -314,15 +321,13 @@ class ProgressPrinter:
         #: newline-terminated lines either way — non-TTY consumers
         #: (service logs, CI) never see escape codes.
         self.ansi = ansi_enabled(self.stream) if ansi is None else bool(ansi)
-        self._batch = ""
         self._total = 0
         self._done = 0
         self._expected_sim = 0
         self._sim_done = 0
 
-    def start_batch(self, name: str, total_jobs: int,
+    def start_batch(self, total_jobs: int,
                     expected_sim: Optional[int] = None) -> None:
-        self._batch = name
         self._total = total_jobs
         self._done = 0
         self._expected_sim = (
@@ -350,7 +355,7 @@ class ProgressPrinter:
             self.ansi,
         )
         counter = _style(
-            f"[{self._batch} {self._done}/{self._total}]", _DIM, self.ansi
+            f"[{record.batch} {self._done}/{self._total}]", _DIM, self.ansi
         )
         print(
             f"  {counter} "
@@ -362,7 +367,7 @@ class ProgressPrinter:
 class NullProgress:
     """Progress sink that discards everything (quiet mode, tests)."""
 
-    def start_batch(self, name: str, total_jobs: int,
+    def start_batch(self, total_jobs: int,
                     expected_sim: Optional[int] = None) -> None:
         pass
 

@@ -219,7 +219,6 @@ class TestCampaignSpans:
         jobs = self.jobs()
         tracer = Tracer()
         with use_tracer(tracer), CampaignRunner(jobs=1) as runner:
-            runner.begin_batch("figX")
             runner.run_jobs(jobs)
         spans = [s for s in tracer.spans if s.name == "campaign.job"]
         assert len(spans) == len(jobs)
@@ -249,7 +248,6 @@ class TestCampaignSpans:
         registry = MetricsRegistry()
         with use_tracer(tracer), use_metrics(registry):
             with CampaignRunner(jobs=2) as runner:
-                runner.begin_batch("figX")
                 results = runner.run_jobs(jobs)
         assert len(results) == 2
         spans = [s for s in tracer.spans if s.name == "campaign.job"]

@@ -8,13 +8,23 @@ campaign runner — parallel workers, cold cache, or warm cache — is
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.experiments.campaign import run_campaign
 from repro.experiments.common import Settings
+from repro.integrity.errors import FaultInjectionError
+from repro.obs import Tracer, use_tracer
+from repro.runner import CampaignRunner
+from repro.runner import executor, supervisor
 
 FIGS = ("fig5", "fig10")
+#: fig10's uni ladder repeats fig5 and fig7 machines: shared job hashes.
+ROUND_FIGS = ("fig5", "fig7", "fig10")
+#: Only fig7 runs this job.
+FAILING_LABEL = "L2 2M2w on-chip-sram"
 
 
 def campaign(cache_dir, jobs, **kw):
@@ -142,3 +152,123 @@ class TestCampaignCli:
             and "ETA" not in ln and not ln.startswith("  fig")
         ]
         assert strip(first) == strip(second)
+
+
+def batch_rows(report):
+    """The ``(batch, jobs, sim, served)`` rows of the telemetry table."""
+    lines = report.telemetry.render().splitlines()[2:-1]
+    return [tuple(line.split()[:4]) for line in lines]
+
+
+@pytest.fixture(scope="module")
+def clean_rounds():
+    return run_campaign(ROUND_FIGS, Settings.quick(), jobs=1,
+                        cache_dir=None, progress=False)
+
+
+class TestRounds:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shared_hashes_credit_the_earlier_figure(self, tmp_path, jobs,
+                                                     clean_rounds):
+        report = run_campaign(ROUND_FIGS, Settings.quick(), jobs=jobs,
+                              cache_dir=str(tmp_path), progress=False)
+        # Measured on the campaign that ran one figure at a time: the
+        # earlier figure simulates a shared job, the later one is served.
+        expected = [("fig5", "9", "8", "1"), ("fig7", "7", "4", "3"),
+                    ("fig10", "8", "3", "5")]
+        assert batch_rows(report) == expected
+        assert batch_rows(clean_rounds) == expected
+        assert report.figures == clean_rounds.figures
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_job_fails_only_its_figure(self, monkeypatch, jobs,
+                                               clean_rounds):
+        real = supervisor.simulate_job
+
+        def simulate(job, trace):
+            if job.label == FAILING_LABEL:
+                raise FaultInjectionError("injected")
+            return real(job, trace)
+
+        # In process, and in the workers the pool forks afterwards.
+        monkeypatch.setattr(executor, "simulate_job", simulate)
+        monkeypatch.setattr(supervisor, "simulate_job", simulate)
+        report = run_campaign(ROUND_FIGS, Settings.quick(), jobs=jobs,
+                              cache_dir=None, progress=False)
+        assert list(report.failures) == ["fig7"]
+        (failure,) = report.failures["fig7"]
+        assert failure["label"] == FAILING_LABEL
+        assert failure["kind"] == "error"
+        assert "FaultInjectionError: injected" in failure["message"]
+        assert report.telemetry.resilience.failures == 1
+        clean = dict(clean_rounds.figures)
+        texts = dict(report.figures)
+        assert texts["fig7"].startswith("[fig7 FAILED:")
+        for name in ("fig5", "fig10"):
+            assert texts[name] == clean[name]
+
+    def test_gather_hands_each_driver_its_own_replies(self, monkeypatch):
+        # More drivers than cores and a tiny switch interval: a lost or
+        # crossed hand-off would hang or return another driver's jobs.
+        runner = CampaignRunner(jobs=1)
+        rounds = []
+
+        def echo(requests):
+            rounds.append([name for name, _ in requests])
+            return [list(batch) for _, batch in requests]
+
+        monkeypatch.setattr(runner, "_run_round", echo)
+        calls = {f"d{i}": 1 + i % 4 for i in range(12)}
+
+        def driver(name):
+            return [runner.run_jobs([(name, k)]) for k in range(calls[name])]
+
+        outcomes = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(
+                target=lambda: outcomes.extend(runner.gather(calls, driver)),
+                daemon=True)
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        for name, (value, error, _) in zip(calls, outcomes):
+            assert error is None
+            assert value == [[(name, k)] for k in range(calls[name])]
+        assert rounds == [[name for name, n in calls.items() if n > r]
+                          for r in range(4)]
+
+    def test_one_span_per_round(self):
+        tracer = Tracer()
+        tiny = Settings(scale=256, uni_txns=15, mp_txns=30, seed=3)
+        with use_tracer(tracer):
+            report = run_campaign(("fig5", "fig10"), tiny, jobs=1,
+                                  cache_dir=None, progress=False)
+        rounds = [s for s in tracer.spans if s.name == "campaign.round"]
+        # fig10 runs its uni ladder, its MP ladder, then its
+        # Conservative Base point: three rounds, fig5 in the first.
+        assert [s.args["figures"] for s in rounds] == [
+            "fig5,fig10", "fig10", "fig10"]
+        assert (sum(s.args["jobs"] for s in rounds)
+                == report.telemetry.total_jobs)
+        assert (sum(s.args["replays"] for s in rounds)
+                == report.telemetry.simulated)
+
+    def test_interrupted_round_leaves_no_driver_thread(self, monkeypatch):
+        def interrupt(self, requests):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(CampaignRunner, "_run_round", interrupt)
+        tiny = Settings(scale=256, uni_txns=15, mp_txns=30, seed=3)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(("fig5", "fig10"), tiny, jobs=1, cache_dir=None,
+                         progress=False)
+        drivers = [t for t in threading.enumerate()
+                   if t.name.startswith("driver-")]
+        for thread in drivers:
+            assert thread.daemon
+            thread.join(timeout=10)
+        assert not any(t.is_alive() for t in drivers)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 
 import pytest
 
@@ -134,7 +135,7 @@ class TestProgressPrinter:
 
     def test_job_lines_and_eta(self):
         printer, telemetry, stream = self.printer()
-        printer.start_batch("fig5", 3, expected_sim=3)
+        printer.start_batch(3, expected_sim=3)
         printer.job_done(
             telemetry.record("a", "fig5", "h1", 4.0, SOURCE_SIMULATED))
         lines = stream.getvalue().splitlines()
@@ -144,7 +145,7 @@ class TestProgressPrinter:
 
     def test_last_job_has_no_eta(self):
         printer, telemetry, stream = self.printer()
-        printer.start_batch("fig5", 1, expected_sim=1)
+        printer.start_batch(1, expected_sim=1)
         printer.job_done(
             telemetry.record("a", "fig5", "h1", 4.0, SOURCE_SIMULATED))
         assert stream.getvalue() == "  [fig5 1/1] a: 4.00s (simulated)\n"
@@ -156,7 +157,7 @@ class TestProgressPrinter:
         # line is suffix-free.
         printer, telemetry, stream = self.printer()
         telemetry.record("old", "fig4", "h0", 60.0, SOURCE_SIMULATED)
-        printer.start_batch("fig5", 3, expected_sim=0)
+        printer.start_batch(3, expected_sim=0)
         for label in ("a", "b", "c"):
             printer.job_done(
                 telemetry.record(label, "fig5", label, 0.0, SOURCE_CACHE))
@@ -166,7 +167,7 @@ class TestProgressPrinter:
 
     def test_mixed_batch_eta_counts_only_remaining_sims(self):
         printer, telemetry, stream = self.printer()
-        printer.start_batch("fig5", 4, expected_sim=2)
+        printer.start_batch(4, expected_sim=2)
         printer.job_done(
             telemetry.record("a", "fig5", "h1", 6.0, SOURCE_SIMULATED))
         lines = stream.getvalue().splitlines()
@@ -180,7 +181,7 @@ class TestProgressPrinter:
         # More simulations than promised (e.g. a corrupt cache entry
         # re-simulating): remaining_sim clamps at zero.
         printer, telemetry, stream = self.printer()
-        printer.start_batch("fig5", 3, expected_sim=1)
+        printer.start_batch(3, expected_sim=1)
         for label in ("a", "b"):
             printer.job_done(
                 telemetry.record(label, "fig5", label, 2.0,
@@ -189,14 +190,54 @@ class TestProgressPrinter:
 
     def test_expected_sim_defaults_to_total(self):
         printer, telemetry, stream = self.printer()
-        printer.start_batch("fig5", 2)
+        printer.start_batch(2)
         printer.job_done(
             telemetry.record("a", "fig5", "h1", 2.0, SOURCE_SIMULATED))
         assert stream.getvalue().splitlines()[0].endswith("| eta 1.0s")
 
+    def test_round_lines_name_their_own_figure(self):
+        # One batch holding two figures' jobs: the counter spans the
+        # round, the tag names each job's own figure.
+        printer, telemetry, stream = self.printer()
+        printer.start_batch(3, expected_sim=0)
+        for label, batch in (("a", "fig5"), ("b", "fig7"), ("c", "fig5")):
+            printer.job_done(
+                telemetry.record(label, batch, label, 0.0, SOURCE_CACHE))
+        assert stream.getvalue().splitlines() == [
+            "  [fig5 1/3] a: 0.00s (cache)",
+            "  [fig7 2/3] b: 0.00s (cache)",
+            "  [fig5 3/3] c: 0.00s (cache)",
+        ]
+
+    def test_campaign_starts_one_progress_batch_per_round(self):
+        from repro.experiments.campaign import run_campaign
+        from repro.experiments.common import Settings
+
+        stream = io.StringIO()
+        tiny = Settings(scale=256, uni_txns=15, mp_txns=30, seed=3)
+        report = run_campaign(("fig5", "fig10"), tiny, jobs=1,
+                              cache_dir=None, stream=stream)
+        lines = [re.match(r"  \[(\S+) (\d+)/(\d+)\] (.+): ", line).groups()
+                 for line in stream.getvalue().splitlines()]
+        # A round restarts the counter at 1 and counts to its size.
+        rounds = []
+        for batch, done, total, label in lines:
+            if done == "1":
+                rounds.append([])
+            rounds[-1].append((batch, label, int(done), int(total)))
+        assert [len(r) for r in rounds] == [
+            r[0][3] for r in rounds]
+        assert [[d for _, _, d, _ in r] for r in rounds] == [
+            list(range(1, len(r) + 1)) for r in rounds]
+        # fig10 makes three calls; fig5 joins only the first round.
+        assert [sorted({b for b, *_ in r}) for r in rounds] == [
+            ["fig10", "fig5"], ["fig10"], ["fig10"]]
+        assert sorted((b, label) for r in rounds for b, label, *_ in r) == \
+            sorted((rec.batch, rec.label) for rec in report.telemetry.records)
+
     def test_null_progress_accepts_the_same_calls(self):
         null = NullProgress()
-        null.start_batch("fig5", 3, expected_sim=1)
+        null.start_batch(3, expected_sim=1)
         null.job_done(
             CampaignTelemetry().record("a", "fig5", "h", 1.0, SOURCE_CACHE))
 
@@ -236,7 +277,7 @@ class TestAnsiSuppression:
         stream = io.StringIO()
         printer = ProgressPrinter(telemetry, stream)
         assert printer.ansi is False
-        printer.start_batch("fig5", 2, expected_sim=2)
+        printer.start_batch(2, expected_sim=2)
         printer.job_done(
             telemetry.record("a", "fig5", "h1", 2.0, SOURCE_SIMULATED))
         assert "\x1b" not in stream.getvalue()
@@ -245,7 +286,7 @@ class TestAnsiSuppression:
         telemetry = CampaignTelemetry(workers=2)
         stream = io.StringIO()
         printer = ProgressPrinter(telemetry, stream, ansi=True)
-        printer.start_batch("fig5", 2, expected_sim=2)
+        printer.start_batch(2, expected_sim=2)
         printer.job_done(
             telemetry.record("a", "fig5", "h1", 2.0, SOURCE_SIMULATED))
         out = stream.getvalue()
@@ -258,6 +299,4 @@ class TestAnsiSuppression:
         styled = telemetry.render(color=True)
         assert "\x1b[" in styled
         # Styling never changes the words, only wraps them.
-        import re
-
         assert re.sub(r"\x1b\[[0-9;]*m", "", styled) == telemetry.render()
