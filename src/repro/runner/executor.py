@@ -21,16 +21,17 @@ guarantees:
   the rest, and any later job on a memoized profile, bit-identically.
 * **Trace sharing** — before forking, every distinct
   :class:`~repro.runner.tracestore.TraceSpec` is spilled to the trace
-  archive once; workers reload it through the same
+  archive once (traces not yet built build side by side, one process
+  each); workers reload it through the same
   :class:`~repro.runner.tracestore.TraceStore` code path the drivers
   use, instead of pickling multi-megabyte traces per job.
 * **One batch per round** — :meth:`CampaignRunner.gather` runs many
   drivers (figures) at once, one at a time on their own threads; the
   jobs every waiting driver asked for run as one batch, concatenated
-  in driver order, so the workers never idle at a figure boundary and
-  a job shared by two figures is credited to the earlier one.
-  Replays start longest first: more CPUs, then the unprofiled (OOO,
-  RAC) machines.
+  in driver order, so the workers never idle at a figure boundary.
+  Rounds run in order, and within a round a job shared by two figures
+  is credited to the earlier one.  Replays start longest first: more
+  CPUs, then the unprofiled (OOO, RAC) machines.
 * **Fault tolerance** — parallel batches run through a
   :class:`~repro.runner.supervisor.SupervisedExecutor`: crashed or
   hung workers are respawned and their in-flight jobs re-queued,
@@ -39,7 +40,10 @@ guarantees:
   :class:`~repro.integrity.errors.CampaignJobError` *after* every
   successful result of the batch has been persisted.  In process, a
   simulation error fails its own job the same way.  In a round, each
-  driver's error carries only the failures of its own jobs.
+  driver's error carries only the failures of its own jobs, and a pool
+  that dies too often gives each set of figures sharing jobs a fresh
+  respawn budget, so a job that kills its workers fails no figure that
+  does not need it.
 
 The experiment drivers do not talk to a runner directly: they call
 :func:`run_simulations`, which routes through the runner installed by
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -80,7 +85,7 @@ from repro.runner.telemetry import (
     NullProgress,
     ProgressPrinter,
 )
-from repro.runner.tracestore import TraceStore, default_trace_store
+from repro.runner.tracestore import TraceSpec, TraceStore, default_trace_store
 
 __all__ = [
     "CampaignRunner",
@@ -164,7 +169,8 @@ class CampaignRunner:
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.journal = journal
-        self.trace_store = trace_store or default_trace_store()
+        self.trace_store = (trace_store if trace_store is not None
+                            else default_trace_store())
         self.telemetry = CampaignTelemetry(workers=self.jobs)
         if retry is None:
             retry = RetryPolicy() if max_retries is None else RetryPolicy(
@@ -393,11 +399,14 @@ class CampaignRunner:
                 settle(sib, *self._retime(jobs[sib], profile),
                        SOURCE_RETIMED)
 
-        failures = self._replay(jobs, plan.replays, replayed)
+        # A replay's supervisor group: the figures that need its result.
+        need = {h: tuple(dict.fromkeys(names[i] for i in group))
+                for h, group in by_hash.items()}
+        failures = self._replay(jobs, plan.replays, replayed, need)
         for d, _ in failures:
             plan.failed(d)
         if plan.leftover:
-            failures += self._replay(jobs, plan.leftover, replayed)
+            failures += self._replay(jobs, plan.leftover, replayed, need)
         failure_of = {i: failure for d, failure in failures
                       for i in by_hash[jobs[d].content_hash()]}
         if tracer.enabled:
@@ -462,20 +471,23 @@ class CampaignRunner:
         return result, time.perf_counter() - start
 
     def _replay(self, jobs: Sequence[SimJob], indices: List[int],
-                done: Callable) -> List[Tuple[int, JobFailure]]:
+                done: Callable, need: Dict[str, tuple]
+                ) -> List[Tuple[int, JobFailure]]:
         """Replay ``jobs[i]`` for each of ``indices`` (distinct hashes),
         calling ``done(i, result, seconds, profile)`` as each finishes;
         returns the terminal failures.
 
         With workers, every replay runs in the pool, even a lone one:
-        the parent then never holds a replay's working set.  In
-        process, a simulation error fails its job only, as a worker's
-        would.
+        the parent then never holds a replay's working set.  Its
+        supervisor group is the batch names ``need`` lists for its
+        hash, so when the pool gives up, a job that kills its workers
+        fails only alongside jobs the same figures need.  In process,
+        a simulation error fails its job only, as a worker's would.
         """
         if not indices:
             return []
         if self.jobs > 1:
-            return self._replay_parallel(jobs, indices, done)
+            return self._replay_parallel(jobs, indices, done, need)
         failures = []
         for i in indices:
             job = jobs[i]
@@ -515,16 +527,45 @@ class CampaignRunner:
                 current_metrics().count("campaign.shm_fallbacks")
         return handles or None
 
+    def _archive_traces(self, specs) -> None:
+        """Materialize each spec's workload into the shared archive, so
+        no worker pays for trace generation.
+
+        Traces neither in memory nor archived build at the same time,
+        one process each (up to the worker count), instead of one after
+        the other while the workers wait.  A build that fails there is
+        retried in this process.
+        """
+        store = self.trace_store
+        missing = [spec for spec in specs
+                   if spec not in store and not store.is_archived(spec)]
+        if len(missing) > 1:
+            tracer = current_tracer()
+            metrics = current_metrics()
+            with_obs = tracer.enabled or metrics.enabled
+            with ProcessPoolExecutor(min(self.jobs, len(missing))) as pool:
+                futures = [pool.submit(_archive_trace, store.spill_dir,
+                                       spec, with_obs)
+                           for spec in missing]
+                for future in futures:
+                    try:
+                        obs = future.result()
+                    except Exception:
+                        continue  # ensure_archived below builds it
+                    if obs is not None:
+                        tracer.absorb(obs["spans"])
+                        metrics.absorb(obs["metrics"])
+        for spec in specs:
+            store.ensure_archived(spec)
+
     def _replay_parallel(self, jobs: Sequence[SimJob], indices: List[int],
-                         done: Callable) -> List[Tuple[int, JobFailure]]:
-        # Materialize each distinct workload into the shared archive
-        # once, so no worker pays for trace generation.  The archive
-        # stays the durable fallback even when the same workloads are
-        # also published to shared memory below.
+                         done: Callable, need: Dict[str, tuple]
+                         ) -> List[Tuple[int, JobFailure]]:
+        # The archive stays the durable fallback even when the same
+        # workloads are also published to shared memory below.
         distinct_specs = {jobs[i].spec for i in indices}
         if self.trace_store.spill_dir:
-            for spec in distinct_specs:
-                self.trace_store.ensure_archived(spec)
+            self._archive_traces(distinct_specs)
         shm_handles = self._publish_shared(distinct_specs)
 
         tracer = current_tracer()
@@ -541,9 +582,28 @@ class CampaignRunner:
 
         outcomes = self._ensure_supervisor().run(
             [jobs[i] for i in indices], with_obs=with_obs,
-            on_result=on_result, shm_handles=shm_handles)
+            on_result=on_result, shm_handles=shm_handles,
+            groups=[need[jobs[i].content_hash()] for i in indices])
         return [(index_of[outcome.job.content_hash()], outcome.failure)
                 for outcome in outcomes if outcome.failure is not None]
+
+
+def _archive_trace(spill_dir: str, spec: TraceSpec,
+                   with_obs: bool) -> Optional[dict]:
+    """Build ``spec``'s trace into the archive under ``spill_dir`` (in
+    a process of its own); return the build's serialized spans and
+    metrics when the parent observes, else ``None``."""
+    store = TraceStore(spill_dir=spill_dir)
+    if not with_obs:
+        store.ensure_archived(spec)
+        return None
+    from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
+
+    tracer = Tracer(tid="builder")
+    registry = MetricsRegistry()
+    with use_tracer(tracer), use_metrics(registry):
+        store.ensure_archived(spec)
+    return {"spans": tracer.to_dicts(), "metrics": registry.to_dict()}
 
 
 # -- the active runner (driver-facing indirection) -----------------------------

@@ -42,7 +42,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.profile import MemoryProfile
 from repro.core.results import RunResult
@@ -290,7 +290,8 @@ class SupervisedExecutor:
     killing and respawning the pool — the only reclamation a hung
     worker allows.  ``max_respawns`` caps pool rebuilds per ``run``
     call so a worker that crashes on every job cannot loop forever;
-    past the cap every unfinished job fails as ``crash``.
+    past the cap every unfinished job fails as ``crash`` (each group's
+    on its own, when the run has several; see :meth:`run`).
 
     ``chaos`` is ``(fault_plans, token_dir)`` for the chaos harness
     (:mod:`repro.integrity.faults`); plans are installed in every
@@ -385,7 +386,8 @@ class SupervisedExecutor:
 
     def run(self, jobs: Sequence[SimJob], with_obs: bool = False,
             on_result: Optional[Callable] = None,
-            shm_handles: Optional[Dict] = None) -> List[JobOutcome]:
+            shm_handles: Optional[Dict] = None,
+            groups: Optional[Sequence[Hashable]] = None) -> List[JobOutcome]:
         """Run every job to a terminal :class:`JobOutcome`.
 
         ``on_result(job, result, seconds, obs, profile)`` fires as
@@ -398,8 +400,17 @@ class SupervisedExecutor:
         replay against the parent's shared mapping (surviving pool
         respawns — a fresh worker simply re-attaches), others fall
         back to per-worker trace loads.
+
+        ``groups`` names each job's group (a campaign passes the
+        figures that need the job).  When the pool dies more than
+        ``max_respawns`` times in a run of several groups, the
+        unfinished jobs do not fail there: each group's run again on
+        their own, with a fresh budget, so a group whose jobs kill
+        their workers fails only its own jobs, as it would have alone.
         """
         jobs = list(jobs)
+        isolate = groups is not None and len(set(groups)) > 1
+        abandoned: List[_Attempt] = []
         outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
         ready = deque(_Attempt(job, i) for i, job in enumerate(jobs))
         waiting: List[_Attempt] = []  # backoff queue
@@ -445,12 +456,18 @@ class SupervisedExecutor:
             requeue_inflight()
             self._respawns_this_run += 1
             if self._respawns_this_run > self.max_respawns:
-                # The pool is not survivable: fail everything left.
+                # The pool is not survivable: fail everything left, or
+                # leave it for one run per group.
                 for queue in (ready, waiting):
                     while queue:
-                        fail(queue.pop(), FAILURE_CRASH,
-                             f"worker pool died {self._respawns_this_run} "
-                             f"times ({reason}); giving up")
+                        attempt = queue.pop()
+                        if isolate:
+                            abandoned.append(attempt)
+                        else:
+                            fail(attempt, FAILURE_CRASH,
+                                 f"worker pool died "
+                                 f"{self._respawns_this_run} times "
+                                 f"({reason}); giving up")
                 return
             self.stats.respawns += 1
             metrics.count("campaign.pool_respawns")
@@ -547,6 +564,14 @@ class SupervisedExecutor:
                         f"no result within {self.job_timeout:.1f}s")
                 respawn("job deadline expired")
 
+        by_group: Dict[Hashable, List[_Attempt]] = {}
+        for attempt in sorted(abandoned, key=lambda a: a.index):
+            by_group.setdefault(groups[attempt.index], []).append(attempt)
+        for group in by_group.values():
+            rerun = self.run([a.job for a in group], with_obs=with_obs,
+                             on_result=on_result, shm_handles=shm_handles)
+            for attempt, outcome in zip(group, rerun):
+                outcomes[attempt.index] = outcome
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
 

@@ -201,6 +201,11 @@ class TraceStore:
         self._remember(spec, trace)
         return trace
 
+    def is_archived(self, spec: TraceSpec) -> bool:
+        """True when ``spec`` has an archive under ``spill_dir``."""
+        path = self._archive_path(spec)
+        return path is not None and os.path.exists(path)
+
     def ensure_archived(self, spec: TraceSpec) -> str:
         """Guarantee an on-disk archive for ``spec``; return its path.
 

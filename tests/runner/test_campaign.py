@@ -8,6 +8,7 @@ campaign runner — parallel workers, cold cache, or warm cache — is
 from __future__ import annotations
 
 import json
+import os
 import sys
 import threading
 
@@ -17,7 +18,7 @@ from repro.experiments.campaign import run_campaign
 from repro.experiments.common import Settings
 from repro.integrity.errors import FaultInjectionError
 from repro.obs import Tracer, use_tracer
-from repro.runner import CampaignRunner
+from repro.runner import CampaignRunner, TraceSpec, TraceStore
 from repro.runner import executor, supervisor
 
 FIGS = ("fig5", "fig10")
@@ -207,6 +208,31 @@ class TestRounds:
         for name in ("fig5", "fig10"):
             assert texts[name] == clean[name]
 
+    def test_job_that_kills_its_worker_fails_only_its_figure(
+            self, monkeypatch, clean_rounds):
+        real = supervisor.simulate_job
+
+        def simulate(job, trace):
+            if job.label == FAILING_LABEL:
+                os._exit(1)
+            return real(job, trace)
+
+        # The workers the pool forks afterwards inherit it.
+        monkeypatch.setattr(supervisor, "simulate_job", simulate)
+        # fig7 first: its replays start while fig5's and fig10's wait,
+        # so the pool gives up on a round that still holds them.
+        report = run_campaign(("fig7", "fig5", "fig10"), Settings.quick(),
+                              jobs=2, cache_dir=None, progress=False)
+        assert list(report.failures) == ["fig7"]
+        failures = report.failures["fig7"]
+        assert FAILING_LABEL in [f["label"] for f in failures]
+        assert {f["kind"] for f in failures} == {"crash"}
+        assert report.telemetry.resilience.failures == len(failures)
+        clean = dict(clean_rounds.figures)
+        texts = dict(report.figures)
+        for name in ("fig5", "fig10"):
+            assert texts[name] == clean[name]
+
     def test_gather_hands_each_driver_its_own_replies(self, monkeypatch):
         # More drivers than cores and a tiny switch interval: a lost or
         # crossed hand-off would hang or return another driver's jobs.
@@ -272,3 +298,35 @@ class TestRounds:
             assert thread.daemon
             thread.join(timeout=10)
         assert not any(t.is_alive() for t in drivers)
+
+
+def _broken_build(spill_dir, spec, with_obs):
+    raise RuntimeError("builder lost")
+
+
+class TestArchiveTraces:
+    SPECS = [TraceSpec(ncpus=n, scale=256, txns=15, warmup_txns=5, seed=3)
+             for n in (1, 2)]
+
+    def test_cold_traces_build_in_their_own_processes(self, tmp_path):
+        store = TraceStore(spill_dir=str(tmp_path))
+        tracer = Tracer()
+        with use_tracer(tracer):
+            CampaignRunner(jobs=2, trace_store=store)._archive_traces(
+                self.SPECS)
+        assert all(store.is_archived(spec) for spec in self.SPECS)
+        assert store.stats.builds == 0
+        builds = [s for s in tracer.spans if s.name == "trace.build"]
+        assert sorted(s.args["ncpus"] for s in builds) == [1, 2]
+        assert os.getpid() not in {s.pid for s in builds}
+        for spec in self.SPECS:
+            built, archived = spec.build(), store.get(spec)
+            assert ([(q.cpu, list(q.refs)) for q in archived.quanta]
+                    == [(q.cpu, list(q.refs)) for q in built.quanta])
+
+    def test_a_failed_build_is_retried_here(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(executor, "_archive_trace", _broken_build)
+        store = TraceStore(spill_dir=str(tmp_path))
+        CampaignRunner(jobs=2, trace_store=store)._archive_traces(self.SPECS)
+        assert all(store.is_archived(spec) for spec in self.SPECS)
+        assert store.stats.builds == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.core.machine import MachineConfig
 from repro.core.system import simulate
 from repro.runner import RetryPolicy, SimJob, SupervisedExecutor, TraceSpec
+from repro.runner import supervisor
 from repro.runner.supervisor import JobFailure, JobOutcome, payload_crc
 from repro.runner.tracestore import default_trace_store
 
@@ -113,3 +115,27 @@ class TestHappyPath:
         ex = SupervisedExecutor(1, default_trace_store())
         ex.close()
         ex.close()
+
+
+class TestGroups:
+    def test_group_that_kills_the_pool_fails_alone(self, monkeypatch):
+        spec = TraceSpec(ncpus=1, scale=SCALE, txns=15, warmup_txns=5, seed=3)
+        jobs = [SimJob(spec=spec, machine=MachineConfig.base(1, scale=SCALE,
+                                                              l2_size=size))
+                for size in (1 << 20, 2 << 20, 4 << 20, 8 << 20)]
+        doomed = jobs[0].label
+        real = supervisor.simulate_job
+
+        def simulate(job, trace):
+            if job.label == doomed:
+                os._exit(1)
+            return real(job, trace)
+
+        # The workers the pool forks afterwards inherit it.
+        monkeypatch.setattr(supervisor, "simulate_job", simulate)
+        with SupervisedExecutor(2, default_trace_store(),
+                                max_respawns=1) as ex:
+            outcomes = ex.run(jobs, groups=["a", "a", "b", "b"])
+            assert [o.ok for o in outcomes[2:]] == [True, True]
+            assert outcomes[0].failure.kind == "crash"
+            assert ex.stats.failures == sum(not o.ok for o in outcomes)
