@@ -30,8 +30,7 @@ guarantees:
   jobs every waiting driver asked for run as one batch, concatenated
   in driver order, so the workers never idle at a figure boundary.
   Rounds run in order, and within a round a job shared by two figures
-  is credited to the earlier one.  Replays start longest first: more
-  CPUs, then the unprofiled (OOO, RAC) machines.
+  is credited to the earlier one.
 * **Fault tolerance** — parallel batches run through a
   :class:`~repro.runner.supervisor.SupervisedExecutor`: crashed or
   hung workers are respawned and their in-flight jobs re-queued,
@@ -59,7 +58,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.profile import MemoryProfile, profile_key
+from repro.core.profile import MemoryProfile
 from repro.core.results import RunResult
 from repro.core.system import System
 from repro.integrity.errors import CampaignJobError, ReproError
@@ -363,17 +362,11 @@ class CampaignRunner:
 
         # Plan the replays.  Duplicate pending points (equal hashes)
         # share one result, credited to the earliest; the distinct ones
-        # plan against the memo.  The longest replays start first:
-        # more CPUs, then the unprofiled (OOO, RAC) machines.
+        # plan against the memo.
         by_hash: Dict[str, List[int]] = {}
         for i in pending:
             by_hash.setdefault(jobs[i].content_hash(), []).append(i)
         plan = self._memo.plan(jobs, [group[0] for group in by_hash.values()])
-        plan.replays.sort(key=lambda i: (
-            -jobs[i].machine.ncpus,
-            profile_key(jobs[i].spec, jobs[i].machine,
-                        jobs[i].check) is not None,
-        ))
         self._progress.start_batch(len(jobs), len(plan.replays))
         for i, source in served:
             self._record(jobs[i], names[i], 0.0, source)

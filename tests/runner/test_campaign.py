@@ -26,6 +26,8 @@ FIGS = ("fig5", "fig10")
 ROUND_FIGS = ("fig5", "fig7", "fig10")
 #: Only fig7 runs this job.
 FAILING_LABEL = "L2 2M2w on-chip-sram"
+#: Only fig7 runs this job too; fig7's next replay is also fig10's.
+CRASHING_LABEL = "L2 1M8w on-chip-sram"
 
 
 def campaign(cache_dir, jobs, **kw):
@@ -213,7 +215,7 @@ class TestRounds:
         real = supervisor.simulate_job
 
         def simulate(job, trace):
-            if job.label == FAILING_LABEL:
+            if job.label == CRASHING_LABEL:
                 os._exit(1)
             return real(job, trace)
 
@@ -225,7 +227,7 @@ class TestRounds:
                               jobs=2, cache_dir=None, progress=False)
         assert list(report.failures) == ["fig7"]
         failures = report.failures["fig7"]
-        assert FAILING_LABEL in [f["label"] for f in failures]
+        assert CRASHING_LABEL in [f["label"] for f in failures]
         assert {f["kind"] for f in failures} == {"crash"}
         assert report.telemetry.resilience.failures == len(failures)
         clean = dict(clean_rounds.figures)
