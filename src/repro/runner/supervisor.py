@@ -404,8 +404,8 @@ class SupervisedExecutor:
         ``groups`` names each job's group (a campaign passes the
         figures that need the job).  When the pool dies more than
         ``max_respawns`` times in a run of several groups, the
-        unfinished jobs do not fail there: each group's run again on
-        their own, with a fresh budget, so a group whose jobs kill
+        unfinished jobs do not fail there: each group's jobs run again
+        on their own, with a fresh budget, so a group whose jobs kill
         their workers fails only its own jobs, as it would have alone.
         """
         jobs = list(jobs)
