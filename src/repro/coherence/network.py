@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.coherence.protocol import ServiceOutcome
+from repro.cpu import STALL_LOCAL, STALL_REMOTE_CLEAN, STALL_REMOTE_DIRTY
 from repro.params import (
     RAC_HIT_LATENCY,
     RAC_REMOTE_DIRTY_LATENCY,
@@ -21,6 +22,14 @@ from repro.params import (
     MissKind,
 )
 from repro.scenario.topology import UNIFORM, TopologySpec
+
+#: The stall class each kind of serviced miss charges, for the scalar
+#: loops that pair ``service_latency`` with ``cpu.stall``.
+KIND_TO_STALL = {
+    MissKind.LOCAL: STALL_LOCAL,
+    MissKind.REMOTE_CLEAN: STALL_REMOTE_CLEAN,
+    MissKind.REMOTE_DIRTY: STALL_REMOTE_DIRTY,
+}
 
 
 @dataclass

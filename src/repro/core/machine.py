@@ -164,7 +164,6 @@ class MachineConfig:
         """True when the machine permits the staged multiprocessor
         engine: several coherence nodes, one core each, and none of the
         structures the pipeline does not model (victim buffer, TLB).
-        RACs are allowed — they route to the engine's stream mode.
         As with :attr:`vectorizable`, run options can still veto it in
         :meth:`repro.core.system.System.select_engine`.
         """

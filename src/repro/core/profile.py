@@ -1,6 +1,6 @@
 """Memory profiles: one replay per cache geometry, retimed per machine.
 
-An in-order run splits cleanly into two parts.  What the caches, the
+A run splits cleanly into two parts.  What the caches, the RACs, the
 directory and the interconnect *do* — hits, misses, fills, upgrades,
 invalidations, and which nodes each remote transaction crossed —
 depends on the trace and the cache geometry only.  What it *costs*
@@ -10,31 +10,40 @@ change cache contents, so a whole integration ladder over one L2
 geometry shares a single replay.
 
 * :class:`MemoryProfile` holds the latency-independent half: the
-  L1/L2/protocol/network/miss counters plus, per CPU, the busy and
-  kernel-busy cycles, L2 hits, local-memory service events, and the
-  remote service events counted per (stall class, upgrade, home,
-  owner).
+  run's counters plus, per CPU, busy time, L2 hits, local and RAC
+  service, and remote service per (stall class, upgrade, home, owner);
+  for an out-of-order CPU, whose overlap depends on the order of
+  events, also the events in order (:class:`OrderedProfile`).
 * :func:`profile_key` names the replays a profile can stand in for.
 * :func:`retime` applies a machine's latency model to a profile and
   returns the :class:`~repro.core.results.RunResult` a cold replay of
-  that machine would produce, bit for bit: an in-order CPU's stall
-  cycles are sums of per-event latencies, and integer sums commute,
-  so ``count x latency`` per event class is exact.
-
-Out-of-order CPUs (order-sensitive overlap) and RAC machines (the RAC
-changes which misses are local) stay out: :func:`profiled` is false
-for them and they keep charging cycles during the replay.
+  that machine would produce, bit for bit.  An in-order CPU's stall
+  cycles are sums of per-event latencies, and integer sums commute, so
+  ``count x latency`` per event class is exact; an out-of-order CPU
+  replays the ordered log through
+  :func:`~repro.cpu.ooo.charge_quantum_ooo`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import List, Optional
+import base64
+from dataclasses import asdict, dataclass, fields
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.coherence.network import MessageCounters
 from repro.core.machine import MachineConfig
 from repro.core.results import RunResult
+from repro.cpu.events import (
+    STALL_L2_HIT,
+    STALL_LOCAL,
+    STALL_REMOTE_CLEAN,
+    STALL_REMOTE_DIRTY,
+)
+from repro.cpu.ooo import OutOfOrderCPU, charge_quantum_ooo
 from repro.obs import current_tracer
+from repro.params import RAC_HIT_LATENCY, RAC_REMOTE_DIRTY_LATENCY
 from repro.stats.breakdown import (
     ExecutionBreakdown,
     L1Stats,
@@ -46,116 +55,162 @@ from repro.stats.breakdown import (
 __all__ = [
     "CpuProfile",
     "MemoryProfile",
+    "OrderedProfile",
     "profile_key",
     "profiled",
     "retime",
 ]
 
-#: Engines whose in-order, RAC-free replays emit a profile.
-PROFILE_ENGINES = ("vectorized", "vectorized-mp")
+#: Event classes of an :class:`OrderedProfile`: an L2 hit, local
+#: service (a miss or an upgrade), a RAC hit, ``EV_HOPS + i`` for each
+#: :attr:`CpuProfile.hops` slot ``i``, then one per 3-hop slot for
+#: dirty data out of the owner's RAC.
+EV_L2_HIT, EV_LOCAL, EV_RAC_HIT, EV_HOPS = range(4)
 
 
 def profiled(machine: MachineConfig, engine: str) -> bool:
     """True when ``machine`` replayed on ``engine`` yields a profile
     (and :meth:`System.run <repro.core.system.System.run>` returns
     its retiming)."""
-    return (engine in PROFILE_ENGINES and machine.cpu_model == "inorder"
-            and machine.rac_size is None)
+    return engine == "vectorized-mp" or (engine == "vectorized"
+                                         and machine.cpu_model == "inorder")
 
 
 class CpuProfile:
-    """Latency-free event counts for one in-order CPU.
+    """Latency-free event counts for one CPU.
 
     The replay engines tally into these directly (``reset`` zeroes
-    them at the warmup boundary).  ``hops`` counts the remote service
-    events of a machine with ``n`` nodes per (stall class, upgrade,
-    home, owner), in one flat list so the hot loops pay a single list
-    increment per remote event.  With ``r = h + n*instr`` the tally
-    row of home ``h`` for a data (0) or instruction (1) reference:
+    them at the warmup boundary).  ``local`` counts local service
+    events, ``rac_hits`` of them served out of the node's RAC;
+    ``rac_dirty`` counts the 3-hop misses whose data came out of the
+    owner's RAC.  ``hops`` counts the remote service events of a
+    machine with ``n`` nodes per (stall class, upgrade, home, owner),
+    in one flat list so the hot loops pay a single list increment per
+    remote event.  With ``r = h + n*instr`` the tally row of home
+    ``h`` for a data (0) or instruction (1) reference:
 
     * ``hops[r]`` — 2-hop misses served by home ``h``;
     * ``hops[2n + h]`` — 2-hop ownership upgrades at home ``h``;
     * ``hops[3n + r*n + o]`` — 3-hop misses via home ``h`` to dirty
-      owner ``o``.
+      owner ``o``;
+    * ``hops[3n + 2n*n + h]`` — writes that hit a shared line in the
+      RAC and take ownership at home ``h`` (2-hop, like an upgrade,
+      but a miss in the taxonomy).
 
     The instruction/data split feeds the miss taxonomy, not the
     latency.  The requester is the CPU itself (profiled machines have
     one core per node).
     """
 
-    __slots__ = ("busy", "kernel_busy", "l2_hits", "local", "hops")
+    __slots__ = ("busy", "kernel_busy", "l2_hits", "local", "rac_hits",
+                 "rac_dirty", "hops")
 
     def __init__(self, num_nodes: int):
-        self.busy = 0
-        self.kernel_busy = 0
-        self.l2_hits = 0
-        self.local = 0
-        self.hops = [0] * (3 * num_nodes + 2 * num_nodes * num_nodes)
+        self.hops = [0] * (4 * num_nodes + 2 * num_nodes * num_nodes)
+        self.reset()
 
     def reset(self) -> None:
         self.busy = self.kernel_busy = self.l2_hits = self.local = 0
+        self.rac_hits = self.rac_dirty = 0
         self.hops = [0] * len(self.hops)
 
     def drain(self) -> None:
         """Nothing outstanding (interface parity with the CPU models)."""
 
     def to_dict(self) -> dict:
-        return {"busy": self.busy, "kernel_busy": self.kernel_busy,
-                "l2_hits": self.l2_hits, "local": self.local,
-                "hops": list(self.hops)}
+        data = {name: getattr(self, name) for name in self.__slots__}
+        data["hops"] = list(self.hops)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "CpuProfile":
         cpu = cls.__new__(cls)
-        cpu.busy = data["busy"]
-        cpu.kernel_busy = data["kernel_busy"]
-        cpu.l2_hits = data["l2_hits"]
-        cpu.local = data["local"]
-        cpu.hops = list(data["hops"])
+        for name in cls.__slots__:
+            setattr(cpu, name, data[name])
         return cpu
+
+
+#: The arrays of an :class:`OrderedProfile` and their stored dtypes.
+_ORDERED_DTYPES = {"q_off": "<i8", "q_nodes": "<i4", "flags": "u1",
+                   "pos": "<i4", "cls": "<i4"}
+
+
+@dataclass(eq=False)
+class OrderedProfile:
+    """An out-of-order replay's service events, in trace order.
+
+    * ``flags`` — the trace flag bits of every reference, warmup
+      included (they give each record its dependence and instruction
+      bits, and each quantum its instruction fetches); ``q_off`` splits
+      them into quanta, ``q_nodes`` names each quantum's CPU and
+      ``warmup`` is the first measured quantum;
+    * ``pos``/``cls`` — one record per L2 hit and per serviced miss or
+      upgrade, in order: its reference's index into ``flags`` and its
+      event class (``EV_*``).
+    """
+
+    warmup: int
+    q_off: np.ndarray
+    q_nodes: np.ndarray
+    flags: np.ndarray
+    pos: np.ndarray
+    cls: np.ndarray
+
+    def to_dict(self) -> dict:
+        """JSON-safe form: each array's little-endian bytes in base64."""
+        out = {"warmup": self.warmup}
+        for name, dtype in _ORDERED_DTYPES.items():
+            raw = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            out[name] = base64.b64encode(raw.tobytes()).decode("ascii")
+        return out
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "OrderedProfile":
+        return cls(warmup=data["warmup"], **{
+            name: np.frombuffer(base64.b64decode(data[name]), dtype=dtype)
+            for name, dtype in _ORDERED_DTYPES.items()})
 
 
 @dataclass
 class MemoryProfile:
-    """Everything a cold in-order replay measures except cycles."""
+    """Everything a cold replay measures except cycles."""
 
     num_nodes: int
     cpus: List[CpuProfile]
     misses: MissBreakdown
     l1: L1Stats
     protocol: ProtocolStats
+    rac: RacStats
     network: MessageCounters
     measured_txns: int
     l2_hits: int
     trace_refs: int
+    ordered: Optional[OrderedProfile] = None
 
     def to_dict(self) -> dict:
         """JSON-safe form (the worker envelope); exact round trip."""
-        return {
-            "num_nodes": self.num_nodes,
-            "cpus": [c.to_dict() for c in self.cpus],
-            "misses": asdict(self.misses),
-            "l1": asdict(self.l1),
-            "protocol": asdict(self.protocol),
-            "network": asdict(self.network),
-            "measured_txns": self.measured_txns,
-            "l2_hits": self.l2_hits,
-            "trace_refs": self.trace_refs,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["cpus"] = [c.to_dict() for c in self.cpus]
+        for name in _STATS:
+            data[name] = asdict(data[name])
+        if self.ordered is not None:
+            data["ordered"] = self.ordered.to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "MemoryProfile":
-        return cls(
-            num_nodes=data["num_nodes"],
-            cpus=[CpuProfile.from_dict(c) for c in data["cpus"]],
-            misses=MissBreakdown(**data["misses"]),
-            l1=L1Stats(**data["l1"]),
-            protocol=ProtocolStats(**data["protocol"]),
-            network=MessageCounters(**data["network"]),
-            measured_txns=data["measured_txns"],
-            l2_hits=data["l2_hits"],
-            trace_refs=data["trace_refs"],
-        )
+        data = dict(data)
+        data["cpus"] = [CpuProfile.from_dict(c) for c in data["cpus"]]
+        for name, kind in _STATS.items():
+            data[name] = kind(**data[name])
+        if data["ordered"] is not None:
+            data["ordered"] = OrderedProfile.from_dict(data["ordered"])
+        return cls(**data)
+
+
+#: The :class:`MemoryProfile` fields that hold run statistics.
+_STATS = {"misses": MissBreakdown, "l1": L1Stats, "protocol": ProtocolStats,
+          "rac": RacStats, "network": MessageCounters}
 
 
 def profile_key(spec, machine: MachineConfig,
@@ -163,53 +218,106 @@ def profile_key(spec, machine: MachineConfig,
     """The replay identity of a job, or ``None`` when it has none.
 
     Two jobs with equal keys replay the same trace through the same
-    cache geometry, so one's profile retimes to the other's result.
-    ``None`` marks a machine that does not produce a profile (OOO,
-    RAC, CMP, victim buffer, TLB, per-quantum checking).
+    cache geometry (L2 and RAC) on the same CPU model, so one's
+    profile retimes to the other's result.  ``None`` marks a machine
+    that does not produce a profile (uniprocessor OOO, CMP, victim
+    buffer, TLB, per-quantum checking).
     """
     from repro.core.system import System
 
     if not profiled(machine, System.select_engine(machine, check=check)):
         return None
     return (spec, machine.ncpus, machine.l2_size, machine.l2_assoc,
-            machine.replicate_code, machine.scale, check)
+            machine.replicate_code, machine.scale, check, machine.cpu_model,
+            machine.rac_size, machine.rac_assoc)
+
+
+def event_costs(machine: MachineConfig, c: int,
+                n: int) -> Tuple[List[int], List[int]]:
+    """Cycles and stall class per event class for CPU ``c`` of an
+    ``n``-node ``machine``: ``InterconnectModel.service_latency``'s
+    arithmetic."""
+    lat = machine.latencies
+    topo = machine.topology
+    # One-way extras to and from this CPU's node; all zero under a
+    # flat topology.
+    out = [topo.hop_extra(c, h) for h in range(n)]
+    back = [topo.hop_extra(h, c) for h in range(n)]
+    clean = [lat.remote_clean + 2 * x for x in out]
+    upgrade = [lat.remote_upgrade + 2 * x for x in out]
+    dirty = [lat.remote_dirty + out[h] + topo.hop_extra(h, o) + back[o]
+             for h in range(n) for o in range(n)] * 2
+    from_rac = RAC_REMOTE_DIRTY_LATENCY - 200
+    cycles = ([lat.l2_hit, lat.local, RAC_HIT_LATENCY] + clean * 2 + upgrade
+              + dirty + upgrade + [d + from_rac for d in dirty])
+    far = [STALL_REMOTE_DIRTY] * len(dirty)
+    klass = ([STALL_L2_HIT, STALL_LOCAL, STALL_LOCAL]
+             + [STALL_REMOTE_CLEAN] * (3 * n) + far
+             + [STALL_REMOTE_CLEAN] * n + far)
+    return cycles, klass
+
+
+def _inorder_breakdown(cpu: CpuProfile, cycles: List[int],
+                       klass: List[int]) -> ExecutionBreakdown:
+    stall = [cpu.l2_hits * cycles[EV_L2_HIT],
+             (cpu.local - cpu.rac_hits) * cycles[EV_LOCAL]
+             + cpu.rac_hits * cycles[EV_RAC_HIT], 0,
+             cpu.rac_dirty * (RAC_REMOTE_DIRTY_LATENCY - 200)]
+    for i, count in enumerate(cpu.hops, EV_HOPS):
+        if count:
+            stall[klass[i]] += count * cycles[i]
+    # Stall classes are the breakdown's field order after busy time.
+    return ExecutionBreakdown(cpu.busy, cpu.kernel_busy, *stall)
+
+
+def _ooo_breakdowns(log: OrderedProfile,
+                    costs: List[Tuple[List[int], List[int]]]
+                    ) -> List[ExecutionBreakdown]:
+    """Replay ``log`` through fresh out-of-order CPUs, quantum by
+    quantum (records become Python objects one quantum at a time),
+    with the warmup boundary where the replay had it.  Positions index
+    the whole run, so a quantum's records and instruction fetches
+    merge exactly as quantum-relative ones would."""
+    flags = log.flags
+    r_off = np.searchsorted(log.pos, log.q_off).tolist()
+    rflags = flags[log.pos]
+    dep = (rflags & 8) != 0
+    instr = (rflags & 2) != 0
+    ipos = np.flatnonzero(flags & 2)
+    ikern = (flags[ipos] & 4) != 0
+    f_off = np.searchsorted(ipos, log.q_off).tolist()
+    cycles, klass = np.array(costs).swapaxes(0, 1)
+    cpus = [OutOfOrderCPU(i) for i in range(len(costs))]
+    for q, c in enumerate(log.q_nodes.tolist()):
+        if q == log.warmup:
+            for cpu in cpus:
+                cpu.reset()
+        r = slice(r_off[q], r_off[q + 1])
+        f = slice(f_off[q], f_off[q + 1])
+        cls = log.cls[r]
+        charge_quantum_ooo(
+            cpus[c],
+            zip(log.pos[r].tolist(), cycles[c, cls].tolist(),
+                klass[c, cls].tolist(), dep[r].tolist(), instr[r].tolist()),
+            ipos[f].tolist(), ikern[f].tolist())
+    for cpu in cpus:
+        cpu.drain()
+    return [cpu.breakdown() for cpu in cpus]
 
 
 def retime(profile: MemoryProfile, machine: MachineConfig) -> RunResult:
     """Charge ``machine``'s latencies to ``profile``: the result a cold
-    replay of ``machine`` would return, in exact integer arithmetic."""
-    with current_tracer().span("retime", label=machine.label):
-        lat = machine.latencies
-        topo = machine.topology
-        n = profile.num_nodes
-        per_cpu = []
-        for c, cpu in enumerate(profile.cpus):
-            # One-way extras to and from this CPU's node; all zero
-            # under a flat topology.
-            out = [topo.hop_extra(c, h) for h in range(n)]
-            back = [topo.hop_extra(h, c) for h in range(n)]
-            hops = cpu.hops
-            clean = dirty = 0
-            for h in range(n):
-                clean += ((hops[h] + hops[n + h])
-                          * (lat.remote_clean + 2 * out[h])
-                          + hops[2 * n + h]
-                          * (lat.remote_upgrade + 2 * out[h]))
-                data = 3 * n + h * n
-                instr = data + n * n
-                for o in range(n):
-                    k = hops[data + o] + hops[instr + o]
-                    if k:
-                        dirty += k * (lat.remote_dirty + out[h]
-                                      + topo.hop_extra(h, o) + back[o])
-            per_cpu.append(ExecutionBreakdown(
-                busy=cpu.busy,
-                kernel_busy=cpu.kernel_busy,
-                l2_hit=cpu.l2_hits * lat.l2_hit,
-                local_stall=cpu.local * lat.local,
-                remote_clean_stall=clean,
-                remote_dirty_stall=dirty,
-            ))
+    replay of ``machine`` would return, bit for bit."""
+    tracer = current_tracer()
+    with tracer.span("retime", label=machine.label):
+        costs = [event_costs(machine, c, profile.num_nodes)
+                 for c in range(len(profile.cpus))]
+        if profile.ordered is None:
+            per_cpu = [_inorder_breakdown(cpu, *cost)
+                       for cpu, cost in zip(profile.cpus, costs)]
+        else:
+            with tracer.span("mp.timing", mode="ordered"):
+                per_cpu = _ooo_breakdowns(profile.ordered, costs)
         total = ExecutionBreakdown()
         for b in per_cpu:
             total.add(b)
@@ -217,13 +325,9 @@ def retime(profile: MemoryProfile, machine: MachineConfig) -> RunResult:
             machine=machine,
             breakdown=total,
             per_cpu=per_cpu,
-            misses=MissBreakdown(**asdict(profile.misses)),
-            l1=L1Stats(**asdict(profile.l1)),
-            protocol=ProtocolStats(**asdict(profile.protocol)),
-            rac=RacStats(),
-            network=MessageCounters(**asdict(profile.network)),
             measured_txns=profile.measured_txns,
             l2_hits=profile.l2_hits,
             trace_refs=profile.trace_refs,
+            **{name: kind(**asdict(getattr(profile, name)))
+               for name, kind in _STATS.items()},
         )
-

@@ -15,22 +15,20 @@ Four replay engines implement identical semantics:
 * ``_run_general`` — the extended configurations (chip multiprocessing,
   victim buffers, software TLBs) via the clean
   :class:`~repro.memsys.hierarchy.NodeCaches` API.
-* ``_run_vectorized`` — the numpy kernel in
+* ``vectorized`` (through ``_run_numpy``) — the numpy kernel in
   :mod:`repro.memsys.vectorized` for coherence-free uniprocessor
   configurations; selected automatically and value-identical to
   ``_run_fast`` by contract.
-* ``_run_vectorized_mp`` — the staged multiprocessor pipeline in
-  :mod:`repro.memsys.vectorized_mp`: a sharing-census pre-pass
-  (:func:`repro.trace.census.sharing_census`) splits lines into
-  provably-private and potentially-shared classes, per-quantum walks
-  replay the private hierarchy in bulk, and only the compact
-  shared-line event stream reaches the directory protocol
-  (:class:`repro.coherence.core.CoherenceCore`), with timing charged
-  per quantum by :mod:`repro.cpu.timing`.  Also value-identical to
-  ``_run_fast`` by contract.
+* ``vectorized-mp`` (through ``_run_numpy``) — the staged
+  multiprocessor pipeline in :mod:`repro.memsys.vectorized_mp`: a
+  sharing-census pre-pass (:func:`repro.trace.census.sharing_census`)
+  splits lines into provably-private and potentially-shared classes,
+  and per-quantum walks replay the private hierarchy and the directory
+  protocol in bulk.  Also value-identical to ``_run_fast`` by
+  contract.
 
-For in-order machines without a RAC the two numpy engines charge no
-cycles: they tally a latency-free
+The two numpy engines charge no cycles (except the uniprocessor
+kernel on an out-of-order CPU): they tally a latency-free
 :class:`~repro.core.profile.MemoryProfile` and :meth:`System.run`
 returns its :func:`~repro.core.profile.retime`, the one latency path
 for those machines.
@@ -46,12 +44,17 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.coherence.core import KIND_TO_STALL
 from repro.coherence.homemap import HomeMap
-from repro.coherence.network import InterconnectModel
+from repro.coherence.network import KIND_TO_STALL, InterconnectModel
 from repro.coherence.protocol import DirectoryProtocol
 from repro.core.machine import MachineConfig
-from repro.core.profile import CpuProfile, MemoryProfile, profiled, retime
+from repro.core.profile import (
+    CpuProfile,
+    MemoryProfile,
+    OrderedProfile,
+    profiled,
+    retime,
+)
 from repro.core.results import RunResult
 from repro.cpu.inorder import InOrderCPU
 from repro.cpu.ooo import OutOfOrderCPU
@@ -95,7 +98,7 @@ class System:
     cannot run on it.  All engines produce value-identical results
     wherever their domains overlap.
 
-    In-order, RAC-free machines on the two numpy engines replay
+    Machines on the two numpy engines (bar uniprocessor OOO) replay
     without latencies: the engines tally a
     :class:`~repro.core.profile.MemoryProfile` into :attr:`profile`,
     and :meth:`run` returns its :func:`~repro.core.profile.retime`.
@@ -112,32 +115,30 @@ class System:
         #: The run's latency-free profile; set by :meth:`run` when the
         #: engine produced one, ``None`` otherwise.
         self.profile: Optional[MemoryProfile] = None
-        self.nodes: List[NodeCaches] = [
-            NodeCaches(
-                machine.scaled_l2_size,
-                machine.l2_assoc,
-                l1_size=machine.scaled_l1_size,
-                l1_assoc=L1_ASSOC,
-                num_cores=machine.cores_per_node,
-                victim_entries=machine.victim_entries,
-                node_id=i,
-            )
-            for i in range(machine.num_nodes)
-        ]
-        self._profiled = profiled(machine, self.engine)
-        if self._profiled:
-            self.cpus = [CpuProfile(machine.num_nodes)
-                         for _ in range(machine.ncpus)]
-        else:
-            cpu_cls = (OutOfOrderCPU if machine.cpu_model == "ooo"
-                       else InOrderCPU)
-            self.cpus = [cpu_cls(i) for i in range(machine.ncpus)]
-        self.racs: Optional[List[RemoteAccessCache]] = None
-        if machine.scaled_rac_size is not None:
-            self.racs = [
-                RemoteAccessCache(machine.scaled_rac_size, machine.rac_assoc, node_id=i)
+        #: An out-of-order profile's ordered log, set by the engine.
+        self.ordered: Optional[OrderedProfile] = None
+        with current_tracer().span("system.init", label=machine.label):
+            self.nodes: List[NodeCaches] = [
+                NodeCaches(
+                    machine.scaled_l2_size,
+                    machine.l2_assoc,
+                    l1_size=machine.scaled_l1_size,
+                    l1_assoc=L1_ASSOC,
+                    num_cores=machine.cores_per_node,
+                    victim_entries=machine.victim_entries,
+                    node_id=i,
+                )
                 for i in range(machine.num_nodes)
             ]
+            self.racs: Optional[List[RemoteAccessCache]] = None
+            if machine.scaled_rac_size is not None:
+                self.racs = [
+                    RemoteAccessCache(machine.scaled_rac_size,
+                                      machine.rac_assoc, node_id=i)
+                    for i in range(machine.num_nodes)
+                ]
+        self._profiled = profiled(machine, self.engine)
+        self._cpu_models()
         self.misses = MissBreakdown()
         self.l1 = L1Stats()
         self.l2_hits = 0
@@ -326,10 +327,8 @@ class System:
             with tracer.span(f"engine.{self.engine}"):
                 if self.engine == "general":
                     self._run_general(trace, protocol, net)
-                elif self.engine == "vectorized":
-                    self._run_vectorized(trace, protocol, net)
-                elif self.engine == "vectorized-mp":
-                    self._run_vectorized_mp(trace, protocol, net)
+                elif self.engine.startswith("vectorized"):
+                    self._run_numpy(trace, protocol, net)
                 else:
                     self._run_fast(trace, protocol, net)
 
@@ -342,49 +341,42 @@ class System:
                 result.verify()
         return result
 
-    # -- the vectorized uniprocessor kernel ----------------------------------------
+    # -- the numpy engines --------------------------------------------------------
 
-    def _run_vectorized(self, trace, protocol: DirectoryProtocol,
-                        net: InterconnectModel) -> None:
+    def _run_numpy(self, trace, protocol: DirectoryProtocol,
+                   net: InterconnectModel) -> None:
         from repro.memsys.vectorized import (
             VectorizedUnsupported,
             replay_uniprocessor,
         )
-
-        if is_streaming(trace):
-            # The kernel's structural algorithms (global argsort runs,
-            # first-touch np.unique) need the whole reference stream
-            # at once; a chunk iterator is accepted by collecting it.
-            trace = trace.collect()
-        try:
-            replay_uniprocessor(self, trace, protocol, net)
-        except VectorizedUnsupported:
-            # Rare hand-built traces (e.g. an instruction fetch carrying
-            # the write flag) fall outside the kernel's contract; the
-            # scalar loop handles them with identical results.  State is
-            # untouched at this point: the kernel validates before it
-            # mutates anything.
-            self._fall_back_to_fast(trace, protocol, net)
-
-    # -- the staged multiprocessor pipeline ----------------------------------------
-
-    def _run_vectorized_mp(self, trace, protocol: DirectoryProtocol,
-                           net: InterconnectModel) -> None:
-        from repro.memsys.vectorized import VectorizedUnsupported
         from repro.memsys.vectorized_mp import replay_multiprocessor
 
         if is_streaming(trace):
-            # The sharing-census pre-pass classifies lines across the
-            # whole run; like the uniprocessor kernel, it accepts a
-            # chunk iterator by collecting it.
+            # Both kernels need the whole reference stream at once
+            # (global argsort runs, the sharing census); a chunk
+            # iterator is accepted by collecting it.
             trace = trace.collect()
+        replay = (replay_uniprocessor if self.engine == "vectorized"
+                  else replay_multiprocessor)
         try:
-            replay_multiprocessor(self, trace, protocol, net)
+            replay(self, trace, protocol, net)
         except VectorizedUnsupported:
-            # Same contract as the uniprocessor kernel: validation
-            # happens before any mutation, so the scalar loop can take
-            # over from pristine state with identical results.
+            # Rare hand-built traces (e.g. an instruction fetch carrying
+            # the write flag) fall outside the kernels' contract; the
+            # scalar loop handles them with identical results.  State is
+            # untouched at this point: the kernels validate before they
+            # mutate anything.
             self._fall_back_to_fast(trace, protocol, net)
+
+    def _cpu_models(self) -> None:
+        machine = self.machine
+        if self._profiled:
+            self.cpus = [CpuProfile(machine.num_nodes)
+                         for _ in range(machine.ncpus)]
+        else:
+            cpu_cls = (OutOfOrderCPU if machine.cpu_model == "ooo"
+                       else InOrderCPU)
+            self.cpus = [cpu_cls(i) for i in range(machine.ncpus)]
 
     def _fall_back_to_fast(self, trace, protocol: DirectoryProtocol,
                            net: InterconnectModel) -> None:
@@ -392,7 +384,7 @@ class System:
         self.engine = "fast"
         if self._profiled:
             self._profiled = False
-            self.cpus = [InOrderCPU(i) for i in range(self.machine.ncpus)]
+            self._cpu_models()
         self._run_fast(trace, protocol, net)
 
     # -- the optimized common-case loop ------------------------------------------------
@@ -419,8 +411,6 @@ class System:
         checker = self.checker if self.checker.per_quantum else None
         # Metrics likewise: one None test per quantum when disabled.
         sampler = self._sampler
-        racs = self.racs
-        dir_sharers = protocol.directory._sharers
         plan = self.fault_plan if (
             self.fault_plan is not None and not self.fault_plan.applied
         ) else None
@@ -571,13 +561,7 @@ class System:
             if checker is not None:
                 checker.check_system(self, protocol)
             if sampler is not None and measured:
-                if racs is not None:
-                    rp = sum(r.probes for r in racs)
-                    rh = sum(r.hits for r in racs)
-                else:
-                    rp = rh = 0
-                sampler.sample(qi, self.misses, i_refs, len(dir_sharers),
-                               rp, rh)
+                self._sample(qi, self.misses, i_refs)
 
         if plan is not None:
             plan.apply(self, protocol)
@@ -604,8 +588,6 @@ class System:
         tlb_miss_count = 0
         checker = self.checker if self.checker.per_quantum else None
         sampler = self._sampler
-        racs = self.racs
-        dir_sharers = protocol.directory._sharers
         plan = self.fault_plan if (
             self.fault_plan is not None and not self.fault_plan.applied
         ) else None
@@ -718,13 +700,7 @@ class System:
             if checker is not None:
                 checker.check_system(self, protocol)
             if sampler is not None and measured:
-                if racs is not None:
-                    rp = sum(r.probes for r in racs)
-                    rh = sum(r.hits for r in racs)
-                else:
-                    rp = rh = 0
-                sampler.sample(qi, self.misses, i_refs, len(dir_sharers),
-                               rp, rh)
+                self._sample(qi, self.misses, i_refs)
 
         if plan is not None:
             plan.apply(self, protocol)
@@ -732,6 +708,14 @@ class System:
             i_refs, i_miss, d_refs, d_miss, l2hits, writes, victimhits
         )
         self.tlb_misses += tlb_miss_count
+
+    def _sample(self, qi: int, misses: MissBreakdown, i_refs: int) -> None:
+        """Feed one measured quantum to the metrics series."""
+        racs = self.racs or ()
+        self._sampler.sample(qi, misses, i_refs,
+                             self.protocol.directory.tracked_lines(),
+                             sum(r.probes for r in racs),
+                             sum(r.hits for r in racs))
 
     # -- result assembly -----------------------------------------------------------------
 
@@ -754,10 +738,9 @@ class System:
             interventions=protocol.interventions,
             writes=self.writes,
         )
-        rac_stats = RacStats()
-        if self.racs is not None:
-            rac_stats.probes = sum(r.probes for r in self.racs)
-            rac_stats.hits = sum(r.hits for r in self.racs)
+        racs = self.racs or ()
+        rac_stats = RacStats(probes=sum(r.probes for r in racs),
+                             hits=sum(r.hits for r in racs))
         # For a materialized trace this is the post-warmup reference
         # sum; a consumed stream reports the identical count from its
         # validating iterator's accounting.
@@ -770,10 +753,12 @@ class System:
                 misses=self.misses,
                 l1=self.l1,
                 protocol=protocol_stats,
+                rac=rac_stats,
                 network=net.counters,
                 measured_txns=measured_txns,
                 l2_hits=self.l2_hits,
                 trace_refs=trace_refs,
+                ordered=self.ordered,
             )
             return retime(self.profile, self.machine)
         per_cpu = [cpu.breakdown() for cpu in self.cpus]

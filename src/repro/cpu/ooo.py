@@ -19,7 +19,10 @@ of their latency (fetch-ahead hides the rest).
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 from repro.cpu.events import NUM_STALL_CLASSES
+from repro.params import INSTRS_PER_ILINE
 from repro.stats.breakdown import ExecutionBreakdown
 
 
@@ -147,3 +150,28 @@ class OutOfOrderCPU:
             remote_clean_stall=s[2],
             remote_dirty_stall=s[3],
         )
+
+
+def charge_quantum_ooo(cpu, timing: Sequence, ipos: List[int],
+                       ikern: List[bool]) -> None:
+    """Replay one quantum's timing records through an out-of-order CPU.
+
+    ``timing`` holds ``(pos, cycles, klass, dep, is_instr)`` records in
+    program order; ``ipos``/``ikern`` are the positions (on the same
+    axis) and kernel flags of the quantum's instruction fetches.  The
+    scalar loop calls ``busy(INSTRS_PER_ILINE, kernel)`` at each fetch
+    *before* any stall that fetch produces, so the merge applies every
+    fetch with ``ipos <= pos`` ahead of the stall at ``pos``.
+    """
+    busy = cpu.busy
+    stall = cpu.stall
+    n_i = len(ipos)
+    ip = 0
+    for pos, cycles, klass, dep, is_instr in timing:
+        while ip < n_i and ipos[ip] <= pos:
+            busy(INSTRS_PER_ILINE, ikern[ip])
+            ip += 1
+        stall(cycles, klass, dep, is_instr)
+    while ip < n_i:
+        busy(INSTRS_PER_ILINE, ikern[ip])
+        ip += 1

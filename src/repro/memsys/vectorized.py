@@ -62,7 +62,7 @@ __all__ = ["VectorizedUnsupported", "replay_uniprocessor"]
 class VectorizedUnsupported(Exception):
     """Raised when a trace/machine falls outside the kernel's contract.
 
-    ``System._run_vectorized`` catches this and falls back to the
+    ``System._run_numpy`` catches this and falls back to the
     scalar fast loop, so callers never observe it.  The only known
     trigger is a hand-built trace containing an instruction fetch with
     the write flag set (the OLTP generator never emits one).
@@ -656,7 +656,7 @@ def _materialize_l1(cache, flat_a, flat_b) -> None:
 def replay_uniprocessor(system, trace, protocol, net) -> None:
     """Replay ``trace`` and populate ``system`` state and counters.
 
-    The caller (``System._run_vectorized``) guarantees a single-node,
+    The caller (``System._run_numpy``) guarantees a single-node,
     single-core machine with no victim buffer, TLB, RAC or fault plan.
 
     A chunk-streamed trace is materialized here: the kernel's

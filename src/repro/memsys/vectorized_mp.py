@@ -11,52 +11,29 @@ construction (the differential and golden suites enforce it):
    flags (write/instr + private + local-home bits + home node).
 2. **Private hierarchy** — replay each scheduling quantum's
    references through flat per-node cache state.  Private lines never
-   interact with the directory: their misses and upgrades are
-   aggregated into four counters per quantum and charged in bulk.
+   interact with another node: their misses and upgrades are counted
+   without consulting the directory.
 3. **Coherence** — shared-line misses, evictions and write-upgrades
-   are serviced as they occur.  Batch mode inlines a flat
-   transcription of the no-RAC
-   :class:`~repro.coherence.protocol.DirectoryProtocol` paths onto
-   plain dicts (sharer sets and owners keyed by line) directly in the
-   walks, accumulating aggregate counters instead of per-event
-   outcome objects; the real directory is materialized from the flat
-   entries when the run ends.  Stream mode emits compact events
-   (``EV_MISS``/``EV_EVICT``/``EV_WCHECK``) serviced through
-   :class:`repro.coherence.core.CoherenceCore` against the unchanged
-   protocol object.
-4. **Timing** — batch mode charges no cycles: it tallies each CPU's
-   busy time, L2 hits, local service and hop-resolved remote service
-   into the run's :class:`~repro.core.profile.MemoryProfile`, which
-   ``System.run`` retimes.  Stream mode charges deferred timing
-   records through the CPU models (:mod:`repro.cpu.timing`) once per
-   quantum.
+   are serviced as they occur, on the real directory, by a
+   transcription of :class:`~repro.coherence.protocol.DirectoryProtocol`:
+   inline in the walks for its RAC-free paths, or through
+   :class:`_Service` (RAC paths included) for RAC machines and
+   out-of-order CPUs.
+4. **Timing** — the walks charge no cycles: they tally each CPU's
+   busy time, L2 hits, local and RAC service and hop-resolved remote
+   service into the run's :class:`~repro.core.profile.MemoryProfile`,
+   which ``System.run`` retimes for any latency table and topology.
+   For an out-of-order CPU, ``_walk_ordered`` also logs every L2 hit
+   and serviced event in order (an
+   :class:`~repro.core.profile.OrderedProfile`), which the retime
+   replays through the CPU model.
 
-Batching the coherence work to the quantum boundary is exact because
-of two structural facts: only the scheduled node issues requests
-within a quantum, and (without RACs) the protocol never reads or
-mutates the *requester's* caches — it only touches other, idle,
-nodes.  Private lines are exact by the census guarantee: no second
-node ever touches them, so the directory would only ever record this
-node's own fills and evictions, which the engine reconstructs at the
-end of the run.
-
-Two execution modes cover the machine space:
-
-=========== ============================== ================================
-mode        machines                       coherence and timing
-=========== ============================== ================================
-batch       in-order CPUs, no RAC, any     inlined no-RAC protocol on flat
-            topology (Figures 6, 8, 10,    per-node state; latency-free
-            the islands/chiplet scenarios) counts, retimed per machine
-stream      OOO CPUs or RAC machines       CoherenceCore events against the
-                                           real caches; cycles charged per
-                                           quantum through the CPU models
-=========== ============================== ================================
-
-OOO timing is order-sensitive, and a RAC is probed and filled in the
-requester's own node mid-quantum; neither fits the batch walks.
-Topology does not matter to batch mode: a remote event's cost depends
-only on its (home, owner) hop path, which the walks count.
+Servicing at the reference is exact: it performs the scalar loop's
+protocol calls in the scalar loop's order.  Private lines are exact
+by the census guarantee: no second node ever touches them, so the
+directory would only ever record this node's own fills and
+evictions, which the engine reconstructs when it copies the flat
+caches back at the end of the run.
 
 Anything the engine cannot replay raises
 :class:`~repro.memsys.vectorized.VectorizedUnsupported` *before
@@ -65,13 +42,19 @@ mutating any state*, and ``System`` falls back to the scalar loop.
 
 from __future__ import annotations
 
+from array import array
 from time import perf_counter
 from typing import List
 
 import numpy as np
 
-from repro.coherence.core import EV_EVICT, EV_MISS, EV_WCHECK, CoherenceCore
-from repro.cpu.timing import charge_quantum_inorder, charge_quantum_ooo
+from repro.core.profile import (
+    EV_HOPS,
+    EV_L2_HIT,
+    EV_LOCAL,
+    EV_RAC_HIT,
+    OrderedProfile,
+)
 from repro.memsys.vectorized import VectorizedUnsupported, _materialize_l1
 from repro.params import INSTRS_PER_ILINE
 from repro.stats.breakdown import MissBreakdown
@@ -79,13 +62,12 @@ from repro.trace.census import sharing_census
 
 __all__ = ["replay_multiprocessor"]
 
-# Batch-mode effective flag word: the trace's write (1) and
-# instruction (2) bits, two census bits, then the reference's hop-tally
-# row: the home node the protocol reports (the requester itself for a
-# local line), plus the node count for an instruction fetch.  The
-# words of machines with up to 8 nodes stay below 256, inside
-# CPython's small-int cache, so the per-reference lists hold shared
-# objects.
+# Effective flag word: the trace's write (1) and instruction (2) bits,
+# two census bits, then the reference's hop-tally row: the home node
+# the protocol reports (the requester itself for a local line), plus
+# the node count for an instruction fetch.  The words of machines with
+# up to 8 nodes stay below 256, inside CPython's small-int cache, so
+# the per-reference lists hold shared objects.
 EFF_PRIVATE = 4  # line provably touched by a single node
 EFF_LOCAL = 8    # line's home is the requesting node (or replicated)
 EFF_HOME_SHIFT = 4
@@ -93,22 +75,30 @@ EFF_HOME_SHIFT = 4
 MODE_DM = 0     # direct-mapped: flat occupant-per-set array
 MODE_ASSOC = 2  # set-associative LRU: list-of-lists, mirrors SetAssocCache
 
+# An ordered-log record packs a reference's position above its event
+# class.
+REC_SHIFT = 16
+
 
 class _NodeState:
     """Flat per-node cache state with coherence entry points.
 
-    ``invalidate``/``downgrade``/``holds``/``holds_dirty`` mirror
-    :class:`~repro.memsys.hierarchy.NodeCaches` semantics exactly;
-    the batch walks drive them when another node's miss or upgrade
-    must strip this node's copy of a *shared* line.
+    ``invalidate``/``downgrade``/``holds`` mirror
+    :class:`~repro.memsys.hierarchy.NodeCaches` semantics exactly
+    (``invalidate`` also drops the copy in the node's
+    :class:`~repro.memsys.rac.RemoteAccessCache` ``rac``, as
+    ``DirectoryProtocol._invalidate_node`` does); the walks drive them
+    when another node's miss or upgrade must strip this node's copy of
+    a *shared* line.
     """
 
     __slots__ = (
         "mode", "ia", "ib", "da", "db", "dmset", "resident", "sets2",
-        "dirty", "owned", "l1_n", "l2_n", "l2_assoc",
+        "dirty", "owned", "l1_n", "l2_n", "l2_assoc", "rac",
     )
 
-    def __init__(self, mode: int, l1_n: int, l2_n: int, l2_assoc: int):
+    def __init__(self, mode: int, l1_n: int, l2_n: int, l2_assoc: int,
+                 rac=None):
         self.mode = mode
         self.l1_n = l1_n
         self.l2_n = l2_n
@@ -126,6 +116,7 @@ class _NodeState:
         )
         self.dirty = set()
         self.owned = set()
+        self.rac = rac
 
     # -- coherence entry points (mirror NodeCaches semantics exactly) ---
 
@@ -145,7 +136,7 @@ class _NodeState:
             if line in r:
                 r.remove(line)
                 self.sets2[line % self.l2_n].remove(line)
-        s = line % self.l1_n
+        s = line % self.l1_n  # drop_l1, inlined for the walks' hot path
         ia, ib = self.ia, self.ib
         if ia[s] == line:
             ia[s] = ib[s]
@@ -159,11 +150,27 @@ class _NodeState:
         elif db[s] == line:
             db[s] = -1
         self.owned.discard(line)
+        lost = self.rac is not None and self.rac.invalidate(line)
         dirty = self.dirty
         if line in dirty:
             dirty.remove(line)
             return True
-        return False
+        return lost
+
+    def drop_l1(self, line: int) -> None:
+        s = line % self.l1_n
+        ia, ib = self.ia, self.ib
+        if ia[s] == line:
+            ia[s] = ib[s]
+            ib[s] = -1
+        elif ib[s] == line:
+            ib[s] = -1
+        da, db = self.da, self.db
+        if da[s] == line:
+            da[s] = db[s]
+            db[s] = -1
+        elif db[s] == line:
+            db[s] = -1
 
     def downgrade(self, line: int) -> bool:
         """Demote to shared/clean; True when the line was dirty."""
@@ -178,26 +185,180 @@ class _NodeState:
             return self.dmset[line % self.l2_n] == line
         return line in self.resident
 
-    def holds_dirty(self, line: int) -> bool:
-        return line in self.dirty
+    def fill_l2(self, line: int, s2: int) -> int:
+        """Install a missing line in L2 set ``s2``; returns the victim
+        (purged from the L1s), or -1."""
+        if self.mode == MODE_DM:
+            victim = self.dmset[s2]
+            self.dmset[s2] = line
+        else:
+            ways = self.sets2[s2]
+            victim = -1
+            if len(ways) >= self.l2_assoc:
+                victim = ways.pop()
+                self.resident.remove(victim)
+            ways.insert(0, line)
+            self.resident.add(line)
+        if victim != -1:
+            self.drop_l1(victim)
+        return victim
+
+
+class _Service:
+    """Past-the-L1 service for RAC machines and out-of-order CPUs.
+
+    :meth:`miss` transcribes ``DirectoryProtocol.handle_eviction``,
+    ``service_miss`` and ``_rac_evict``, RAC paths included, onto the
+    flat node states, driving the real directory and RACs through
+    their own methods; :meth:`write` is ``ensure_owner``.
+    These machines skip the census' private-line shortcut, so the
+    directory tracks every line.  An out-of-order CPU's events go into
+    the ordered log through ``rec``; the counts fold into each walk's
+    totals (:meth:`totals`).
+    """
+
+    COUNTS = ("l2h", "l_i", "l_d", "u_l", "inv", "intervs", "wbacks")
+    __slots__ = ("states", "directory", "nn", "rec", "base", *COUNTS)
+
+    def __init__(self, states, directory, nn, rec):
+        self.states = states
+        self.directory = directory
+        self.nn = nn
+        self.rec = rec
+        self.base = 0  # the ordered walk's first position
+        for name in self.COUNTS:
+            setattr(self, name, 0)
+
+    def totals(self, i_l1m, d_l1m, *counts) -> tuple:
+        """A walk's totals plus this service's counts, which restart."""
+        out = (i_l1m, d_l1m) + tuple(
+            c + getattr(self, name) for c, name in zip(counts, self.COUNTS))
+        for name in self.COUNTS:
+            setattr(self, name, 0)
+        return out
+
+    def own(self, nid: int, line: int) -> None:
+        """Invalidate every other copy and make ``nid`` the owner."""
+        for other in self.directory.sharers(line):
+            if other != nid:
+                self.states[other].invalidate(line)
+                self.inv += 1
+        self.directory.set_owner(line, nid)
+
+    def write(self, st, nid, line, f, pos, cpu) -> None:
+        """A write hit: mark it dirty and take ownership if needed."""
+        st.dirty.add(line)
+        if self.directory.owner(line) == nid:
+            return
+        self.own(nid, line)
+        if f & 8:
+            self.u_l += 1
+            ev = EV_LOCAL
+        else:
+            cpu.hops[2 * self.nn + (f >> 4)] += 1
+            ev = EV_HOPS + 2 * self.nn + (f >> 4)
+        self.rec(pos << REC_SHIFT | ev)
+
+    def miss(self, st, nid, line, f, s2, cpu, pos=0) -> None:
+        """An L2 miss of ``line`` (flag word ``f``) at node ``nid``."""
+        rac = st.rac
+        directory = self.directory
+        victim = st.fill_l2(line, s2)
+        if victim != -1:
+            vdirty = st.downgrade(victim)
+            if rac is not None and rac.holds(victim):
+                # The node keeps its copy in the RAC (which holds
+                # remote-home lines only); dirty data migrates there.
+                if vdirty:
+                    rac.allocate(victim, dirty=True)
+            else:
+                self.wbacks += vdirty
+                directory.remove_node(victim, nid)
+        write = f & 1
+        if write:
+            st.dirty.add(line)
+        nn = self.nn
+        row = f >> 4
+        ev = EV_LOCAL
+        slot = None  # the hop-tally slot of a remote event
+        from_rac = False  # dirty data out of the owner's RAC
+        owner = directory.owner(line)
+        probe = rac is not None and not f & 8
+        if probe and rac.lookup(line, write):
+            if not write or owner == nid:
+                cpu.rac_hits += 1
+                ev = EV_RAC_HIT
+            else:
+                # A write to a shared RAC copy takes ownership from the
+                # home: priced like an upgrade, counted as a miss.
+                self.own(nid, line)
+                slot = 3 * nn + 2 * nn * nn + row
+        else:
+            if owner == nid:
+                # Stale ownership (should be unreachable — evictions
+                # notify the directory); recover like the protocol.
+                directory.remove_node(line, nid)
+                owner = None
+            if owner is not None:
+                # A remote node owns the line: intervene.
+                self.intervs += 1
+                ost = self.states[owner]
+                orac = ost.rac
+                in_l2 = line in ost.dirty
+                from_rac = (not in_l2 and orac is not None
+                            and orac.holds_dirty(line))
+                if write:
+                    ost.invalidate(line)
+                    self.inv += 1
+                    directory.set_owner(line, nid)
+                else:
+                    ost.downgrade(line)
+                    if orac is not None:
+                        orac.cache.clean(line)
+                    self.wbacks += in_l2 or from_rac  # sharing writeback
+                    directory.clear_owner(line)
+                    directory.add_sharer(line, nid)
+                if in_l2 or from_rac:
+                    slot = 3 * nn + row * nn + owner
+            elif write:
+                self.own(nid, line)
+            else:
+                directory.add_sharer(line, nid)
+            if slot is None and not f & 8:
+                slot = row
+            if probe:
+                fill = rac.allocate(line, dirty=write)
+                if fill.victim is not None and not st.holds(fill.victim):
+                    directory.remove_node(fill.victim, nid)
+                    self.wbacks += fill.victim_dirty
+        if slot is None:
+            if f & 2:
+                self.l_i += 1
+            else:
+                self.l_d += 1
+        else:
+            cpu.hops[slot] += 1
+            ev = EV_HOPS + slot
+            if from_rac:
+                cpu.rac_dirty += 1
+                ev += nn + 2 * nn * nn  # see repro.core.profile.EV_HOPS
+        if self.rec is not None:
+            self.rec(pos << REC_SHIFT | ev)
 
 
 # ---------------------------------------------------------------------------
-# Batch-mode walks.  One inner loop per L2 shape — ``_walk_dm`` for a
+# The walks.  One inner loop per L2 shape — ``_walk_dm`` for a
 # direct-mapped L2, ``_walk_assoc`` for a set-associative one — with
 # the same structure, mirroring ``_run_fast`` reference for reference.
 #
-# Shared-line coherence is serviced *inline*, transcribing the no-RAC
-# ``DirectoryProtocol`` paths (``service_miss`` / ``ensure_owner`` /
-# ``handle_eviction``) onto plain dicts: ``dsh`` maps line -> sharer
-# set, ``down`` maps line -> owning node — the exact payload of
-# ``DirectoryState``, materialized into the real directory when the
-# run ends.  Inlining is sound because a node's own service actions
-# never touch its own cache state, and the walk never reads the
-# directory on its fast paths, so inline-at-the-reference equals the
-# scalar engine's service-in-trace-order exactly.  Aggregate counts
-# replace per-event ``ServiceOutcome`` objects; in-order stall
-# accounting is commutative, so sums per latency class lose nothing.
+# Shared-line coherence is serviced *inline*, transcribing the
+# RAC-free ``DirectoryProtocol`` paths (``service_miss`` /
+# ``ensure_owner`` / ``handle_eviction``) onto the directory's own
+# dicts: ``dsh`` maps line -> sharer set, ``down`` line -> owning
+# node.  Aggregate counts replace per-event ``ServiceOutcome``
+# objects; in-order stall accounting is commutative, so sums per
+# latency class lose nothing.  A RAC machine's L2 misses go to its
+# :class:`_Service` ``xs`` (``None`` otherwise).
 #
 # Remote service is counted only into ``hv``, the requesting CPU's
 # hop-resolved tally (:class:`repro.core.profile.CpuProfile` layout for
@@ -216,15 +377,18 @@ class _NodeState:
 # ---------------------------------------------------------------------------
 
 
-def _walk_dm(L, E, S1, S2, nid, states, dsh, down, hv, nn):
+def _walk_dm(L, E, S1, S2, nid, states, directory, cpu, nn, xs):
     st = states[nid]
     ia, ib, da, db = st.ia, st.ib, st.da, st.db
     dmset = st.dmset
     dirty = st.dirty
     owned = st.owned
     l1_n = st.l1_n
+    dsh = directory._sharers
+    down = directory._owner
     dsh_get = dsh.get
     down_get = down.get
+    hv = cpu.hops
     up = 2 * nn
     rdb = 3 * nn
     i_l1m = d_l1m = l2h = l_i = l_d = u_l = 0
@@ -291,6 +455,8 @@ def _walk_dm(L, E, S1, S2, nid, states, dsh, down, hv, nn):
                         u_l += 1
                     else:
                         hv[up + (f >> 4)] += 1
+        elif xs is not None:
+            xs.miss(st, nid, line, f, s2, cpu)
         else:
             if occ != -1:
                 if occ in dirty:
@@ -333,13 +499,7 @@ def _walk_dm(L, E, S1, S2, nid, states, dsh, down, hv, nn):
                     # Stale ownership (should be unreachable —
                     # evictions notify the directory); recover like
                     # the protocol.
-                    s = dsh_get(line)
-                    if s is not None:
-                        s.discard(nid)
-                        if not s:
-                            del dsh[line]
-                        if down_get(line) == nid:
-                            del down[line]
+                    directory.remove_node(line, nid)
                     o = None
                 if o is not None:
                     # A remote node owns the line: intervene.
@@ -402,7 +562,7 @@ def _walk_dm(L, E, S1, S2, nid, states, dsh, down, hv, nn):
     return i_l1m, d_l1m, l2h, l_i, l_d, u_l, inv_msgs, intervs, wbacks
 
 
-def _walk_assoc(L, E, S1, S2, nid, states, dsh, down, hv, nn):
+def _walk_assoc(L, E, S1, S2, nid, states, directory, cpu, nn, xs):
     st = states[nid]
     ia, ib, da, db = st.ia, st.ib, st.da, st.db
     sets2 = st.sets2
@@ -411,8 +571,11 @@ def _walk_assoc(L, E, S1, S2, nid, states, dsh, down, hv, nn):
     owned = st.owned
     l1_n = st.l1_n
     l2_assoc = st.l2_assoc
+    dsh = directory._sharers
+    down = directory._owner
     dsh_get = dsh.get
     down_get = down.get
+    hv = cpu.hops
     up = 2 * nn
     rdb = 3 * nn
     i_l1m = d_l1m = l2h = l_i = l_d = u_l = 0
@@ -455,9 +618,11 @@ def _walk_assoc(L, E, S1, S2, nid, states, dsh, down, hv, nn):
                             hv[up + (f >> 4)] += 1
                 continue
         ways2 = sets2[s2]
-        if ways2 and ways2[0] == line:
-            # MRU slot — the common L2 hit — without a way scan.
+        if line in resident:
             l2h += 1
+            if ways2[0] != line:
+                ways2.remove(line)
+                ways2.insert(0, line)
             if f & 1:
                 dirty.add(line)
                 if f & 4:
@@ -480,32 +645,8 @@ def _walk_assoc(L, E, S1, S2, nid, states, dsh, down, hv, nn):
                         u_l += 1
                     else:
                         hv[up + (f >> 4)] += 1
-        elif line in resident:
-            l2h += 1
-            ways2.remove(line)
-            ways2.insert(0, line)
-            if f & 1:
-                dirty.add(line)
-                if f & 4:
-                    if line not in owned:
-                        owned.add(line)
-                        if f & 8:
-                            u_l += 1
-                        else:
-                            hv[up + (f >> 4)] += 1
-                elif down_get(line) != nid:
-                    s = dsh_get(line)
-                    if s:
-                        for other in tuple(s):
-                            if other != nid:
-                                states[other].invalidate(line)
-                                inv_msgs += 1
-                    dsh[line] = {nid}
-                    down[line] = nid
-                    if f & 8:
-                        u_l += 1
-                    else:
-                        hv[up + (f >> 4)] += 1
+        elif xs is not None:
+            xs.miss(st, nid, line, f, s2, cpu)
         else:
             if len(ways2) >= l2_assoc:
                 victim = ways2.pop()
@@ -551,13 +692,7 @@ def _walk_assoc(L, E, S1, S2, nid, states, dsh, down, hv, nn):
                     # Stale ownership (should be unreachable —
                     # evictions notify the directory); recover like
                     # the protocol.
-                    s = dsh_get(line)
-                    if s is not None:
-                        s.discard(nid)
-                        if not s:
-                            del dsh[line]
-                        if down_get(line) == nid:
-                            del down[line]
+                    directory.remove_node(line, nid)
                     o = None
                 if o is not None:
                     # A remote node owns the line: intervene.
@@ -621,86 +756,61 @@ def _walk_assoc(L, E, S1, S2, nid, states, dsh, down, hv, nn):
 
 
 # ---------------------------------------------------------------------------
-# Stream-mode walk: real cache objects, events serviced inline (the
-# protocol may probe/fill the requester's RAC mid-quantum), timing
-# still deferred to the per-quantum charge functions.
+# The ordered walk, for out-of-order CPUs on either L2 shape.  Their
+# overlapping misses make order matter, so every L2 hit and serviced
+# event goes into the ordered log at its quantum position; past the
+# L1s, everything runs through the :class:`_Service`.
 # ---------------------------------------------------------------------------
 
 
-def _walk_stream(L, F, node, node_id, core, timing, ooo, lat_l2hit,
-                 l2_assoc):
-    l1i, l1d, l2 = node.l1i, node.l1d, node.l2
-    l1i_sets = l1i._sets
-    l1i_n = l1i.num_sets
-    l1d_sets = l1d._sets
-    l1d_n = l1d.num_sets
-    l2_sets = l2._sets
-    l2_n = l2.num_sets
-    l2_dirty = l2._dirty
-    service_one = core.service_one
+def _walk_ordered(L, E, S1, S2, nid, states, directory, cpu, nn, xs):
+    st = states[nid]
+    ia, ib, da, db = st.ia, st.ib, st.da, st.db
+    dmset, sets2, resident = st.dmset, st.sets2, st.resident
+    rec = xs.rec
     i_l1m = d_l1m = l2h = 0
-    for pos in range(len(L)):
-        line = L[pos]
-        f = F[pos]
+    for pos, (line, f, s1, s2) in enumerate(zip(L, E, S1, S2), xs.base):
         if f & 2:
-            ways = l1i_sets[line % l1i_n]
-            if line in ways:
-                if ways[0] != line:
-                    ways.remove(line)
-                    ways.insert(0, line)
+            a = ia[s1]
+            if a == line or ib[s1] == line:
+                if a != line:
+                    ib[s1] = a
+                    ia[s1] = line
                 continue
-            i_l1m += 1
-            l1_assoc_here = l1i.assoc
         else:
-            ways = l1d_sets[line % l1d_n]
-            if line in ways:
-                if ways[0] != line:
-                    ways.remove(line)
-                    ways.insert(0, line)
+            a = da[s1]
+            if a == line or db[s1] == line:
+                if a != line:
+                    db[s1] = a
+                    da[s1] = line
                 if f & 1:
-                    l2_dirty[line % l2_n].add(line)
-                    service_one(node_id, EV_WCHECK, pos, line, f, timing)
+                    xs.write(st, nid, line, f, pos, cpu)
                 continue
-            d_l1m += 1
-            l1_assoc_here = l1d.assoc
-
-        idx2 = line % l2_n
-        ways2 = l2_sets[idx2]
-        if line in ways2:
-            l2h += 1
-            if ways2[0] != line:
-                ways2.remove(line)
-                ways2.insert(0, line)
-            if f & 1:
-                l2_dirty[idx2].add(line)
-                service_one(node_id, EV_WCHECK, pos, line, f, timing)
-            if ooo:
-                timing.append((pos, lat_l2hit, 0, f & 8, f & 2))
+        if dmset is not None:
+            hit = dmset[s2] == line
         else:
-            if len(ways2) >= l2_assoc:
-                victim = ways2.pop()
-                vdirty_set = l2_dirty[idx2]
-                if victim in vdirty_set:
-                    vdirty_set.remove(victim)
-                    vd = 1
-                else:
-                    vd = 0
-                vways = l1i_sets[victim % l1i_n]
-                if victim in vways:
-                    vways.remove(victim)
-                vways = l1d_sets[victim % l1d_n]
-                if victim in vways:
-                    vways.remove(victim)
-                service_one(node_id, EV_EVICT, pos, victim, vd, timing)
-            ways2.insert(0, line)
+            hit = line in resident
+            if hit:
+                ways2 = sets2[s2]
+                if ways2[0] != line:
+                    ways2.remove(line)
+                    ways2.insert(0, line)
+        if hit:
+            l2h += 1
             if f & 1:
-                l2_dirty[idx2].add(line)
-            service_one(node_id, EV_MISS, pos, line, f, timing)
-
-        if len(ways) >= l1_assoc_here:
-            ways.pop()
-        ways.insert(0, line)
-    return i_l1m, d_l1m, l2h
+                xs.write(st, nid, line, f, pos, cpu)
+            rec(pos << REC_SHIFT | EV_L2_HIT)
+        else:
+            xs.miss(st, nid, line, f, s2, cpu, pos)
+        if f & 2:
+            i_l1m += 1
+            ib[s1] = ia[s1]
+            ia[s1] = line
+        else:
+            d_l1m += 1
+            db[s1] = da[s1]
+            da[s1] = line
+    return i_l1m, d_l1m, l2h, 0, 0, 0, 0, 0, 0
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +819,14 @@ def _walk_stream(L, F, node, node_id, core, timing, ooo, lat_l2hit,
 
 
 def _remote_counts(hops: List[int], n: int) -> tuple:
-    """A hop tally's event totals: 2-hop data and instruction misses,
-    2-hop upgrades, 3-hop data and instruction misses."""
+    """A hop tally's event totals: 2-hop data misses (RAC ownership
+    misses included) and instruction misses, 2-hop upgrades, 3-hop
+    data and instruction misses."""
     rd = 3 * n
-    return (sum(hops[:n]), sum(hops[n:2 * n]), sum(hops[2 * n:rd]),
-            sum(hops[rd:rd + n * n]), sum(hops[rd + n * n:]))
+    ru = rd + 2 * n * n
+    return (sum(hops[:n]) + sum(hops[ru:]), sum(hops[n:2 * n]),
+            sum(hops[2 * n:rd]), sum(hops[rd:rd + n * n]),
+            sum(hops[rd + n * n:ru]))
 
 
 def _per_quantum_counts(mask: np.ndarray, q_off: np.ndarray) -> List[int]:
@@ -743,9 +856,10 @@ def _derived(sc, key, build, cap=4):
 def replay_multiprocessor(system, trace, protocol, net) -> None:
     """Replay ``trace`` on a multiprocessor machine, staged and exact.
 
-    The caller (``System._run_vectorized_mp``) guarantees a
+    The caller (``System._run_numpy``) guarantees a
     one-core-per-node machine with no victim buffer, TLB or fault
-    plan; RACs and OOO CPUs route to stream mode internally.
+    plan.  The run's profile counts land in ``system.cpus``; an
+    out-of-order run also leaves its ordered log in ``system.ordered``.
 
     A chunk-streamed trace is materialized here: the census pre-pass
     and the staged walks traverse the trace multiple times, and
@@ -765,18 +879,12 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
         )
 
     nnodes = machine.num_nodes
-    ooo = machine.cpu_model == "ooo"
-    # Batch mode charges no cycles: it tallies the run's latency-free
-    # profile, counting remote service events per (home, owner) hop
-    # path, and System.run retimes it for any topology.  OOO timing is
-    # order-sensitive and RACs change service mid-quantum, so those
-    # machines stream through CoherenceCore with cycles charged inline.
-    stream = ooo or system.racs is not None
     l2_assoc = machine.l2_assoc
     l1_n = node0.l1i.num_sets
     l2_n = node0.l2.num_sets
     warmup_end = trace.warmup_quanta
     cpus = system.cpus
+    racs = system.racs
 
     # Observability: spans and the per-quantum sampler are bound by
     # System.run; both default to inert objects, so the hot loops pay
@@ -809,81 +917,10 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
             sc, ("s1", l1_n), lambda: (lines % l1_n).tolist(), cap=2
         )
 
-    i_refs = i_miss = d_refs = d_miss = l2hits = writes = 0
+    # RAC machines and out-of-order CPUs replay every line through the
+    # directory (see _Service): their flag words carry no private bit.
+    general = racs is not None or machine.cpu_model == "ooo"
 
-    if stream:
-        lat_l2hit = machine.latencies.l2_hit
-        core = CoherenceCore(protocol, net, system.misses.record)
-        timing: list = []
-        with tracer.span("mp.census", phase="projections"):
-            F_all = _derived(sc, ("flags",), flags.tolist)
-        racs = system.racs
-        dir_sharers = protocol.directory._sharers
-        t_walk = t_charge = 0.0
-        loop_start = perf_counter() if traced else 0.0
-        for qi in range(len(q_len)):
-            if qi == warmup_end:
-                core.record_miss = system._measurement_boundary(
-                    protocol, net, i_refs, i_miss, d_refs, d_miss,
-                    l2hits, writes,
-                )
-                i_refs = i_miss = d_refs = d_miss = l2hits = writes = 0
-            start = q_start[qi]
-            end = start + q_len[qi]
-            nid = q_nodes[qi]
-            F = F_all[start:end]
-            if traced:
-                t0 = perf_counter()
-            i_l1m, d_l1m, l2h = _walk_stream(
-                L_all[start:end], F, nodes[nid], nid, core, timing,
-                ooo, lat_l2hit, l2_assoc,
-            )
-            if traced:
-                t1 = perf_counter()
-                t_walk += t1 - t0
-            cpu = cpus[nid]
-            n_i = n_i_q[qi]
-            if ooo:
-                fl = flags[start:end]
-                ip = np.flatnonzero(fl & 2)
-                charge_quantum_ooo(
-                    cpu, timing, ip.tolist(),
-                    ((fl[ip] & 4) != 0).tolist(),
-                )
-            else:
-                charge_quantum_inorder(
-                    cpu, timing, l2h, lat_l2hit, n_i, n_ki_q[qi],
-                )
-            if traced:
-                t_charge += perf_counter() - t1
-            timing.clear()
-            n = q_len[qi]
-            i_refs += n_i
-            d_refs += n - n_i
-            i_miss += i_l1m
-            d_miss += d_l1m
-            l2hits += l2h
-            writes += n_w_q[qi]
-            if sampler is not None and qi >= warmup_end:
-                if racs is not None:
-                    rp = sum(r.probes for r in racs)
-                    rh = sum(r.hits for r in racs)
-                else:
-                    rp = rh = 0
-                sampler.sample(qi, system.misses, i_refs,
-                               len(dir_sharers), rp, rh)
-        if traced:
-            # Stream mode services coherence events inside the walk,
-            # so walk time includes the coherence phase; the two
-            # aggregate phase spans tile the loop's real window.
-            tracer.add_span("mp.walks", loop_start, t_walk,
-                            mode="stream", coherence="inline")
-            tracer.add_span("mp.timing", loop_start + t_walk, t_charge,
-                            mode="stream")
-        system._flush_counters(i_refs, i_miss, d_refs, d_miss, l2hits, writes)
-        return
-
-    # ---- batch mode -----------------------------------------------------
     def _build_eff():
         if np.any((flags & 3) == 3):
             # An instruction fetch with the write flag would alias a
@@ -900,7 +937,7 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
             local = local | np.isin(lines >> shift, tp)
         eff = (
             (flags & 3)
-            | (sc.private.astype(np.int64) * EFF_PRIVATE)
+            | (sc.private.astype(np.int64) * (0 if general else EFF_PRIVATE))
             | (local.astype(np.int64) * EFF_LOCAL)
             | ((np.where(local, sc.nodes, home)
                 + nnodes * ((flags & 2) != 0)) << EFF_HOME_SHIFT)
@@ -909,17 +946,30 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
 
     with tracer.span("mp.census", phase="projections"):
         E_all = _derived(
-            sc, ("eff", nnodes, machine.replicate_code), _build_eff, cap=2
+            sc, ("eff", nnodes, machine.replicate_code, general), _build_eff,
+            cap=2,
         )
         S2_all = _derived(
             sc, ("s2", l2_n), lambda: (lines % l2_n).tolist(), cap=2
         )
     mode = MODE_DM if l2_assoc == 1 else MODE_ASSOC
     walk = _walk_dm if mode == MODE_DM else _walk_assoc
-    states = [_NodeState(mode, l1_n, l2_n, l2_assoc) for _ in range(nnodes)]
-    dsh: dict = {}   # line -> sharer set (DirectoryState._sharers)
-    down: dict = {}  # line -> owning node (DirectoryState._owner)
+    states = [_NodeState(mode, l1_n, l2_n, l2_assoc, rac)
+              for rac in racs or [None] * nnodes]
+    # The run begins with an empty directory and only this engine
+    # writes to it.
+    directory = protocol.directory
+    xs = rec = None
+    if machine.cpu_model == "ooo":
+        if EV_HOPS + 4 * nnodes * (nnodes + 1) > 1 << REC_SHIFT:
+            raise VectorizedUnsupported("too many nodes for the ordered log")
+        walk = _walk_ordered
+        rec = array("q")
+    if general:
+        xs = _Service(states, directory, nnodes,
+                      None if rec is None else rec.append)
 
+    i_refs = i_miss = d_refs = d_miss = l2hits = writes = 0
     t_walk = t_coh = t_charge = 0.0
     loop_start = perf_counter() if traced else 0.0
     for qi in range(len(q_len)):
@@ -936,14 +986,18 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
         nid = q_nodes[qi]
         # Read the CPU's tallies fresh: the boundary above resets them.
         cpu = cpus[nid]
-        hv = cpu.hops
+        if rec is not None:
+            xs.base = start
         if traced:
             t0 = perf_counter()
         res = walk(L_all[start:end], E_all[start:end], S1_all[start:end],
-                   S2_all[start:end], nid, states, dsh, down, hv, nnodes)
+                   S2_all[start:end], nid, states, directory, cpu, nnodes,
+                   xs)
         if traced:
             t1 = perf_counter()
             t_walk += t1 - t0
+        if xs is not None:
+            res = xs.totals(*res)
         i_l1m, d_l1m, l2h, l_i, l_d, u_l, inv_msgs, intervs, wbacks = res
         # Apply the quantum's local-service aggregates exactly as
         # service_miss / ensure_owner / service_latency would have, in
@@ -981,16 +1035,16 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
         if sampler is not None and qi >= warmup_end:
             # The series wants cumulative remote misses per quantum:
             # add this CPU's tally growth since it last ran.
-            now = _remote_counts(hv, nnodes)
+            now = _remote_counts(cpu.hops, nnodes)
             remote = [r + a - b
                       for r, a, b in zip(remote, now, tally_seen[nid])]
             tally_seen[nid] = now
             rc_d, rc_i, _, rd_d, rd_i = remote
             m = system.misses
-            sampler.sample(qi, MissBreakdown(
+            system._sample(qi, MissBreakdown(
                 i_local=m.i_local, i_remote=rc_i + rd_i, d_local=m.d_local,
                 d_remote_clean=rc_d, d_remote_dirty=rd_d,
-            ), i_refs, len(dsh))
+            ), i_refs)
 
     if traced:
         # Aggregate phase spans reconstructed from accumulated segment
@@ -1013,16 +1067,17 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
         protocol.upgrades += upg
         counters.requests_2hop += rc_d + rc_i + upg
         counters.requests_3hop += rd_d + rd_i
+    if rec is not None:
+        r = np.frombuffer(rec, dtype=np.int64)
+        system.ordered = OrderedProfile(
+            warmup=warmup_end, q_off=q_off, q_nodes=sc.q_nodes, flags=flags,
+            pos=(r >> REC_SHIFT).astype(np.int32),
+            cls=(r & ((1 << REC_SHIFT) - 1)).astype(np.int32),
+        )
 
     # ---- materialize flat state back into the real objects --------------
     with tracer.span("mp.materialize"):
-        priv = set(sc.uniq[sc.uniq_private].tolist())
-        directory = protocol.directory
-        # The run began with an empty directory and only this engine
-        # wrote to it, so the flat shared-line entries transplant
-        # wholesale.
-        directory._sharers.update(dsh)
-        directory._owner.update(down)
+        priv = set() if general else set(sc.uniq[sc.uniq_private].tolist())
         for nid, (node, st) in enumerate(zip(nodes, states)):
             _materialize_l1(node.l1i, st.ia, st.ib)
             _materialize_l1(node.l1d, st.da, st.db)
@@ -1042,11 +1097,7 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
             # run; reconstruct the entries _run_fast would have left
             # behind.
             owned = st.owned
-            if mode == MODE_DM:
-                resident_iter = (occ for occ in st.dmset if occ != -1)
-            else:
-                resident_iter = (ln for ways in st.sets2 for ln in ways)
-            for ln in resident_iter:
+            for ln in node.l2.resident_lines():
                 if ln in priv:
                     if ln in owned:
                         directory.set_owner(ln, nid)

@@ -108,11 +108,10 @@ class QuantumSeries:
       :data:`~repro.params.INSTRS_PER_ILINE` = instructions, the MPKI
       denominator);
     * ``dir_lines`` — directory-tracked lines (a gauge, not a delta).
-      The scalar engines and the staged pipeline's stream mode read
-      the live directory; the staged pipeline's *batch* mode reports
-      its coherence-tracked (shared) lines only, a lower bound, since
-      private lines there bypass the directory until the run
-      materializes;
+      The scalar engines read the live directory; the staged
+      pipeline reports its coherence-tracked lines, a lower bound on
+      in-order RAC-free machines, whose private lines bypass the
+      directory until the run materializes;
     * ``rac_probes`` / ``rac_hits`` — remote-access-cache activity.
     """
 

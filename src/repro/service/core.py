@@ -139,7 +139,8 @@ class JobService:
         self.workers = max(1, int(workers))
         self.cache = cache
         self.journal = journal
-        self.trace_store = trace_store or default_trace_store()
+        self.trace_store = (trace_store if trace_store is not None
+                            else default_trace_store())
         self.queue_limit = int(queue_limit)
         #: Jobs handed to the executor per dispatch cycle; bounded so a
         #: long batch cannot starve late submissions for its whole

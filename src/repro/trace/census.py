@@ -22,7 +22,7 @@ Three levels of analysis:
   *whole* trace (warmup included), so the directory can never send it
   an invalidation or downgrade; the batched multiprocessor engine
   (:mod:`repro.memsys.vectorized_mp`) replays such lines without
-  consulting the coherence core at all.  Classification depends only
+  consulting the directory at all.  Classification depends only
   on the *set* of (line, node) pairs, never on interleaving order, so
   it is stable under any re-interleaving of the trace's quanta — the
   property tests in ``tests/trace/test_census_properties.py`` enforce
@@ -272,7 +272,7 @@ def sharing_census(trace: OltpTrace, cores_per_node: int = 1) -> SharingCensus:
 
     The scan covers *all* quanta — warmup included — because privacy
     must hold over the whole replay for the batched engine to skip the
-    coherence core.  Classification is order-insensitive: it depends
+    directory.  Classification is order-insensitive: it depends
     only on the set of (line, node) pairs, so any re-interleaving of
     the quanta yields the same result.
     """

@@ -273,14 +273,16 @@ def stream_trace(
     from repro.obs import current_tracer
     from repro.trace.stream import DEFAULT_CHUNK_TXNS, StreamedTrace, TraceChunk
 
-    config = WorkloadConfig.build(ncpus=ncpus, scale=scale, seed=seed,
-                                  workload=workload)
-    if warmup_txns is None:
-        warmup_txns = max(100, 4 * config.num_servers)
-    model = MemoryModel(config, seed=seed)
-    rng = random.Random(seed ^ 0xC0DE)
-    builder = TraceBuilder(model, CodeModel(model, rng), rng, warmup_txns)
-    engine = OracleEngine(config, builder)
+    with current_tracer().span("trace.stream_setup", ncpus=ncpus,
+                               scale=scale, seed=seed):
+        config = WorkloadConfig.build(ncpus=ncpus, scale=scale, seed=seed,
+                                      workload=workload)
+        if warmup_txns is None:
+            warmup_txns = max(100, 4 * config.num_servers)
+        model = MemoryModel(config, seed=seed)
+        rng = random.Random(seed ^ 0xC0DE)
+        builder = TraceBuilder(model, CodeModel(model, rng), rng, warmup_txns)
+        engine = OracleEngine(config, builder)
     batch_txns = max(1, int(chunk_txns or DEFAULT_CHUNK_TXNS))
     total_txns = warmup_txns + txns
 

@@ -1,16 +1,16 @@
 """Multi-engine differential harness.
 
 Parametrized sweeps asserting that the replay engines — ``_run_fast``,
-``_run_general``, the numpy ``_run_vectorized`` kernel and the staged
-``_run_vectorized_mp`` pipeline — produce **equal**
+``_run_general``, the numpy ``vectorized`` kernel and the staged
+``vectorized-mp`` pipeline — produce **equal**
 ``RunResult.to_dict()`` payloads wherever their domains overlap.
 
 The uniprocessor grid covers L2 sizes × associativities × SRAM/DRAM
 technology × TLB on/off, in-order and out-of-order CPUs, with and
 without a warmup window.  The multiprocessor grid covers 2/8 nodes ×
-RAC on/off × instruction replication on/off × in-order/OOO, which
-exercises both of the staged pipeline's execution modes (batch and
-stream) and all three of its flat-L2 representations.
+no/large/small RAC × instruction replication on/off × in-order/OOO ×
+direct-mapped/set-associative L2, which exercises every walk of the
+staged pipeline and its RAC miss path.
 
 Equality of the full serialized result is the contract that lets
 cached campaign results stay valid across engines without a
@@ -246,15 +246,17 @@ class TestMultiprocessorEquivalence:
     """The staged pipeline's differential cells: 2/8 nodes × RAC ×
     instruction replication × in-order/OOO."""
 
+    @pytest.mark.parametrize("l2_assoc", [1, 4], ids=["dm", "4w"])
     @pytest.mark.parametrize("cpu_model", ["inorder", "ooo"])
     @pytest.mark.parametrize("replicate", [False, True],
                              ids=["plain", "repl"])
-    @pytest.mark.parametrize("rac", [None, 256 * KB],
-                             ids=["norac", "rac"])
+    @pytest.mark.parametrize("rac", [None, 256 * KB, 8 * KB],
+                             ids=["norac", "rac", "smallrac"])
     @pytest.mark.parametrize("ncpus", [2, 8])
-    def test_runresults_identical(self, ncpus, rac, replicate, cpu_model):
+    def test_runresults_identical(self, ncpus, rac, replicate, cpu_model,
+                                  l2_assoc):
         machine = mp_machine(ncpus, rac_size=rac, replicate=replicate,
-                             cpu_model=cpu_model)
+                             cpu_model=cpu_model, l2_assoc=l2_assoc)
         trace = synthetic_mp_trace(9, ncpus, replicate=replicate)
         results = run_mp_engines(machine, trace)
         assert results["vectorized-mp"] == results["fast"]
@@ -277,11 +279,16 @@ class TestMultiprocessorEquivalence:
         results = run_mp_engines(machine, trace)
         assert results["vectorized-mp"] == results["fast"]
 
-    def test_end_of_run_checker_accepts_reconstructed_state(self):
+    @pytest.mark.parametrize("rac,cpu_model", [
+        (None, "inorder"), (8 * KB, "inorder"), (None, "ooo"),
+        (8 * KB, "ooo")])
+    def test_end_of_run_checker_accepts_reconstructed_state(self, rac,
+                                                            cpu_model):
         """The engine rebuilds directory entries for private lines at
-        the end of the run; the integrity checker must see a state
+        the end of the run (and RAC machines keep RAC-held lines in the
+        directory); the integrity checker must see a state
         indistinguishable from the scalar loop's."""
-        machine = mp_machine(8)
+        machine = mp_machine(8, rac_size=rac, cpu_model=cpu_model)
         trace = synthetic_mp_trace(9, 8)
         a = System(machine, engine="vectorized-mp",
                    check="end-of-run").run(trace).to_dict()

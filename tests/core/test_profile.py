@@ -103,11 +103,6 @@ class TestGoldens:
             json.loads(regen.trace_path(name).read_text()))
         expected = json.loads(regen.expected_path(name).read_text())
         machine = MachineConfig.from_dict(expected["machine"])
-        if machine.rac_size is not None:
-            # RAC machines keep charging cycles: no profile, no key.
-            assert profile_key(None, machine) is None
-            assert System(machine).run(trace).to_dict() == expected
-            return
         result, profile = profile_of(machine, trace)
         assert result.to_dict() == expected
         assert retime(profile, machine).to_dict() == expected
@@ -146,8 +141,9 @@ class TestFigureJobs:
         for job in figure_jobs:
             key = profile_key(job.spec, job.machine, job.check)
             if key is None:
+                # The uniprocessor kernel charges OOO cycles itself.
                 assert (job.machine.cpu_model == "ooo"
-                        or job.machine.rac_size is not None), job.label
+                        and job.machine.num_nodes == 1), job.label
                 continue
             groups.setdefault(key, []).append(job)
         assert groups
@@ -236,6 +232,36 @@ def written_text_trace(seed, ncpus):
                       warmup_quanta=5)
 
 
+#: RAC and CPU-model cells: in-order with a RAC, OOO without, OOO
+#: with; the RACs are small enough to evict.
+RAC_CELLS = st.sampled_from([
+    ("inorder", 1 * KB, 2), ("inorder", 8 * KB, 8), ("ooo", None, 8),
+    ("ooo", 1 * KB, 2), ("ooo", 8 * KB, 8)])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 50), ncpus=st.sampled_from([2, 4, 8]),
+       geometry=GEOMETRY, replicate=st.booleans(), cell=RAC_CELLS,
+       source=st.sampled_from(LEVELS), target=st.sampled_from(LEVELS),
+       topology=topologies)
+def test_rac_and_ooo_retimes_match_cold_replay(seed, ncpus, geometry,
+                                               replicate, cell, source,
+                                               target, topology):
+    """A RAC profile's retime and an OOO profile's ordered retime
+    equal a cold replay that charges every cycle as it goes."""
+    cpu_model, rac_size, rac_assoc = cell
+    trace = synthetic_mp_trace(seed, ncpus, nquanta=60,
+                               replicate=replicate)
+    a, b = (_machine(ncpus, geometry, level, topo, replicate=replicate)
+            .with_(cpu_model=cpu_model, rac_size=rac_size,
+                   rac_assoc=rac_assoc)
+            for level, topo in ((source, None), (target, topology)))
+    _, profile = profile_of(a, trace)
+    assert (profile.ordered is not None) == (cpu_model == "ooo")
+    assert retime(profile, b).to_dict() == cold(b, trace)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 50), geometry=GEOMETRY, topology=topologies)
 def test_retime_matches_cold_replay_replicated_writes(seed, geometry,
@@ -261,8 +287,13 @@ def test_retime_matches_cold_replay_uni(seed, geometry, source, table):
 # -- the profile itself --------------------------------------------------------
 
 class TestProfile:
-    def test_round_trip_is_exact(self):
-        machine = MachineConfig.fully_integrated(4, l2_size=8 * KB, scale=1)
+    @pytest.mark.parametrize("extra", [{}, {"cpu_model": "ooo"},
+                                       {"cpu_model": "ooo",
+                                        "rac_size": 4 * KB}],
+                             ids=["inorder", "ooo", "ooo-rac"])
+    def test_round_trip_is_exact(self, extra):
+        machine = MachineConfig.fully_integrated(
+            4, l2_size=8 * KB, scale=1, **extra)
         _, profile = profile_of(machine, synthetic_mp_trace(3, 4))
         again = MemoryProfile.from_dict(
             json.loads(json.dumps(profile.to_dict())))
@@ -314,12 +345,19 @@ class TestProfile:
                        "i_refs"):
             assert series["vectorized-mp"][column] == series["fast"][column]
 
-    def test_ooo_and_rac_machines_have_no_profile(self):
+    def test_ooo_and_rac_keys_name_cpu_model_and_rac_geometry(self):
         spec = TraceSpec(ncpus=8, scale=32, txns=10, seed=1)
         base = MachineConfig.fully_integrated(8)
-        assert profile_key(spec, base) is not None
-        assert profile_key(spec, base.with_(cpu_model="ooo")) is None
-        assert profile_key(spec, base.with_(rac_size=8 * 1024 * KB)) is None
+        ooo = base.with_(cpu_model="ooo")
+        rac = base.with_(rac_size=8 * 1024 * KB)
+        keys = {profile_key(spec, m) for m in (
+            base, ooo, rac, rac.with_(rac_assoc=4), rac.with_(cpu_model="ooo"))}
+        assert None not in keys and len(keys) == 5
+        assert (profile_key(spec, ooo)
+                == profile_key(spec, MachineConfig.integrated_l2(8, cpu_model="ooo")))
+        # The uniprocessor kernel charges OOO cycles as it replays.
+        uni = TraceSpec(ncpus=1, scale=32, txns=10, seed=1)
+        assert profile_key(uni, MachineConfig.base(1, cpu_model="ooo")) is None
         assert profile_key(spec, base, check="per-quantum") is None
         assert not profiled(base, "fast")
 

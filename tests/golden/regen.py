@@ -55,9 +55,9 @@ def _scenario_topology(name: str):
 #: The frozen workloads: tiny OLTP runs — one uniprocessor (replayed
 #: by the vectorized engine under auto-selection), one 2-CPU
 #: multiprocessor (staged pipeline, full coherence), one 8-node
-#: RAC configuration (the pipeline's stream mode), plus two scenario
+#: RAC configuration (the pipeline's RAC miss path), plus two scenario
 #: points: the Zipf-skewed uniprocessor workload and the
-#: hardware-islands 8-node topology (batch mode; its per-hop extras
+#: hardware-islands 8-node topology (its per-hop extras
 #: are charged when the run's memory profile is retimed).
 CASES = {
     "uni": {

@@ -56,7 +56,7 @@ def test_golden_mp_identical_across_engines(name):
     """The frozen multiprocessor expectations hold bit-for-bit for
     every MP-capable engine — in particular the staged
     ``vectorized-mp`` pipeline must reproduce the scalar engines'
-    payloads exactly (the mp8rac case exercises its stream mode, and
+    payloads exactly (the mp8rac case exercises its RAC miss path, and
     islands_mp8 the non-flat topology routing)."""
     machine, trace, expected = load_case(name)
     for engine in ("fast", "general", "vectorized-mp"):

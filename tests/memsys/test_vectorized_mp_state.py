@@ -10,6 +10,8 @@ always notify the directory first).
 
 import pytest
 
+from repro.coherence.directory import DirectoryState
+from repro.core.profile import CpuProfile
 from repro.memsys.vectorized_mp import (
     MODE_ASSOC,
     MODE_DM,
@@ -36,10 +38,12 @@ def _walk(mode, states, dsh, down):
     """One walk; returns its counters and the CpuProfile hop tally."""
     L, E, S1, S2 = [LINE], [REMOTE_READ], [LINE % L1_N], [LINE % L2_N]
     n = len(states)
-    hops = [0] * (3 * n + 2 * n * n)
+    cpu = CpuProfile(n)
+    directory = DirectoryState()  # the walks work on its dicts
+    directory._sharers, directory._owner = dsh, down
     walk = _walk_dm if mode == MODE_DM else _walk_assoc
-    res = walk(L, E, S1, S2, 0, states, dsh, down, hops, n)
-    return res, hops
+    res = walk(L, E, S1, S2, 0, states, directory, cpu, n, None)
+    return res, cpu.hops
 
 
 @pytest.mark.parametrize("mode", [MODE_DM, MODE_ASSOC])

@@ -38,8 +38,9 @@ def base_machine(ncpus=1, **kw):
     return MachineConfig.base(ncpus, **kw)
 
 
-def stream_machine(ncpus=8):
-    """A RAC + OOO config: forces the staged pipeline's stream mode."""
+def rac_ooo_machine(ncpus=8):
+    """A RAC + OOO config: the staged pipeline's general miss path and
+    its ordered log."""
     return MachineConfig.fully_integrated(
         ncpus, rac_size=256 * KB, cpu_model="ooo", scale=SCALE)
 
@@ -73,9 +74,8 @@ class TestTransparency:
             traced = traced_run(machine, mp8_trace, engine)[0].to_dict()
             assert traced == plain, engine
 
-    def test_mp_stream_mode_identical_with_obs_on(self, mp8_trace):
-        # RAC + OOO forces the staged pipeline through its stream mode.
-        machine = stream_machine()
+    def test_mp_rac_ooo_identical_with_obs_on(self, mp8_trace):
+        machine = rac_ooo_machine()
         plain = System(machine, engine="fast").run(mp8_trace).to_dict()
         traced = traced_run(machine, mp8_trace, "vectorized-mp")[0].to_dict()
         assert traced == plain
@@ -110,14 +110,19 @@ class TestEngineSpans:
             assert span.ts >= engine.ts
             assert span.ts + span.dur <= engine.ts + engine.dur + 1e-6
 
-    def test_mp_stream_phase_spans(self, mp8_trace):
-        machine = stream_machine()
+    def test_mp_ordered_timing_span(self, mp8_trace):
+        # An OOO machine walks in batch mode and charges its cycles
+        # when the ordered log is retimed.
+        machine = rac_ooo_machine()
         _, tracer, _ = traced_run(machine, mp8_trace, "vectorized-mp")
-        spans = {s.name: s for s in tracer.spans}
-        assert spans["mp.walks"].args == {"mode": "stream",
-                                          "coherence": "inline"}
-        assert spans["mp.timing"].args == {"mode": "stream"}
-        assert "mp.coherence" not in spans
+        modes = {s.args.get("mode") for s in tracer.spans
+                 if s.name in ("mp.walks", "mp.timing")}
+        assert modes == {"batch", "ordered"}
+        (ordered,) = [s for s in tracer.spans
+                      if s.args.get("mode") == "ordered"]
+        (retime,) = [s for s in tracer.spans if s.name == "retime"]
+        assert retime.ts <= ordered.ts
+        assert ordered.ts + ordered.dur <= retime.ts + retime.dur + 1e-6
 
     def test_trace_build_span(self):
         tracer = Tracer()
@@ -164,8 +169,8 @@ class TestQuantumSeriesWiring:
         assert len(series) == len(mp8_trace.quanta) - mp8_trace.warmup_quanta
         assert series.quantum[0] == mp8_trace.warmup_quanta
 
-    def test_rac_columns_populated_in_stream_mode(self, mp8_trace):
-        machine = stream_machine()
+    def test_rac_columns_populated(self, mp8_trace):
+        machine = rac_ooo_machine()
         result, _, registry = traced_run(machine, mp8_trace,
                                          "vectorized-mp")
         (series,) = registry.series

@@ -36,8 +36,9 @@ TOPOLOGIES = {
 
 
 class TestTopologyEngineEquivalence:
-    """Non-flat topologies force the staged pipeline into stream mode;
-    its payloads must still match the scalar engines exactly."""
+    """Non-flat topologies ride the staged pipeline's walks unchanged
+    (their per-hop extras are charged at retime); its payloads must
+    still match the scalar engines exactly."""
 
     @pytest.mark.parametrize("rac", [None, 256 * KB], ids=["norac", "rac"])
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))

@@ -15,6 +15,14 @@ from _helpers import broken_job, simulated_result, tiny_job
 
 
 class TestSubmission:
+    def test_an_empty_trace_store_is_used_not_replaced(self, make_service,
+                                                       store):
+        # An empty TraceStore is falsy; the service must still keep it
+        # rather than fall back to the process-wide store.
+        assert len(store) == 0
+        service = make_service(started=False)
+        assert service.trace_store is store
+
     def test_cold_job_simulates_and_completes(self, make_service, store):
         service = make_service()
         entry = service.submit(tiny_job(0))
