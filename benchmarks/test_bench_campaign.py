@@ -4,8 +4,8 @@ Runs the full figure set through ``run_campaign`` four ways — serial
 cold, serial warm, 4-worker cold, 4-worker warm — at quick sizes, and
 dumps a machine-readable ``BENCH_campaign.json`` (override the path
 with ``BENCH_CAMPAIGN_OUT``).  The payload carries each mode's
-telemetry, including per-figure wall-clock and per-job records, plus
-the headline speedup ratios.
+telemetry, including per-job records, plus the headline speedup
+ratios.
 
 Note the parallel speedup is only meaningful on a multi-core host; on
 a single-core CI runner the interesting numbers are the warm-cache

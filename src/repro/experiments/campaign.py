@@ -1,12 +1,12 @@
 """The ``repro-oltp campaign`` verb: every figure, parallel and cached.
 
-A campaign installs a :class:`~repro.runner.CampaignRunner` as the
-active runner and runs the ordinary figure drivers through it, all at
-once: each round gathers every configuration the drivers are waiting
-on into one batch, so the ``--jobs`` worker processes stay busy across
-figures instead of draining at the end of each one.  Results land in
-(or are served from) the content-addressed result cache, so the
-second campaign over an unchanged tree runs **zero** simulations.
+A campaign collects the jobs every figure declares into one batch and
+runs it through a :class:`~repro.runner.CampaignRunner`, so the
+``--jobs`` worker processes stay busy across figures instead of
+draining at the end of each one; each figure then renders from its own
+slice of the results.  Results land in (or are served from) the
+content-addressed result cache, so the second campaign over an
+unchanged tree runs **zero** simulations.
 
 Cache layout under ``--cache-dir`` (default ``.repro-oltp-cache``)::
 
@@ -24,7 +24,7 @@ Campaigns are **resilient by default**: workers run under the
 :class:`~repro.runner.SupervisedExecutor` (crash respawn, per-job
 timeouts via ``--job-timeout``, bounded retry via ``--max-retries``),
 a figure whose jobs fail terminally is reported and *skipped* while
-every other figure, in its round or later, completes, and
+every other figure completes, and
 ``--resume <journal>`` makes the whole campaign checkpointed: completed
 jobs are fsynced into an append-only journal and served from it after
 a SIGINT/SIGKILL, with final output bit-identical to an uninterrupted
@@ -48,7 +48,6 @@ from repro.runner import (
     CampaignTelemetry,
     JournalStats,
     ResultCache,
-    use_runner,
 )
 from repro.runner.tracestore import default_trace_store
 
@@ -94,7 +93,8 @@ class CampaignReport:
                     )
             parts.append("\n".join(lines))
         if self.telemetry is not None:
-            parts.append(self.telemetry.render(color=color))
+            parts.append(self.telemetry.render(
+                [name for name, _ in self.figures], color=color))
         return "\n\n".join(parts)
 
     def failure_report(self) -> dict:
@@ -149,15 +149,16 @@ def run_campaign(
     ``shared_memory=False`` makes every worker load its own trace copy
     instead of attaching the parent's shared-memory view.
 
-    Every figure driver runs at once, and the jobs they wait on run
-    together, one batch per round (see
-    :meth:`~repro.runner.CampaignRunner.gather`).  A figure whose jobs
+    Every figure's jobs run as one batch, in figure order (see
+    :meth:`~repro.runner.CampaignRunner.run_batch`), and each figure
+    renders from its own slice of the results.  A figure whose jobs
     fail terminally (after retries) is recorded in ``report.failures``
-    and skipped; the other figures, in its round and after, complete.
-    The per-job report replaces the historical exception.
+    and skipped; the other figures complete.  The per-job report
+    replaces the historical exception.  A configuration error (bad
+    settings, an unknown scenario) raises before anything runs.
     """
     # Late import: cli imports this module at load time.
-    from repro.experiments.cli import run_figure
+    from repro.experiments.cli import figure_jobs, render_figure
 
     stream = stream if stream is not None else sys.stderr
     store = default_trace_store()
@@ -180,28 +181,30 @@ def run_campaign(
         journal_stats=journal.stats if journal else None,
     )
     try:
-        with use_runner(runner):
-            outcomes = runner.gather(
-                figures,
-                lambda name: run_figure(name, settings, chart=chart,
-                                        csv_dir=csv_dir),
-            )
-        for name, (text, exc, seconds) in zip(figures, outcomes):
-            if isinstance(exc, CampaignJobError):
-                report.failures[name] = [f.to_dict() for f in exc.failures]
-            elif isinstance(exc, ReproError):
-                # A driver-level error (bad config, invariant hit in
-                # the driver): report it, keep the campaign.
-                report.failures[name] = [{
-                    "label": name, "job_hash": "",
-                    "kind": "error", "message": str(exc), "attempts": 1,
-                }]
-            elif exc is not None:
-                raise exc
-            if exc is not None:
+        # Declaring jobs needs only the settings: a bad configuration
+        # fails here, before anything runs.
+        requests = [(name, figure_jobs(name, settings)) for name in figures]
+        try:
+            replies = runner.run_batch(requests)
+        except ReproError as exc:
+            replies = [exc] * len(requests)
+        for name, reply in zip(figures, replies):
+            try:
+                if isinstance(reply, ReproError):
+                    raise reply
+                text = render_figure(name, settings, reply, chart=chart,
+                                     csv_dir=csv_dir)
+            except ReproError as exc:
+                # A figure-level error (an invariant hit while building
+                # it, a batch that could not start) counts as one failed
+                # job; either way, report it and keep the campaign.
+                report.failures[name] = (
+                    [f.to_dict() for f in exc.failures]
+                    if isinstance(exc, CampaignJobError) else
+                    [{"label": name, "job_hash": "", "kind": "error",
+                      "message": str(exc), "attempts": 1}])
                 text = f"[{name} FAILED: {exc}]"
                 print(f"campaign: {name} failed: {exc}", file=stream)
-            runner.telemetry.end_batch(name, seconds)
             report.figures.append((name, text))
     finally:
         runner.close()
@@ -215,3 +218,4 @@ def run_campaign(
         with open(failure_report, "w", encoding="utf-8") as fh:
             json.dump(report.failure_report(), fh, indent=2, sort_keys=True)
     return report
+

@@ -22,7 +22,8 @@ import os
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
-from typing import List, Optional
+from functools import partial
+from typing import List, Optional, Sequence
 
 from repro.experiments import (
     ablations,
@@ -50,9 +51,51 @@ from repro.obs import (
     write_metrics_csv,
     write_metrics_json,
 )
-from repro.runner import JobFailed, use_profile_memo
+from repro.runner import JobFailed, SimJob, run_simulations
 
-FIGURES = ("fig3", "fig5", "fig6", "fig7", "fig8", "fig10", "fig11", "fig12", "fig13")
+
+def _single(build, **options):
+    """Show a study whose ``build(settings, results)`` is one Figure."""
+    return lambda settings, results, chart, dump: render(
+        dump(build(settings, results)), chart=chart, **options)
+
+
+def _show_fig10(settings, results, chart, dump) -> str:
+    study = integration.build(settings, results)
+    dump(study.uni, "_uni")
+    dump(study.mp, "_mp")
+    return "\n\n".join(
+        render(f, misses=False, chart=chart) for f in (study.uni, study.mp)
+    )
+
+
+def _show_fig13(settings, results, chart, dump) -> str:
+    study = ooo_experiment.build(settings, results)
+    dump(study.uni, "_uni")
+    dump(study.mp, "_mp")
+    return study.render()
+
+
+#: Figure name -> ``(jobs, show)``: ``jobs(settings)`` declares every
+#: simulation the figure needs from the settings alone, and
+#: ``show(settings, results, chart, dump)`` renders its text report from
+#: their results, passing each Figure through ``dump(figure, suffix)``
+#: (which writes its CSV when asked to).
+FIGURE_TABLE = {
+    "fig3": (lambda settings: [],
+             lambda settings, results, chart, dump: fig3_latencies.render()),
+    "fig5": (partial(offchip.jobs, 1), _single(partial(offchip.build, 1))),
+    "fig6": (partial(offchip.jobs, 8), _single(partial(offchip.build, 8))),
+    "fig7": (partial(onchip.jobs, 1), _single(partial(onchip.build, 1))),
+    "fig8": (partial(onchip.jobs, 8), _single(partial(onchip.build, 8))),
+    "fig10": (integration.jobs, _show_fig10),
+    "fig11": (rac.miss_jobs,
+              lambda settings, results, chart, dump:
+              rac.build_miss_study(results).render()),
+    "fig12": (rac.perf_jobs, _single(rac.build_perf_study, misses=False)),
+    "fig13": (ooo_experiment.jobs, _show_fig13),
+}
+FIGURES = tuple(FIGURE_TABLE)
 EXTRAS = ("ablations", "selftest", "campaign", "profile", "serve", "loadgen",
           "stream", "scenario")
 
@@ -182,15 +225,34 @@ def _settings(args: argparse.Namespace) -> Settings:
     )
 
 
-def run_figure(name: str, settings: Settings, chart: bool = False,
-               csv_dir: Optional[str] = None) -> str:
-    """Run one figure driver and return its text report.
+def _entry(name: str):
+    """``name``'s ``(jobs, show)`` pair; any name not in
+    :data:`FIGURE_TABLE` is a scenario."""
+    entry = FIGURE_TABLE.get(name)
+    if entry is not None:
+        return entry
+    # get_scenario fails fast with a ConfigError listing the registered
+    # names when it is not one.
+    from repro.experiments import scenarios
+
+    return (partial(scenarios.scenario_jobs, name),
+            _single(partial(scenarios.build_scenario, name)))
+
+
+def figure_jobs(name: str, settings: Settings) -> List[SimJob]:
+    """Every job figure (or scenario) ``name`` needs, in order."""
+    return _entry(name)[0](settings)
+
+
+def render_figure(name: str, settings: Settings, results: Sequence,
+                  chart: bool = False, csv_dir: Optional[str] = None) -> str:
+    """Figure ``name``'s text report from the results of
+    :func:`figure_jobs`.
 
     When ``csv_dir`` is given, each reproduced Figure is also written
     there as ``<name>.csv`` (Figures 3 and 11 have no tabular Figure
     form and are skipped).
     """
-
     if csv_dir:
         os.makedirs(csv_dir, exist_ok=True)
 
@@ -199,43 +261,15 @@ def run_figure(name: str, settings: Settings, chart: bool = False,
             write_figure_csv(figure, f"{csv_dir}/{name}{suffix}.csv")
         return figure
 
-    if name == "fig3":
-        return fig3_latencies.render()
-    if name == "fig5":
-        return render(dump(offchip.run_uniprocessor(settings)), chart=chart)
-    if name == "fig6":
-        return render(dump(offchip.run_multiprocessor(settings)), chart=chart)
-    if name == "fig7":
-        return render(dump(onchip.run_uniprocessor(settings)), chart=chart)
-    if name == "fig8":
-        return render(dump(onchip.run_multiprocessor(settings)), chart=chart)
-    if name == "fig10":
-        study = integration.run(settings)
-        dump(study.uni, "_uni")
-        dump(study.mp, "_mp")
-        return "\n\n".join(
-            render(f, misses=False, chart=chart) for f in (study.uni, study.mp)
-        )
-    if name == "fig11":
-        return rac.run_miss_study(settings).render()
-    if name == "fig12":
-        return render(dump(rac.run_perf_study(settings)), misses=False, chart=chart)
-    if name == "fig13":
-        study = ooo_experiment.run(settings)
-        dump(study.uni, "_uni")
-        dump(study.mp, "_mp")
-        return study.render()
-    if name == "ablations":
-        return ablations.run_all(settings)
-    if name == "selftest":
-        from repro.integrity import selftest
+    return _entry(name)[1](settings, results, chart, dump)
 
-        return selftest.run(settings).render()
-    # Anything else is a scenario name; run_scenario fails fast with a
-    # ConfigError listing the registered names when it is not.
-    from repro.experiments import scenarios
 
-    return render(dump(scenarios.run_scenario(name, settings)), chart=chart)
+def run_figure(name: str, settings: Settings, chart: bool = False,
+               csv_dir: Optional[str] = None) -> str:
+    """Run one figure (or scenario) inline and return its text report."""
+    results = run_simulations(figure_jobs(name, settings))
+    return render_figure(name, settings, results, chart=chart,
+                         csv_dir=csv_dir)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -513,22 +547,29 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(report.render())
             return 0 if report.passed else 1
 
+        if args.figure == "ablations":
+            print(ablations.run_all(settings))
+            return 0
+
         if profiling:
             names = (args.target,)
         elif args.figure == "all":
             names = FIGURES
         else:
             names = (args.figure,)
-        # One memo for the whole loop: a figure on a cache geometry an
-        # earlier figure replayed is retimed, not replayed.
-        with use_profile_memo():
-            for name in names:
-                start = time.time()
-                print(run_figure(name, settings, chart=args.chart,
-                                 csv_dir=args.csv))
-                print(f"[{name} took {time.time() - start:.1f}s]")
-                print()
-                completed.append(name)
+        start = time.time()
+        # One inline batch for every figure: one replay per cache
+        # geometry across all of them.
+        declared = [figure_jobs(name, settings) for name in names]
+        results = run_simulations([job for jobs in declared for job in jobs])
+        for name, jobs in zip(names, declared):
+            print(render_figure(name, settings, results[:len(jobs)],
+                                chart=args.chart, csv_dir=args.csv))
+            print()
+            del results[:len(jobs)]
+            completed.append(name)
+        label = args.target if profiling else args.figure
+        print(f"[{label} took {time.time() - start:.1f}s]")
         return 0
 
     try:

@@ -1,26 +1,27 @@
 """Shared machinery for the per-figure experiment drivers.
 
 Every figure driver follows the same pattern: name the OLTP workload
-for its processor count as a :class:`~repro.runner.TraceSpec`, simulate
-a list of machine configurations against it, and return a
-:class:`Figure` whose rows are normalized the way the paper normalizes
-that figure.  Simulations are enumerated as jobs through
-:func:`repro.runner.run_simulations`, so the same driver code runs
-serially by default and fans out across workers (with result caching)
-under ``repro-oltp campaign``.  Traces materialize through the
-process-wide bounded :class:`~repro.runner.TraceStore`, so a full
-reproduction run generates each workload exactly once.
+for its processor count as a :class:`~repro.runner.TraceSpec`, declare
+a list of machine configurations against it as jobs
+(:func:`config_jobs`), and build a :class:`Figure` from their results
+whose rows are normalized the way the paper normalizes that figure
+(:func:`build_figure`).  The jobs follow from :class:`Settings` alone,
+so ``repro-oltp all`` runs every figure's jobs inline as one batch and
+``repro-oltp campaign`` fans the same batch out across workers (with
+result caching).  Traces materialize through the process-wide bounded
+:class:`~repro.runner.TraceStore`, so a full reproduction run
+generates each workload exactly once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.machine import MachineConfig
 from repro.core.results import RunResult
-from repro.core.system import System, simulate
-from repro.runner import SimJob, TraceSpec, default_trace_store, run_simulations
+from repro.core.system import System
+from repro.runner import SimJob, TraceSpec, default_trace_store
 from repro.trace.generator import OltpTrace
 
 
@@ -130,32 +131,23 @@ class Figure:
         return base.result.exec_time / self.row(label).result.exec_time
 
 
-def run_configs(
+def config_jobs(labelled_configs: List[Tuple[str, MachineConfig]],
+                spec: TraceSpec, check: str = "off") -> List[SimJob]:
+    """One job per configuration, all against ``spec``."""
+    return [SimJob(spec=spec, machine=machine, check=check)
+            for _, machine in labelled_configs]
+
+
+def build_figure(
     figure_id: str,
     title: str,
     labelled_configs: List[Tuple[str, MachineConfig]],
-    trace: Union[OltpTrace, TraceSpec],
+    results: Sequence[RunResult],
     baseline_index: int = 0,
     check: str = "off",
 ) -> Figure:
-    """Simulate every configuration and normalize against the baseline.
-
-    ``trace`` is normally a :class:`~repro.runner.TraceSpec`: the
-    configurations become independent jobs routed through the active
-    campaign runner (parallel, cached) or simulated inline when none is
-    installed.  A concrete :class:`OltpTrace` — synthetic traces in
-    tests, mostly — always simulates inline.
-    """
-    if isinstance(trace, TraceSpec):
-        results = run_simulations(
-            [SimJob(spec=trace, machine=machine, check=check)
-             for _, machine in labelled_configs]
-        )
-    else:
-        results = [
-            simulate(machine, trace, check=check)
-            for _, machine in labelled_configs
-        ]
+    """A figure of ``results`` (one per configuration, in order),
+    normalized against the baseline."""
     rows = [
         Row(label, result,
             engine=System.select_engine(machine, check=check))

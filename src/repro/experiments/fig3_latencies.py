@@ -42,12 +42,3 @@ def render() -> str:
         f"remote {ratios['remote_clean']:.2f}x, dirty {ratios['remote_dirty']:.2f}x"
     )
     return "\n".join(lines)
-
-
-def run():
-    """Uniform driver interface: returns the rendered table."""
-    return render()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render())

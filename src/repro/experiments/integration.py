@@ -9,11 +9,18 @@ every integrated bar, exactly as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from repro.core.machine import MachineConfig
-from repro.experiments.common import Figure, Settings, run_configs, trace_spec
-from repro.runner import SimJob, simulate_spec
+from repro.core.results import RunResult
+from repro.experiments.common import (
+    Figure,
+    Settings,
+    build_figure,
+    config_jobs,
+    trace_spec,
+)
+from repro.runner import SimJob, run_simulations
 
 
 def ladder_configs(ncpus: int, scale: int, cpu_model: str = "inorder"):
@@ -56,16 +63,29 @@ class IntegrationStudy:
         return self.mp.speedup("All", over="L2")
 
 
-def run(settings: Optional[Settings] = None, cpu_model: str = "inorder") -> IntegrationStudy:
-    """Reproduce Figure 10 (or its Figure-13 OOO variant)."""
-    settings = settings or Settings.paper()
+def jobs(settings: Settings, cpu_model: str = "inorder") -> List[SimJob]:
+    """Figure 10's jobs: the uniprocessor ladder, the MP ladder, then
+    the MP Conservative Base."""
     scale = settings.scale
+    mp = ladder_configs(8, scale, cpu_model) + [
+        ("Cons", MachineConfig.conservative_base(8, scale=scale,
+                                                 cpu_model=cpu_model)),
+    ]
+    return (config_jobs(ladder_configs(1, scale, cpu_model),
+                        trace_spec(1, settings), settings.check)
+            + config_jobs(mp, trace_spec(8, settings), settings.check))
 
-    uni = run_configs(
+
+def build(settings: Settings, results: Sequence[RunResult],
+          cpu_model: str = "inorder") -> IntegrationStudy:
+    """Figure 10 (or its Figure-13 OOO variant) from the results of
+    :func:`jobs`."""
+    scale = settings.scale
+    uni_configs = ladder_configs(1, scale, cpu_model)
+    uni = build_figure(
         "Figure 10 (uni)",
         f"integration ladder — uniprocessor ({cpu_model})",
-        ladder_configs(1, scale, cpu_model),
-        trace_spec(1, settings),
+        uni_configs, results[:len(uni_configs)],
         check=settings.check,
     )
     uni.notes.append(
@@ -73,20 +93,13 @@ def run(settings: Optional[Settings] = None, cpu_model: str = "inorder") -> Inte
         "nearly all from the L2 step)"
     )
 
-    mp_spec = trace_spec(8, settings)
-    mp = run_configs(
+    mp = build_figure(
         "Figure 10 (MP)",
         f"integration ladder — 8 processors ({cpu_model})",
-        ladder_configs(8, scale, cpu_model),
-        mp_spec,
+        ladder_configs(8, scale, cpu_model), results[len(uni_configs):-1],
         check=settings.check,
     )
-    cons = simulate_spec(SimJob(
-        spec=mp_spec,
-        machine=MachineConfig.conservative_base(8, scale=scale,
-                                                cpu_model=cpu_model),
-        check=settings.check,
-    ))
+    cons = results[-1]
     full = mp.row("All").result
     cons_speedup = cons.exec_time / full.exec_time
     mp.notes.append(
@@ -100,10 +113,8 @@ def run(settings: Optional[Settings] = None, cpu_model: str = "inorder") -> Inte
     return IntegrationStudy(uni=uni, mp=mp, conservative_speedup=cons_speedup)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.report import render
-
-    study = run()
-    print(render(study.uni, misses=False))
-    print()
-    print(render(study.mp, misses=False))
+def run(settings: Optional[Settings] = None, cpu_model: str = "inorder") -> IntegrationStudy:
+    """Reproduce Figure 10 (or its Figure-13 OOO variant)."""
+    settings = settings or Settings.paper()
+    return build(settings, run_simulations(jobs(settings, cpu_model)),
+                 cpu_model)

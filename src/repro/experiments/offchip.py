@@ -9,11 +9,19 @@ direct-mapped Base configuration.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from repro.core.machine import MachineConfig, cache_label
-from repro.experiments.common import Figure, Settings, run_configs, trace_spec
+from repro.core.results import RunResult
+from repro.experiments.common import (
+    Figure,
+    Settings,
+    build_figure,
+    config_jobs,
+    trace_spec,
+)
 from repro.params import MB
+from repro.runner import SimJob, run_simulations
 
 SIZES_MB = (1, 2, 4, 8)
 
@@ -51,33 +59,27 @@ def _annotate(figure: Figure, ncpus: int) -> None:
         )
 
 
-def run(ncpus: int, settings: Optional[Settings] = None) -> Figure:
-    """Run the off-chip sweep for 1 (Figure 5) or 8 (Figure 6) CPUs."""
-    settings = settings or Settings.paper()
+def jobs(ncpus: int, settings: Settings) -> List[SimJob]:
+    """The off-chip sweep's jobs for 1 (Figure 5) or 8 (Figure 6) CPUs."""
+    return config_jobs(sweep_configs(ncpus, settings.scale),
+                       trace_spec(ncpus, settings), settings.check)
+
+
+def build(ncpus: int, settings: Settings,
+          results: Sequence[RunResult]) -> Figure:
+    """Figure 5 or 6 from the results of :func:`jobs`."""
     fig_id = "Figure 5" if ncpus == 1 else "Figure 6"
     title = (
         f"OLTP with off-chip L2 configurations — "
         f"{'uniprocessor' if ncpus == 1 else f'{ncpus} processors'}"
     )
-    figure = run_configs(fig_id, title, sweep_configs(ncpus, settings.scale),
-                         trace_spec(ncpus, settings), check=settings.check)
+    figure = build_figure(fig_id, title, sweep_configs(ncpus, settings.scale),
+                          results, check=settings.check)
     _annotate(figure, ncpus)
     return figure
 
 
-def run_uniprocessor(settings: Optional[Settings] = None) -> Figure:
-    """Figure 5."""
-    return run(1, settings)
-
-
-def run_multiprocessor(settings: Optional[Settings] = None) -> Figure:
-    """Figure 6."""
-    return run(8, settings)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.report import render
-
-    print(render(run_uniprocessor()))
-    print()
-    print(render(run_multiprocessor()))
+def run(ncpus: int, settings: Optional[Settings] = None) -> Figure:
+    """Run the off-chip sweep for 1 (Figure 5) or 8 (Figure 6) CPUs."""
+    settings = settings or Settings.paper()
+    return build(ncpus, settings, run_simulations(jobs(ncpus, settings)))

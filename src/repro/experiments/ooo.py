@@ -10,12 +10,20 @@ in-order ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.machine import MachineConfig
-from repro.experiments.common import Figure, Settings, run_configs, trace_spec
+from repro.core.results import RunResult
+from repro.experiments import integration
+from repro.experiments.common import (
+    Figure,
+    Settings,
+    build_figure,
+    config_jobs,
+    trace_spec,
+)
 from repro.experiments.integration import IntegrationStudy
-from repro.experiments.integration import run as run_integration
+from repro.runner import SimJob, run_simulations
 
 
 def _ladder(ncpus: int, scale: int):
@@ -79,19 +87,31 @@ class OooStudy:
         return "\n".join(lines)
 
 
-def run(settings: Optional[Settings] = None) -> OooStudy:
-    """Reproduce Figure 13."""
-    settings = settings or Settings.paper()
+def jobs(settings: Settings) -> List[SimJob]:
+    """Figure 13's jobs: Figure 10's, then the uniprocessor and MP
+    OOO ladders."""
     scale = settings.scale
-    inorder = run_integration(settings)
+    return (integration.jobs(settings)
+            + config_jobs(_ladder(1, scale), trace_spec(1, settings),
+                          settings.check)
+            + config_jobs(_ladder(8, scale), trace_spec(8, settings),
+                          settings.check))
 
-    uni = run_configs(
+
+def build(settings: Settings, results: Sequence[RunResult]) -> OooStudy:
+    """Figure 13 from the results of :func:`jobs`."""
+    uni_configs = _ladder(1, settings.scale)
+    mp_configs = _ladder(8, settings.scale)
+    ooo = len(uni_configs) + len(mp_configs)
+    inorder = integration.build(settings, results[:-ooo])
+
+    uni = build_figure(
         "Figure 13 (uni)", "integration with OOO — uniprocessor",
-        _ladder(1, scale), trace_spec(1, settings), check=settings.check,
+        uni_configs, results[-ooo:-len(mp_configs)], check=settings.check,
     )
-    mp = run_configs(
+    mp = build_figure(
         "Figure 13 (MP)", "integration with OOO — 8 processors",
-        _ladder(8, scale), trace_spec(8, settings), check=settings.check,
+        mp_configs, results[-len(mp_configs):], check=settings.check,
     )
     uni_gain = (
         inorder.uni.row("Base").result.exec_time / uni.row("Base OOO").result.exec_time
@@ -107,5 +127,7 @@ def run(settings: Optional[Settings] = None) -> OooStudy:
                     uni_ooo_gain=uni_gain, mp_ooo_gain=mp_gain)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())
+def run(settings: Optional[Settings] = None) -> OooStudy:
+    """Reproduce Figure 13."""
+    settings = settings or Settings.paper()
+    return build(settings, run_simulations(jobs(settings)))

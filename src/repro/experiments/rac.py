@@ -11,11 +11,17 @@ at 2 MB 8-way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from repro.core.machine import MachineConfig
 from repro.core.results import RunResult
-from repro.experiments.common import Figure, Settings, run_configs, trace_spec
+from repro.experiments.common import (
+    Figure,
+    Settings,
+    build_figure,
+    config_jobs,
+    trace_spec,
+)
 from repro.params import MB
 from repro.runner import SimJob, run_simulations
 
@@ -86,21 +92,22 @@ class RacMissStudy:
         return "\n".join(lines)
 
 
-def run_miss_study(settings: Optional[Settings] = None) -> RacMissStudy:
-    """Figure 11."""
-    settings = settings or Settings.paper()
+def miss_jobs(settings: Settings) -> List[SimJob]:
+    """Figure 11's jobs."""
     spec = trace_spec(NCPUS, settings)
     scale = settings.scale
-    check = settings.check
     machines = [
         _machine(scale, 1 * MB, 4, False, False),
         _machine(scale, 1 * MB, 4, True, False),
         _machine(scale, 1 * MB, 4, False, True),
         _machine(scale, 1 * MB, 4, True, True),
     ]
-    results = run_simulations(
-        [SimJob(spec=spec, machine=m, check=check) for m in machines]
-    )
+    return [SimJob(spec=spec, machine=m, check=settings.check)
+            for m in machines]
+
+
+def build_miss_study(results: Sequence[RunResult]) -> RacMissStudy:
+    """Figure 11 from the results of :func:`miss_jobs`."""
     return RacMissStudy(
         no_rac_no_repl=results[0],
         rac_no_repl=results[1],
@@ -109,26 +116,39 @@ def run_miss_study(settings: Optional[Settings] = None) -> RacMissStudy:
     )
 
 
-def run_perf_study(settings: Optional[Settings] = None) -> Figure:
-    """Figure 12: RAC performance vs spending the tag area on more L2.
-
-    All configurations use instruction replication (as the paper does
-    for this comparison).  The 1.25 MB L2 models reclaiming the area
-    of the RAC's on-chip tags.
-    """
+def run_miss_study(settings: Optional[Settings] = None) -> RacMissStudy:
+    """Figure 11."""
     settings = settings or Settings.paper()
-    spec = trace_spec(NCPUS, settings)
-    scale = settings.scale
-    configs = [
+    return build_miss_study(run_simulations(miss_jobs(settings)))
+
+
+def _perf_configs(scale: int):
+    return [
         ("1M4w NoRAC", _machine(scale, 1 * MB, 4, False, True)),
         ("1M4w RAC", _machine(scale, 1 * MB, 4, True, True)),
         ("1.25M4w NoRAC", _machine(scale, 1280 * 1024, 4, False, True)),
         ("2M8w NoRAC", _machine(scale, 2 * MB, 8, False, True)),
         ("2M8w RAC", _machine(scale, 2 * MB, 8, True, True)),
     ]
-    figure = run_configs(
+
+
+def perf_jobs(settings: Settings) -> List[SimJob]:
+    """Figure 12's jobs."""
+    return config_jobs(_perf_configs(settings.scale),
+                       trace_spec(NCPUS, settings), settings.check)
+
+
+def build_perf_study(settings: Settings,
+                     results: Sequence[RunResult]) -> Figure:
+    """Figure 12: RAC performance vs spending the tag area on more L2.
+
+    All configurations use instruction replication (as the paper does
+    for this comparison).  The 1.25 MB L2 models reclaiming the area
+    of the RAC's on-chip tags.
+    """
+    figure = build_figure(
         "Figure 12", "RAC performance with different L2 sizes — 8 CPUs",
-        configs, spec, check=settings.check,
+        _perf_configs(settings.scale), results, check=settings.check,
     )
     rac_gain = 1 - figure.row("1M4w RAC").time_norm / 100.0
     figure.notes.append(
@@ -148,9 +168,7 @@ def run_perf_study(settings: Optional[Settings] = None) -> Figure:
     return figure
 
 
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.report import render
-
-    print(run_miss_study().render())
-    print()
-    print(render(run_perf_study(), misses=False))
+def run_perf_study(settings: Optional[Settings] = None) -> Figure:
+    """Figure 12 (see :func:`build_perf_study`)."""
+    settings = settings or Settings.paper()
+    return build_perf_study(settings, run_simulations(perf_jobs(settings)))

@@ -12,7 +12,7 @@ cache-first, fault-tolerant multiprocess executor:
   (timeouts, retry with backoff, crash isolation, chaos harness hooks)
 * :mod:`repro.runner.memo` — the profile memo: retime instead of
   replaying, one replay per cache geometry
-* :mod:`repro.runner.executor` — the runner and driver-facing API
+* :mod:`repro.runner.executor` — the runner and the inline path
 * :mod:`repro.runner.telemetry` — per-job timing, cache accounting,
   resilience counters, ETA
 
@@ -21,14 +21,7 @@ See the README's "Campaign runner" and "Robustness" sections and
 """
 
 from repro.runner.cache import CACHE_FORMAT_VERSION, CacheStats, ResultCache
-from repro.runner.executor import (
-    CampaignRunner,
-    active_runner,
-    run_simulations,
-    simulate_spec,
-    use_profile_memo,
-    use_runner,
-)
+from repro.runner.executor import CampaignRunner, run_simulations
 from repro.runner.jobs import CODE_VERSION, SimJob, canonical_json
 from repro.runner.memo import PROFILE_MEMO_LIMIT, ProfileMemo
 from repro.runner.journal import (
@@ -76,11 +69,7 @@ __all__ = [
     "SupervisedExecutor",
     "TraceSpec",
     "TraceStore",
-    "active_runner",
     "canonical_json",
     "default_trace_store",
     "run_simulations",
-    "simulate_spec",
-    "use_profile_memo",
-    "use_runner",
 ]

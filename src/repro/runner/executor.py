@@ -23,14 +23,13 @@ guarantees:
   :class:`~repro.runner.tracestore.TraceSpec` is spilled to the trace
   archive once (traces not yet built build side by side, one process
   each); workers reload it through the same
-  :class:`~repro.runner.tracestore.TraceStore` code path the drivers
-  use, instead of pickling multi-megabyte traces per job.
-* **One batch per round** — :meth:`CampaignRunner.gather` runs many
-  drivers (figures) at once, one at a time on their own threads; the
-  jobs every waiting driver asked for run as one batch, concatenated
-  in driver order, so the workers never idle at a figure boundary.
-  Rounds run in order, and within a round a job shared by two figures
-  is credited to the earlier one.
+  :class:`~repro.runner.tracestore.TraceStore` code path the inline
+  path uses, instead of pickling multi-megabyte traces per job.
+* **One batch for many figures** — :meth:`CampaignRunner.run_batch`
+  takes named requests (normally figures), concatenates their jobs in
+  request order and runs them as one batch, so the workers never idle
+  at a figure boundary.  A job shared by two requests is credited to
+  the earlier one.
 * **Fault tolerance** — parallel batches run through a
   :class:`~repro.runner.supervisor.SupervisedExecutor`: crashed or
   hung workers are respawned and their in-flight jobs re-queued,
@@ -38,24 +37,22 @@ guarantees:
   surfaces as a structured
   :class:`~repro.integrity.errors.CampaignJobError` *after* every
   successful result of the batch has been persisted.  In process, a
-  simulation error fails its own job the same way.  In a round, each
-  driver's error carries only the failures of its own jobs, and a pool
+  simulation error fails its own job the same way.  In a batch, each
+  request's error carries only the failures of its own jobs, and a pool
   that dies too often gives each set of figures sharing jobs a fresh
   respawn budget, so a job that kills its workers fails no figure that
   does not need it.
 
-The experiment drivers do not talk to a runner directly: they call
-:func:`run_simulations`, which routes through the runner installed by
-:func:`use_runner` (the ``campaign`` CLI verb) or falls back to inline
-serial simulation — the historical behaviour — when none is active.
+Figures declare their jobs up front: ``run_campaign`` hands every
+figure's jobs to a runner as one batch, and every other path runs
+them inline through :func:`run_simulations`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.profile import MemoryProfile
@@ -89,45 +86,8 @@ from repro.runner.tracestore import TraceSpec, TraceStore, default_trace_store
 __all__ = [
     "CampaignRunner",
     "JobFailed",
-    "active_runner",
     "run_simulations",
-    "simulate_spec",
-    "use_profile_memo",
-    "use_runner",
 ]
-
-
-class _Cancelled(BaseException):
-    """Unwinds a gathered driver whose campaign was interrupted."""
-
-
-class _Driver:
-    """One :meth:`CampaignRunner.gather` driver and its hand-off slots.
-
-    ``wake`` hands the driver the turn; ``parked`` (shared by every
-    driver of one gather) hands it back when the driver blocks in
-    :meth:`park` or finishes.
-    """
-
-    def __init__(self, name: str, parked: threading.Semaphore):
-        self.name = name
-        self.parked = parked
-        self.wake = threading.Semaphore(0)
-        #: Jobs waiting for the next round, and that round's reply.
-        self.request: Optional[List[SimJob]] = None
-        self.reply: object = None
-        self.value: object = None
-        self.error: Optional[BaseException] = None
-        self.seconds = 0.0
-        self.finished = False
-
-    def park(self, jobs: List[SimJob]) -> object:
-        """Queue ``jobs`` and block until a round replies."""
-        self.request = jobs
-        self.parked.release()
-        self.wake.acquire()
-        reply, self.reply = self.reply, None
-        return reply
 
 
 class CampaignRunner:
@@ -190,8 +150,6 @@ class CampaignRunner:
         #: Kept across batches: a later job on an already-replayed
         #: cache geometry is retimed.
         self._memo = ProfileMemo()
-        #: ``driver``: the :class:`_Driver` a :meth:`gather` thread runs.
-        self._local = threading.local()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -234,98 +192,23 @@ class CampaignRunner:
         job fails terminally — after every *successful* job of the
         batch has been recorded, cached, and journaled, so a retry of
         the batch repeats only the failures.
-
-        Called from a driver that :meth:`gather` runs, the jobs wait
-        for the next round instead of running at once.
         """
-        driver = getattr(self._local, "driver", None)
-        if driver is not None:
-            reply = driver.park(list(jobs))
-        else:
-            reply = self._run_round([("", list(jobs))])[0]
-        if isinstance(reply, BaseException):
+        reply = self.run_batch([("", list(jobs))])[0]
+        if isinstance(reply, CampaignJobError):
             raise reply
         return reply
 
-    def gather(self, names: Sequence[str], driver: Callable[[str], object]
-               ) -> List[Tuple[object, Optional[BaseException], float]]:
-        """Run ``driver(name)`` for every name, batching their jobs.
-
-        Each driver runs on its own daemon thread, one at a time, until
-        it finishes or blocks in :meth:`run_jobs`.  Once every driver
-        has, the blocked drivers' jobs run as one round on this thread,
-        concatenated in ``names`` order, and each driver resumes with
-        its own slice of the results (or a
-        :class:`~repro.integrity.errors.CampaignJobError` carrying only
-        its own failures).  Returns ``(value, error, seconds)`` per
-        name: what the driver returned or raised, and its elapsed
-        time.  Elapsed times overlap, since drivers wait on shared
-        rounds.
-
-        Only one thread runs at a time, so driver code needs no locks,
-        and a round — including any fork of the worker pool — runs
-        while every driver is parked on a semaphore, holding no lock.
-        """
-        parked = threading.Semaphore(0)
-        drivers = [_Driver(name, parked) for name in names]
-
-        def body(d: _Driver) -> None:
-            self._local.driver = d
-            d.wake.acquire()
-            if isinstance(d.reply, _Cancelled):  # interrupted before it began
-                return
-            start = time.perf_counter()
-            try:
-                d.value = driver(d.name)
-            except BaseException as exc:  # handed back to the caller
-                d.error = exc
-            d.seconds = time.perf_counter() - start
-            d.finished = True
-            parked.release()
-
-        def resume(d: _Driver) -> None:
-            d.wake.release()
-            parked.acquire()
-
-        started: List[_Driver] = []
-        try:
-            for d in drivers:
-                threading.Thread(target=body, args=(d,), daemon=True,
-                                 name=f"driver-{d.name}").start()
-                started.append(d)
-                resume(d)
-            while True:
-                waiting = [d for d in drivers if d.request is not None]
-                if not waiting:
-                    break
-                requests = [(d.name, d.request) for d in waiting]
-                try:
-                    replies = self._run_round(requests)
-                except ReproError as exc:
-                    replies = [exc] * len(waiting)
-                for d, reply in zip(waiting, replies):
-                    d.request = None
-                    d.reply = reply
-                    resume(d)
-        finally:
-            # Interrupted: unblock every driver still alive; each
-            # unwinds with _Cancelled at its next run_jobs.
-            for d in started:
-                if not d.finished:
-                    d.reply = _Cancelled()
-                    d.wake.release()
-        return [(d.value, d.error, d.seconds) for d in drivers]
-
-    def _run_round(self, requests: List[Tuple[str, List[SimJob]]]
-                   ) -> List[object]:
+    def run_batch(self, requests: Sequence[Tuple[str, List[SimJob]]]
+                  ) -> List[object]:
         """Run every request's jobs as one batch.
 
         ``requests`` pairs a batch name (normally a figure) with its
         jobs; returns, per request, its results in job order or a
         :class:`~repro.integrity.errors.CampaignJobError` with the
-        failures of its own jobs.
+        failures of its own jobs.  Jobs run in request order, and a
+        job shared by two requests is credited to the earlier one.
         """
-        round_start = time.perf_counter()
+        batch_start = time.perf_counter()
         jobs = [job for _, batch in requests for job in batch]
         names = [name for name, batch in requests for _ in batch]
         tracer = current_tracer()
@@ -404,8 +287,8 @@ class CampaignRunner:
                       for i in by_hash[jobs[d].content_hash()]}
         if tracer.enabled:
             tracer.add_span(
-                "campaign.round", round_start,
-                time.perf_counter() - round_start,
+                "campaign.batch", batch_start,
+                time.perf_counter() - batch_start,
                 figures=",".join(name for name, _ in requests),
                 jobs=len(jobs), replays=len(plan.replays),
             )
@@ -599,63 +482,17 @@ def _archive_trace(spill_dir: str, spec: TraceSpec,
     return {"spans": tracer.to_dicts(), "metrics": registry.to_dict()}
 
 
-# -- the active runner (driver-facing indirection) -----------------------------
-
-_ACTIVE: Optional[CampaignRunner] = None
-
-
-def active_runner() -> Optional[CampaignRunner]:
-    """The runner installed by :func:`use_runner`, if any."""
-    return _ACTIVE
-
-
-@contextmanager
-def use_runner(runner: CampaignRunner):
-    """Route :func:`run_simulations` through ``runner`` for the block."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = runner
-    try:
-        yield runner
-    finally:
-        _ACTIVE = previous
-
-
-_INLINE_MEMO: Optional[ProfileMemo] = None
-
-
-@contextmanager
-def use_profile_memo():
-    """Share one fresh profile memo across every inline
-    :func:`run_simulations` batch in the block, so a later batch on an
-    already-replayed cache geometry retimes instead of replaying.
-    Outside such a block each inline batch plans against its own memo.
-    """
-    global _INLINE_MEMO
-    previous = _INLINE_MEMO
-    _INLINE_MEMO = ProfileMemo()
-    try:
-        yield _INLINE_MEMO
-    finally:
-        _INLINE_MEMO = previous
-
-
 def run_simulations(jobs: Sequence[SimJob]) -> List[RunResult]:
-    """Run a batch of jobs through the active runner.
+    """Run a batch of jobs inline, in this process.
 
-    With no active runner this is the historical serial path: each
-    trace materializes through the process-wide store and simulates
-    inline, with no caching and no extra processes — except that the
-    batch plans against a :class:`~repro.runner.memo.ProfileMemo`, so
+    Each trace materializes through the process-wide store and
+    simulates here, with no caching and no extra processes; the batch
+    plans against a fresh :class:`~repro.runner.memo.ProfileMemo`, so
     one job per :func:`~repro.core.profile.profile_key` replays and the
     rest are retimed from its profile.
     """
-    runner = _ACTIVE
-    if runner is not None:
-        return runner.run_jobs(jobs)
     store = default_trace_store()
-    memo = ProfileMemo() if _INLINE_MEMO is None else _INLINE_MEMO
-    plan = memo.plan(jobs)
+    plan = ProfileMemo().plan(jobs)
     results: List[Optional[RunResult]] = [None] * len(jobs)
     for i, profile in plan.retimed:
         results[i] = retime_job(jobs[i], profile)
@@ -670,8 +507,3 @@ def run_simulations(jobs: Sequence[SimJob]) -> List[RunResult]:
     replay(plan.replays)
     replay(plan.leftover)
     return results  # type: ignore[return-value]
-
-
-def simulate_spec(job: SimJob) -> RunResult:
-    """Convenience wrapper: one job through the active runner."""
-    return run_simulations([job])[0]

@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import IO, List, Optional
+from typing import IO, List, Optional, Sequence
 
 SOURCE_CACHE = "cache"
 SOURCE_SIMULATED = "simulated"
@@ -132,20 +132,11 @@ class JobRecord:
 
 
 @dataclass
-class BatchRecord:
-    """One named batch (normally a figure): its driver's elapsed time."""
-
-    name: str
-    seconds: float = 0.0
-
-
-@dataclass
 class CampaignTelemetry:
     """Aggregated accounting for one campaign run."""
 
     workers: int = 1
     records: List[JobRecord] = field(default_factory=list)
-    batches: List[BatchRecord] = field(default_factory=list)
     started_at: float = field(default_factory=time.perf_counter)
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
 
@@ -156,9 +147,6 @@ class CampaignTelemetry:
         rec = JobRecord(label, batch, job_hash, seconds, source, engine)
         self.records.append(rec)
         return rec
-
-    def end_batch(self, name: str, seconds: float) -> None:
-        self.batches.append(BatchRecord(name, seconds))
 
     # -- aggregates ------------------------------------------------------------
 
@@ -224,20 +212,17 @@ class CampaignTelemetry:
             )
         return line
 
-    def render(self, color: bool = False) -> str:
+    def render(self, names: Sequence[str], color: bool = False) -> str:
         """Per-batch table plus the summary line.
 
-        Records are grouped by batch in one pass (the table used to
-        rescan every record per batch row, O(batches × records)); the
+        One row per batch in ``names`` (normally the figures, in run
+        order), so a batch that ran no jobs still shows.  Records are
+        grouped by batch in one pass; the
         ``served`` column counts jobs answered without simulating
         (result cache, resume journal, hash-duplicates, or retimed
         from a sibling's memory profile); the
         ``engine`` column shows each batch's dominant replay engine
         (ties break alphabetically, ``-`` when no record names one).
-        The ``wall`` column is each figure driver's elapsed time; a
-        campaign runs its drivers side by side and their jobs in shared
-        rounds, so these times overlap and sum to more than the
-        campaign's wall time.
 
         ``color`` opts into ANSI styling of the header and summary; it
         defaults to off and callers should gate it on
@@ -258,21 +243,20 @@ class CampaignTelemetry:
             _style("campaign telemetry", _BOLD, color),
             _style(
                 f"  {'batch':12s} {'jobs':>5s} {'sim':>5s} {'served':>6s} "
-                f"{'wall':>8s} {'engine':>13s}",
+                f"{'engine':>13s}",
                 _DIM, color,
             ),
         ]
-        for batch in self.batches:
-            agg = grouped.get(batch.name, {"jobs": 0, "sim": 0, "engines": {}})
+        for name in names:
+            agg = grouped.get(name, {"jobs": 0, "sim": 0, "engines": {}})
             engines = agg["engines"]
             dominant = (
                 sorted(engines.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
                 if engines else "-"
             )
             lines.append(
-                f"  {batch.name:12s} {agg['jobs']:5d} {agg['sim']:5d} "
-                f"{agg['jobs'] - agg['sim']:6d} {batch.seconds:7.1f}s "
-                f"{dominant:>13s}"
+                f"  {name:12s} {agg['jobs']:5d} {agg['sim']:5d} "
+                f"{agg['jobs'] - agg['sim']:6d} {dominant:>13s}"
             )
         lines.append(_style(self.summary_line(), _BOLD, color))
         return "\n".join(lines)
@@ -289,10 +273,6 @@ class CampaignTelemetry:
             "hit_rate": round(self.hit_rate, 4),
             "simulated_seconds": round(self.simulated_seconds, 3),
             "wall_seconds": round(self.wall_seconds, 3),
-            "batches": [
-                {"name": b.name, "seconds": round(b.seconds, 3)}
-                for b in self.batches
-            ],
             "records": [r.to_dict() for r in self.records],
         }
 
@@ -300,9 +280,9 @@ class CampaignTelemetry:
 class ProgressPrinter:
     """Streams one line per finished job, with a running ETA.
 
-    A batch is everything the runner runs at once: a campaign round
-    holds the jobs of several figures, so each line names its own
-    job's batch and counts it against the whole round.  The ETA
+    A batch is everything the runner runs at once: a campaign's one
+    batch holds the jobs of every figure, so each line names its own
+    job's figure and counts it against the whole batch.  The ETA
     extrapolates the mean simulated-job cost over the jobs
     still expected to *simulate* in the current batch, divided by the
     worker count.  The runner resolves its cache pass before the batch

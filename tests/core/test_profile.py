@@ -29,7 +29,8 @@ from repro.core.profile import (
 )
 from repro.core.system import System, simulate
 from repro.cpu.events import encode
-from repro.experiments.cli import FIGURES, run_figure
+from repro.experiments import cli
+from repro.experiments.cli import FIGURES
 from repro.experiments.common import Settings
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.params import KB, IntegrationLevel, L2Technology, LatencyTable
@@ -39,7 +40,6 @@ from repro.runner import (
     TraceSpec,
     default_trace_store,
     run_simulations,
-    use_runner,
 )
 from repro.scenario.topology import TopologySpec
 from repro.trace.synthetic import make_trace
@@ -111,27 +111,10 @@ class TestGoldens:
                 other.label
 
 
-class _RecordingRunner:
-    """Stands in for a campaign runner: records every job a figure
-    driver submits and replays it inline."""
-
-    def __init__(self):
-        self.jobs = []
-
-    def run_jobs(self, jobs):
-        self.jobs.extend(jobs)
-        store = default_trace_store()
-        return [simulate(job.machine, store.get(job.spec), check=job.check)
-                for job in jobs]
-
-
 @pytest.fixture(scope="module")
 def figure_jobs():
-    recorder = _RecordingRunner()
-    with use_runner(recorder):
-        for name in FIGURES + ("islands-mp8", "chiplet-mp8"):
-            run_figure(name, TINY)
-    return recorder.jobs
+    return [job for name in FIGURES + ("islands-mp8", "chiplet-mp8")
+            for job in cli.figure_jobs(name, TINY)]
 
 
 class TestFigureJobs:
@@ -477,22 +460,20 @@ def test_all_verb_replays_once_per_profile_key(tmp_path, monkeypatch,
     from repro.experiments.cli import main
 
     class Recorder:
-        """Records every job and runs it on the inline path, under the
-        verb's own profile memo."""
+        """Records every job the verb runs, on the inline path."""
 
         def __init__(self):
             self.jobs = []
 
-        def run_jobs(self, jobs):
+        def __call__(self, jobs):
             self.jobs.extend(jobs)
-            with use_runner(None):
-                return run_simulations(jobs)
+            return run_simulations(jobs)
 
     monkeypatch.chdir(tmp_path)
     recorder = Recorder()
-    with use_runner(recorder):
-        assert main(["all", "--scale", "256", "--uni-txns", "15",
-                     "--mp-txns", "30", "--trace-out", "all.json"]) == 0
+    monkeypatch.setattr(cli, "run_simulations", recorder)
+    assert main(["all", "--scale", "256", "--uni-txns", "15",
+                 "--mp-txns", "30", "--trace-out", "all.json"]) == 0
     capsys.readouterr()
     events = json.loads((tmp_path / "all.json").read_text())["traceEvents"]
     replays = [e["args"]["label"] for e in events

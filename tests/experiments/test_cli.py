@@ -126,13 +126,18 @@ class TestMain:
 
         calls = []
 
-        def fake_run_figure(name, settings, chart=False, csv_dir=None):
+        def fake_render_figure(name, settings, results, chart=False,
+                               csv_dir=None):
             calls.append(name)
             if len(calls) == 2:
                 raise KeyboardInterrupt
             return f"[{name} output]"
 
-        monkeypatch.setattr(cli, "run_figure", fake_run_figure)
+        # The batch is stubbed out: the interrupt lands while the
+        # second figure renders.
+        monkeypatch.setattr(cli, "run_simulations",
+                            lambda jobs: [None] * len(jobs))
+        monkeypatch.setattr(cli, "render_figure", fake_render_figure)
         code = cli.main(["all", "--quick"])
         assert code == 130
         err = capsys.readouterr().err

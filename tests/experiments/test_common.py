@@ -1,11 +1,12 @@
 """Tests for experiment plumbing: settings, trace cache, normalization."""
 
 from repro.core.machine import MachineConfig
+from repro.core.system import simulate
 from repro.experiments.common import (
     Settings,
+    build_figure,
     clear_trace_cache,
     get_trace,
-    run_configs,
 )
 from repro.trace.synthetic import make_trace, sweep_refs
 
@@ -39,7 +40,7 @@ class TestTraceCache:
         clear_trace_cache()
 
 
-class TestRunConfigs:
+class TestBuildFigure:
     def _figure(self):
         refs = sweep_refs(0, 40) + sweep_refs(0, 40)
         trace = make_trace(1, [(0, refs)], page_bytes=256)
@@ -47,7 +48,8 @@ class TestRunConfigs:
             ("small", MachineConfig.base(1, l2_size=1024, l2_assoc=1, scale=1)),
             ("big", MachineConfig.base(1, l2_size=8192, l2_assoc=2, scale=1)),
         ]
-        return run_configs("T", "test figure", configs, trace)
+        return build_figure("T", "test figure", configs,
+                            [simulate(m, trace) for _, m in configs])
 
     def test_baseline_normalizes_to_100(self):
         fig = self._figure()

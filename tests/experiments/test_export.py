@@ -4,7 +4,8 @@ import csv
 import io
 
 from repro.core.machine import MachineConfig
-from repro.experiments.common import run_configs
+from repro.core.system import simulate
+from repro.experiments.common import build_figure
 from repro.experiments.export import (
     COLUMNS,
     figure_rows,
@@ -21,7 +22,8 @@ def _figure():
         ("small", MachineConfig.base(1, l2_size=1024, l2_assoc=1, scale=1)),
         ("big", MachineConfig.base(1, l2_size=8192, l2_assoc=2, scale=1)),
     ]
-    return run_configs("T", "export test", configs, trace)
+    return build_figure("T", "export test", configs,
+                        [simulate(m, trace) for _, m in configs])
 
 
 def test_rows_have_all_columns():

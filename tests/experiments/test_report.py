@@ -1,7 +1,8 @@
 """Tests for text rendering of figures."""
 
 from repro.core.machine import MachineConfig
-from repro.experiments.common import run_configs
+from repro.core.system import simulate
+from repro.experiments.common import build_figure
 from repro.experiments.report import bar_chart, miss_table, render, summary_line, time_table
 from repro.trace.synthetic import make_trace, sweep_refs
 
@@ -9,15 +10,12 @@ from repro.trace.synthetic import make_trace, sweep_refs
 def figure(notes=()):
     refs = sweep_refs(0, 30) + sweep_refs(0, 30, write=True)
     trace = make_trace(1, [(0, refs)], page_bytes=256)
-    fig = run_configs(
-        "Figure T",
-        "render test",
-        [
-            ("tiny", MachineConfig.base(1, l2_size=512, l2_assoc=1, scale=1)),
-            ("large", MachineConfig.base(1, l2_size=8192, l2_assoc=4, scale=1)),
-        ],
-        trace,
-    )
+    configs = [
+        ("tiny", MachineConfig.base(1, l2_size=512, l2_assoc=1, scale=1)),
+        ("large", MachineConfig.base(1, l2_size=8192, l2_assoc=4, scale=1)),
+    ]
+    fig = build_figure("Figure T", "render test", configs,
+                       [simulate(m, trace) for _, m in configs])
     fig.notes.extend(notes)
     return fig
 

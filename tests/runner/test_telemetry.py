@@ -28,9 +28,11 @@ def sample_telemetry() -> CampaignTelemetry:
     t.record("2M4w", "fig5", "bbb", 0.0, SOURCE_CACHE, "vectorized")
     t.record("8M8w", "fig5", "ccc", 4.0, SOURCE_SIMULATED, "fast")
     t.record("All 2M8w", "fig8", "ddd", 0.0, SOURCE_CACHE, "vectorized-mp")
-    t.end_batch("fig5", 6.5)
-    t.end_batch("fig8", 0.1)
     return t
+
+
+#: The figures ``sample_telemetry`` ran, in order.
+NAMES = ("fig5", "fig8")
 
 
 @pytest.fixture
@@ -65,11 +67,11 @@ class TestGoldenRender:
         )
 
     def test_render_table(self, frozen_wall):
-        assert sample_telemetry().render() == (
+        assert sample_telemetry().render(NAMES) == (
             "campaign telemetry\n"
-            "  batch         jobs   sim served     wall        engine\n"
-            "  fig5             3     2      1     6.5s    vectorized\n"
-            "  fig8             1     0      1     0.1s vectorized-mp\n"
+            "  batch         jobs   sim served        engine\n"
+            "  fig5             3     2      1    vectorized\n"
+            "  fig8             1     0      1 vectorized-mp\n"
             "campaign summary: jobs=4 simulated=2 cache_hits=2 "
             "hit_rate=50% workers=4 wall=1.3s"
         )
@@ -95,15 +97,13 @@ class TestGoldenRender:
         t = CampaignTelemetry()
         t.record("a", "figX", "h1", 1.0, SOURCE_SIMULATED, "vectorized")
         t.record("b", "figX", "h2", 1.0, SOURCE_SIMULATED, "fast")
-        t.end_batch("figX", 2.0)
-        row = t.render().splitlines()[2]
+        row = t.render(["figX"]).splitlines()[2]
         assert row.endswith(" fast")
 
     def test_batch_without_records_renders_dash(self, frozen_wall):
         t = CampaignTelemetry()
-        t.end_batch("empty", 0.0)
-        row = t.render().splitlines()[2]
-        assert row.split() == ["empty", "0", "0", "0", "0.0s", "-"]
+        row = t.render(["empty"]).splitlines()[2]
+        assert row.split() == ["empty", "0", "0", "0", "-"]
 
 
 class TestToDict:
@@ -116,10 +116,6 @@ class TestToDict:
         assert data["hit_rate"] == 0.5
         assert data["simulated_seconds"] == 6.0
         assert data["wall_seconds"] == 1.3
-        assert data["batches"] == [
-            {"name": "fig5", "seconds": 6.5},
-            {"name": "fig8", "seconds": 0.1},
-        ]
         assert len(data["records"]) == 4
         assert data["records"][0] == {
             "label": "1M4w", "batch": "fig5", "job_hash": "aaa",
@@ -209,7 +205,7 @@ class TestProgressPrinter:
             "  [fig5 3/3] c: 0.00s (cache)",
         ]
 
-    def test_campaign_starts_one_progress_batch_per_round(self):
+    def test_campaign_starts_one_progress_batch(self):
         from repro.experiments.campaign import run_campaign
         from repro.experiments.common import Settings
 
@@ -219,20 +215,13 @@ class TestProgressPrinter:
                               cache_dir=None, stream=stream)
         lines = [re.match(r"  \[(\S+) (\d+)/(\d+)\] (.+): ", line).groups()
                  for line in stream.getvalue().splitlines()]
-        # A round restarts the counter at 1 and counts to its size.
-        rounds = []
-        for batch, done, total, label in lines:
-            if done == "1":
-                rounds.append([])
-            rounds[-1].append((batch, label, int(done), int(total)))
-        assert [len(r) for r in rounds] == [
-            r[0][3] for r in rounds]
-        assert [[d for _, _, d, _ in r] for r in rounds] == [
-            list(range(1, len(r) + 1)) for r in rounds]
-        # fig10 makes three calls; fig5 joins only the first round.
-        assert [sorted({b for b, *_ in r}) for r in rounds] == [
-            ["fig10", "fig5"], ["fig10"], ["fig10"]]
-        assert sorted((b, label) for r in rounds for b, label, *_ in r) == \
+        # Every figure's jobs run in one batch: one counter, from 1 to
+        # the campaign's job count, over both figures' jobs.
+        total = report.telemetry.total_jobs
+        assert [int(done) for _, done, _, _ in lines] == list(
+            range(1, total + 1))
+        assert {int(t) for _, _, t, _ in lines} == {total}
+        assert sorted((b, label) for b, _, _, label in lines) == \
             sorted((rec.batch, rec.label) for rec in report.telemetry.records)
 
     def test_null_progress_accepts_the_same_calls(self):
@@ -295,8 +284,9 @@ class TestAnsiSuppression:
 
     def test_render_is_plain_by_default_and_styled_on_request(self):
         telemetry = sample_telemetry()
-        assert "\x1b" not in telemetry.render()
-        styled = telemetry.render(color=True)
+        assert "\x1b" not in telemetry.render(NAMES)
+        styled = telemetry.render(NAMES, color=True)
         assert "\x1b[" in styled
         # Styling never changes the words, only wraps them.
-        assert re.sub(r"\x1b\[[0-9;]*m", "", styled) == telemetry.render()
+        assert re.sub(r"\x1b\[[0-9;]*m", "", styled) == telemetry.render(
+            NAMES)
