@@ -131,12 +131,12 @@ def run_campaign(
     max_retries: Optional[int] = None,
     chaos=None,
     failure_report: Optional[str] = None,
-    shared_memory: bool = True,
 ) -> CampaignReport:
     """Run ``figures`` through a cache-backed, supervised runner.
 
     ``cache_dir=None`` disables both the result cache and the trace
-    spill (everything stays in memory, nothing persists).  The
+    spill: nothing persists, and with workers the traces pass through
+    a temporary archive removed when the campaign ends.  The
     process-wide trace store is pointed at the campaign's trace
     directory for the duration and restored afterwards.
 
@@ -146,8 +146,6 @@ def run_campaign(
     ``max_retries`` tune the supervisor; ``chaos`` arms the worker
     fault harness (tests, CI smoke).  ``failure_report`` writes the
     machine-readable outcome JSON there at the end of the run.
-    ``shared_memory=False`` makes every worker load its own trace copy
-    instead of attaching the parent's shared-memory view.
 
     Every figure's jobs run as one batch, in figure order (see
     :meth:`~repro.runner.CampaignRunner.run_batch`), and each figure
@@ -173,8 +171,7 @@ def run_campaign(
     runner = CampaignRunner(jobs=jobs, cache=cache, trace_store=store,
                             progress=progress, stream=stream,
                             journal=journal, job_timeout=job_timeout,
-                            max_retries=max_retries, chaos=chaos,
-                            shared_memory=shared_memory)
+                            max_retries=max_retries, chaos=chaos)
     report = CampaignReport(
         telemetry=runner.telemetry,
         cache_stats=cache.stats if cache else None,

@@ -132,7 +132,6 @@ def _serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         job_timeout=args.job_timeout,
         max_retries=args.max_retries,
-        shared_memory=not args.no_shared_memory,
     )
     try:
         return run_server(service, args.host, args.port,
@@ -338,10 +337,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--failure-report", metavar="PATH", default=None,
                         help="campaign: write the machine-readable per-job "
                              "success/failure report JSON here")
-    parser.add_argument("--no-shared-memory", action="store_true",
-                        help="campaign/serve: workers load private trace "
-                             "copies instead of attaching the parent's "
-                             "shared-memory view")
     parser.add_argument("--scale-x", type=int, default=100, metavar="X",
                         help="stream: transaction-count multiplier over the "
                              "configured settings (default 100)")
@@ -524,7 +519,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 max_retries=args.max_retries,
                 chaos=chaos,
                 failure_report=args.failure_report,
-                shared_memory=not args.no_shared_memory,
             )
             print(report.render())
             if not report.ok:

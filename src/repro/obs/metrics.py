@@ -24,9 +24,7 @@ Like tracing, metrics are observational by contract: sampling reads
 simulator counters and never writes simulator state.
 
 Counter families by convention: ``integrity.*`` (checker),
-``campaign.*`` (runner — including ``campaign.shm_segments`` /
-``campaign.shm_fallbacks`` for the shared-memory trace arena),
-``service.*`` (job service), ``cache.*`` (result cache) and
+``campaign.*`` (runner), ``service.*`` (job service), ``cache.*`` (result cache) and
 ``stream.*`` (streaming trace store: ``stream.builds``,
 ``stream.spills``, ``stream.archive_streams``); the streaming replay
 path additionally emits one ``stream.chunk`` span per consumed chunk

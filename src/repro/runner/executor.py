@@ -19,12 +19,12 @@ guarantees:
   per :func:`~repro.core.profile.profile_key` replays (returning its
   :class:`~repro.core.profile.MemoryProfile`) and the parent retimes
   the rest, and any later job on a memoized profile, bit-identically.
-* **Trace sharing** — before forking, every distinct
-  :class:`~repro.runner.tracestore.TraceSpec` is spilled to the trace
-  archive once (traces not yet built build side by side, one process
-  each); workers reload it through the same
+* **Trace sharing** — the supervised pool archives every distinct
+  :class:`~repro.runner.tracestore.TraceSpec` once before a batch and
+  workers load it through the same
   :class:`~repro.runner.tracestore.TraceStore` code path the inline
-  path uses, instead of pickling multi-megabyte traces per job.
+  path uses, instead of pickling multi-megabyte traces per job (see
+  :class:`~repro.runner.supervisor.SupervisedExecutor`).
 * **One batch for many figures** — :meth:`CampaignRunner.run_batch`
   takes named requests (normally figures), concatenates their jobs in
   request order and runs them as one batch, so the workers never idle
@@ -51,7 +51,6 @@ them inline through :func:`run_simulations`.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -81,7 +80,7 @@ from repro.runner.telemetry import (
     NullProgress,
     ProgressPrinter,
 )
-from repro.runner.tracestore import TraceSpec, TraceStore, default_trace_store
+from repro.runner.tracestore import TraceStore, default_trace_store
 
 __all__ = [
     "CampaignRunner",
@@ -106,13 +105,9 @@ class CampaignRunner:
     ``retry`` the :class:`~repro.runner.supervisor.RetryPolicy`
     (``max_retries`` is a shorthand overriding just its retry count),
     and ``chaos`` an optional ``(fault_plans, token_dir)`` pair arming
-    the chaos harness in every worker.
-
-    ``shared_memory`` (default on) publishes each distinct workload
-    into a :class:`~repro.runner.shm.SharedTraceArena` segment before
-    a parallel batch, so all workers replay one mapping instead of N
-    per-worker archive loads; a failed publish falls back to the
-    archive path for that workload, never the whole batch.
+    the chaos harness in every worker.  Workers load each trace from
+    its archive; with no spill directory on the store, the archive is
+    a temporary directory that :meth:`close` removes.
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
@@ -123,8 +118,7 @@ class CampaignRunner:
                  max_retries: Optional[int] = None,
                  retry: Optional[RetryPolicy] = None,
                  max_respawns: int = 3,
-                 chaos=None,
-                 shared_memory: bool = True):
+                 chaos=None):
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.journal = journal
@@ -145,8 +139,6 @@ class CampaignRunner:
             else NullProgress()
         )
         self._supervisor: Optional[SupervisedExecutor] = None
-        self.shared_memory = shared_memory
-        self._arena = None
         #: Kept across batches: a later job on an already-replayed
         #: cache geometry is retimed.
         self._memo = ProfileMemo()
@@ -166,16 +158,11 @@ class CampaignRunner:
         return self._supervisor
 
     def close(self) -> None:
-        """Shut the worker pool down and unlink any shared segments
-        (idempotent)."""
+        """Shut the worker pool down and remove its temporary trace
+        archive, if any (idempotent)."""
         if self._supervisor is not None:
             self._supervisor.close()
             self._supervisor = None
-        if self._arena is not None:
-            # After the pool is gone, so no worker loses its mapping
-            # mid-replay.
-            self._arena.cleanup()
-            self._arena = None
 
     def __enter__(self) -> "CampaignRunner":
         return self
@@ -382,68 +369,9 @@ class CampaignRunner:
             done(i, result, time.perf_counter() - start, profile)
         return failures
 
-    def _publish_shared(self, specs) -> Optional[dict]:
-        """Map each spec to a shared-memory handle (best effort).
-
-        A spec whose publish fails (e.g. ``/dev/shm`` exhausted) is
-        simply absent from the map: its jobs take the per-worker
-        archive path instead.
-        """
-        if not self.shared_memory:
-            return None
-        if self._arena is None:
-            from repro.runner.shm import SharedTraceArena
-
-            self._arena = SharedTraceArena()
-        handles = {}
-        for spec in specs:
-            try:
-                handles[spec] = self._arena.publish(spec, self.trace_store)
-            except Exception:
-                current_metrics().count("campaign.shm_fallbacks")
-        return handles or None
-
-    def _archive_traces(self, specs) -> None:
-        """Materialize each spec's workload into the shared archive, so
-        no worker pays for trace generation.
-
-        Traces neither in memory nor archived build at the same time,
-        one process each (up to the worker count), instead of one after
-        the other while the workers wait.  A build that fails there is
-        retried in this process.
-        """
-        store = self.trace_store
-        missing = [spec for spec in specs
-                   if spec not in store and not store.is_archived(spec)]
-        if len(missing) > 1:
-            tracer = current_tracer()
-            metrics = current_metrics()
-            with_obs = tracer.enabled or metrics.enabled
-            with ProcessPoolExecutor(min(self.jobs, len(missing))) as pool:
-                futures = [pool.submit(_archive_trace, store.spill_dir,
-                                       spec, with_obs)
-                           for spec in missing]
-                for future in futures:
-                    try:
-                        obs = future.result()
-                    except Exception:
-                        continue  # ensure_archived below builds it
-                    if obs is not None:
-                        tracer.absorb(obs["spans"])
-                        metrics.absorb(obs["metrics"])
-        for spec in specs:
-            store.ensure_archived(spec)
-
     def _replay_parallel(self, jobs: Sequence[SimJob], indices: List[int],
                          done: Callable, need: Dict[str, tuple]
                          ) -> List[Tuple[int, JobFailure]]:
-        # The archive stays the durable fallback even when the same
-        # workloads are also published to shared memory below.
-        distinct_specs = {jobs[i].spec for i in indices}
-        if self.trace_store.spill_dir:
-            self._archive_traces(distinct_specs)
-        shm_handles = self._publish_shared(distinct_specs)
-
         tracer = current_tracer()
         metrics = current_metrics()
         with_obs = tracer.enabled or metrics.enabled
@@ -458,28 +386,10 @@ class CampaignRunner:
 
         outcomes = self._ensure_supervisor().run(
             [jobs[i] for i in indices], with_obs=with_obs,
-            on_result=on_result, shm_handles=shm_handles,
+            on_result=on_result,
             groups=[need[jobs[i].content_hash()] for i in indices])
         return [(index_of[outcome.job.content_hash()], outcome.failure)
                 for outcome in outcomes if outcome.failure is not None]
-
-
-def _archive_trace(spill_dir: str, spec: TraceSpec,
-                   with_obs: bool) -> Optional[dict]:
-    """Build ``spec``'s trace into the archive under ``spill_dir`` (in
-    a process of its own); return the build's serialized spans and
-    metrics when the parent observes, else ``None``."""
-    store = TraceStore(spill_dir=spill_dir)
-    if not with_obs:
-        store.ensure_archived(spec)
-        return None
-    from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
-
-    tracer = Tracer(tid="builder")
-    registry = MetricsRegistry()
-    with use_tracer(tracer), use_metrics(registry):
-        store.ensure_archived(spec)
-    return {"spans": tracer.to_dicts(), "metrics": registry.to_dict()}
 
 
 def run_simulations(jobs: Sequence[SimJob]) -> List[RunResult]:

@@ -27,6 +27,13 @@ A job that exhausts its retries becomes a structured
 exception, so a campaign always completes with a per-job
 success/failure report.
 
+Workers load every trace from its archive.  Before a batch the
+executor archives each distinct :class:`~repro.runner.tracestore.TraceSpec`
+once (cold traces build side by side, one process each), into the
+store's spill directory or, when the store has none, into a temporary
+directory that :meth:`SupervisedExecutor.close` removes; no worker
+generates a trace.
+
 The chaos harness (:mod:`repro.integrity.faults`) injects worker-side
 faults through the same entry points, and ``tests/runner/test_chaos.py``
 asserts the supervisor recovers from every fault class with
@@ -35,8 +42,12 @@ value-identical results.
 
 from __future__ import annotations
 
+import os
 import random
+import shutil
+import tempfile
 import time
+import weakref
 import zlib
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -48,9 +59,16 @@ from repro.core.profile import MemoryProfile
 from repro.core.results import RunResult
 from repro.core.system import System
 from repro.integrity.errors import ConfigError, ReproError
-from repro.obs import current_metrics
+from repro.obs import current_metrics, current_tracer
 from repro.runner.jobs import SimJob, canonical_json
 from repro.runner.telemetry import SOURCE_SIMULATED, ResilienceStats
+from repro.runner.tracestore import (
+    DEFAULT_CAPACITY,
+    TraceSpec,
+    TraceStore,
+    default_trace_store,
+)
+from repro.trace.storage import save_trace_atomic
 
 #: Failure kinds a :class:`JobFailure` can carry.
 FAILURE_TIMEOUT = "timeout"
@@ -81,11 +99,10 @@ def _worker_init(spill_dir: Optional[str], capacity: int,
                  ) -> None:
     """Configure the worker's process-wide state at pool start.
 
-    Points the trace store at the shared spill directory and, when the
-    chaos harness is active, installs the worker-side fault injector.
+    Points the trace store at the executor's archive directory and,
+    when the chaos harness is active, installs the worker-side fault
+    injector.
     """
-    from repro.runner.tracestore import default_trace_store
-
     store = default_trace_store()
     store.spill_dir = spill_dir
     store.capacity = max(capacity, store.capacity)
@@ -103,14 +120,11 @@ def simulate_job(job: SimJob, trace
     return system.run(trace), system.profile
 
 
-def _worker_run(job: SimJob, with_obs: bool = False, shm_handle=None):
+def _worker_run(job: SimJob, with_obs: bool = False):
     """Simulate one job; return ``(seconds, payload, crc32, obs)``.
 
-    ``shm_handle`` (a :class:`~repro.runner.shm.SharedTraceHandle`)
-    replays the job against the parent's shared-memory trace segment —
-    one physical mapping per workload across all workers — instead of
-    a per-worker archive load; without one, the trace resolves through
-    the worker's :func:`default_trace_store` as before.
+    The trace resolves through the worker's :func:`default_trace_store`,
+    which loads the archive the executor wrote before the batch.
 
     Results cross the process boundary as :meth:`RunResult.to_dict`
     payloads — the exact representation the cache stores — so the
@@ -130,18 +144,12 @@ def _worker_run(job: SimJob, with_obs: bool = False, shm_handle=None):
     runs at zero observability cost.
     """
     from repro.integrity.faults import active_worker_injector
-    from repro.runner.tracestore import default_trace_store
 
     injector = active_worker_injector()
     if injector is not None:
         injector.on_job_start()
 
-    if shm_handle is not None:
-        from repro.runner.shm import attach_shared_trace
-
-        trace = attach_shared_trace(shm_handle)
-    else:
-        trace = default_trace_store().get(job.spec)
+    trace = default_trace_store().get(job.spec)
     if not with_obs:
         start = time.perf_counter()
         try:
@@ -301,6 +309,10 @@ class SupervisedExecutor:
     timeout / respawn counters across batches; the same counts are
     mirrored into the active ``obs`` metrics registry under
     ``campaign.*`` names.
+
+    ``trace_store`` is the parent's store.  Workers load traces from its
+    spill directory or, when it has none, from a temporary directory
+    the executor creates on first use and removes on :meth:`close`.
     """
 
     def __init__(self, workers: int, trace_store, *,
@@ -319,17 +331,72 @@ class SupervisedExecutor:
         self._rng = random.Random(self.retry.seed)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._respawns_this_run = 0
+        self._tmp_dir: Optional[str] = None
+        self._remove_tmp_dir = None
+
+    # -- traces ----------------------------------------------------------------
+
+    def _archive_dir(self) -> str:
+        """Where the workers load traces from."""
+        if self.trace_store.spill_dir:
+            return self.trace_store.spill_dir
+        if self._tmp_dir is None:
+            self._tmp_dir = tempfile.mkdtemp(prefix="repro-traces-")
+            # Also removed when the executor is collected or at exit,
+            # should nobody close it.
+            self._remove_tmp_dir = weakref.finalize(
+                self, shutil.rmtree, self._tmp_dir, True)
+        return self._tmp_dir
+
+    def _archive_traces(self, specs, with_obs: bool) -> None:
+        """Archive each spec's trace where the workers load it, so no
+        worker generates a trace.
+
+        A trace the store holds in memory is saved from there.  Traces
+        that must be built build at the same time, one process each (up
+        to the worker count), instead of one after the other while the
+        workers wait; a build that fails there is retried in this
+        process.  With ``with_obs`` the builders' spans and metrics join
+        this process's.
+        """
+        spill_dir = self._archive_dir()
+        os.makedirs(spill_dir, exist_ok=True)
+        paths = {spec: os.path.join(spill_dir, spec.archive_name)
+                 for spec in specs}
+        missing = [spec for spec, path in paths.items()
+                   if not os.path.exists(path)]
+        cold = [spec for spec in missing if spec not in self.trace_store]
+        builders = min(self.workers, len(cold))
+        if builders > 1:
+            tracer = current_tracer()
+            metrics = current_metrics()
+            with ProcessPoolExecutor(builders) as pool:
+                futures = [pool.submit(_archive_trace, spill_dir, spec,
+                                       with_obs)
+                           for spec in cold]
+                for future in futures:
+                    try:
+                        obs = future.result()
+                    except Exception:
+                        continue  # built below
+                    if obs is not None:
+                        tracer.absorb(obs["spans"])
+                        metrics.absorb(obs["metrics"])
+        for spec in missing:
+            path = paths[spec]
+            if not os.path.exists(path):
+                trace = self.trace_store.get(spec)
+                if not os.path.exists(path):  # a spilling store wrote it
+                    save_trace_atomic(trace, path)
 
     # -- pool lifecycle --------------------------------------------------------
 
     def _make_pool(self) -> ProcessPoolExecutor:
-        from repro.runner.tracestore import DEFAULT_CAPACITY
-
         plans, token_dir = self.chaos if self.chaos else (None, None)
         return ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_worker_init,
-            initargs=(self.trace_store.spill_dir,
+            initargs=(self._archive_dir(),
                       max(DEFAULT_CAPACITY, self.trace_store.capacity),
                       plans, token_dir),
         )
@@ -371,10 +438,14 @@ class SupervisedExecutor:
             pass
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
+        """Shut the worker pool down and remove the temporary trace
+        directory, if any (idempotent)."""
         if self._pool is not None:
             pool, self._pool = self._pool, None
             pool.shutdown(wait=True, cancel_futures=True)
+        if self._remove_tmp_dir is not None:
+            self._remove_tmp_dir()
+            self._tmp_dir = self._remove_tmp_dir = None
 
     def __enter__(self) -> "SupervisedExecutor":
         return self
@@ -386,7 +457,6 @@ class SupervisedExecutor:
 
     def run(self, jobs: Sequence[SimJob], with_obs: bool = False,
             on_result: Optional[Callable] = None,
-            shm_handles: Optional[Dict] = None,
             groups: Optional[Sequence[Hashable]] = None) -> List[JobOutcome]:
         """Run every job to a terminal :class:`JobOutcome`.
 
@@ -395,11 +465,9 @@ class SupervisedExecutor:
         persist results — cache, journal — the moment they exist;
         a kill after that instant can never lose the job.
 
-        ``shm_handles`` maps a job's ``spec`` to a
-        :class:`~repro.runner.shm.SharedTraceHandle`; matching jobs
-        replay against the parent's shared mapping (surviving pool
-        respawns — a fresh worker simply re-attaches), others fall
-        back to per-worker trace loads.
+        Every distinct trace the jobs need is archived first (see
+        :meth:`_archive_traces`); ``with_obs`` also has the workers and
+        trace builders ship their spans and metrics back.
 
         ``groups`` names each job's group (a campaign passes the
         figures that need the job).  When the pool dies more than
@@ -409,6 +477,8 @@ class SupervisedExecutor:
         their workers fails only its own jobs, as it would have alone.
         """
         jobs = list(jobs)
+        self._archive_traces(dict.fromkeys(job.spec for job in jobs),
+                             with_obs)
         isolate = groups is not None and len(set(groups)) > 1
         abandoned: List[_Attempt] = []
         outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
@@ -485,9 +555,7 @@ class SupervisedExecutor:
                 attempt = ready.popleft()
                 try:
                     future = self._ensure_pool().submit(
-                        _worker_run, attempt.job, with_obs,
-                        shm_handles.get(attempt.job.spec)
-                        if shm_handles else None)
+                        _worker_run, attempt.job, with_obs)
                 except BrokenProcessPool:
                     ready.appendleft(attempt)
                     self.stats.crashes += 1
@@ -569,7 +637,7 @@ class SupervisedExecutor:
             by_group.setdefault(groups[attempt.index], []).append(attempt)
         for group in by_group.values():
             rerun = self.run([a.job for a in group], with_obs=with_obs,
-                             on_result=on_result, shm_handles=shm_handles)
+                             on_result=on_result)
             for attempt, outcome in zip(group, rerun):
                 outcomes[attempt.index] = outcome
         assert all(outcome is not None for outcome in outcomes)
@@ -586,3 +654,21 @@ class SupervisedExecutor:
         if not horizons:
             return None
         return max(_MIN_TICK, min(horizons))
+
+
+def _archive_trace(spill_dir: str, spec: TraceSpec,
+                   with_obs: bool) -> Optional[dict]:
+    """Build ``spec``'s trace into the archive under ``spill_dir`` (in
+    a process of its own); return the build's serialized spans and
+    metrics when the parent observes, else ``None``."""
+    store = TraceStore(spill_dir=spill_dir)
+    if not with_obs:
+        store.ensure_archived(spec)
+        return None
+    from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
+
+    tracer = Tracer(tid="builder")
+    registry = MetricsRegistry()
+    with use_tracer(tracer), use_metrics(registry):
+        store.ensure_archived(spec)
+    return {"spans": tracer.to_dicts(), "metrics": registry.to_dict()}

@@ -117,7 +117,10 @@ class JobService:
     without them every distinct submission simulates and nothing
     survives a restart.  Supervision knobs (``job_timeout``, ``retry``
     / ``max_retries``, ``max_respawns``) pass straight through to the
-    :class:`~repro.runner.supervisor.SupervisedExecutor`.
+    :class:`~repro.runner.supervisor.SupervisedExecutor`, which archives
+    each batch's traces for the workers (into a temporary directory
+    removed on :meth:`close` when ``trace_store`` has no spill
+    directory).
 
     Thread-safe: transports may call :meth:`submit` / :meth:`get` /
     :meth:`stats` from any number of threads.
@@ -132,8 +135,7 @@ class JobService:
                  retry: Optional[RetryPolicy] = None,
                  max_retries: Optional[int] = None,
                  max_respawns: int = 3,
-                 batch_limit: Optional[int] = None,
-                 shared_memory: bool = True):
+                 batch_limit: Optional[int] = None):
         if queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
         self.workers = max(1, int(workers))
@@ -158,12 +160,6 @@ class JobService:
             job_timeout=job_timeout, retry=retry,
             max_respawns=max_respawns,
         )
-        #: Same contract as the campaign runner: each distinct
-        #: workload is published to shared memory once and every
-        #: worker replays the one mapping; a failed publish falls back
-        #: to the per-worker archive path for that workload.
-        self.shared_memory = shared_memory
-        self._arena = None
         #: Profiles by profile key (guarded by ``_cv``).
         self._memo = ProfileMemo()
         self.counters = ServiceCounters()
@@ -259,9 +255,6 @@ class JobService:
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=5.0)
         self._executor.close()
-        if self._arena is not None:
-            self._arena.cleanup()
-            self._arena = None
         if self.journal is not None:
             self.journal.close()
         return drained
@@ -465,22 +458,6 @@ class JobService:
             self._running = len(batch)
             return batch
 
-    def _publish_shared(self, specs) -> Optional[dict]:
-        """Spec → shared-memory handle map for a batch (best effort)."""
-        if not self.shared_memory:
-            return None
-        if self._arena is None:
-            from repro.runner.shm import SharedTraceArena
-
-            self._arena = SharedTraceArena()
-        handles = {}
-        for spec in specs:
-            try:
-                handles[spec] = self._arena.publish(spec, self.trace_store)
-            except Exception:
-                current_metrics().count("service.shm_fallbacks")
-        return handles or None
-
     def _dispatch_loop(self) -> None:
         tracer = current_tracer()
         while True:
@@ -533,13 +510,6 @@ class JobService:
             return
         index_of = {batch[i].job_hash: i for i in indices}
         jobs = [batch[i].job for i in indices]
-        # Materialize each distinct workload into the shared archive
-        # once (the campaign runner's invariant), so workers load it
-        # instead of racing to generate it.
-        specs = {job.spec for job in jobs}
-        if self.trace_store.spill_dir:
-            for spec in specs:
-                self.trace_store.ensure_archived(spec)
 
         def on_result(job: SimJob, result: RunResult, seconds: float,
                       obs, profile) -> None:
@@ -551,10 +521,7 @@ class JobService:
             for sib in siblings:
                 self._finish_retimed(batch[sib], profile)
 
-        outcomes = self._executor.run(
-            jobs, on_result=on_result,
-            shm_handles=self._publish_shared(specs),
-        )
+        outcomes = self._executor.run(jobs, on_result=on_result)
         metrics = current_metrics()
         with self._cv:
             for outcome in outcomes:

@@ -2,12 +2,13 @@
 
 Two sources of :class:`~repro.runner.jobs.SimJob` specs:
 
-* :func:`figure_jobs` — the real reproduction workload: the exact
-  configurations the figure drivers enumerate (the Figure 5/6 off-chip
-  sweeps, the Figure 10 integration ladders), against the same
-  :class:`~repro.runner.tracestore.TraceSpec` the drivers would use.
-  Submitting these against a populated campaign cache is the *warm*
-  half of a load-generator mix.
+* :func:`figure_jobs` — the real reproduction workload: the Figure
+  5/6 off-chip sweeps and the Figure 10 integration ladders, against
+  the same :class:`~repro.runner.tracestore.TraceSpec` the drivers
+  would use.  Submitting these against a populated campaign cache is
+  the *warm* half of a load-generator mix.  Fig5 and fig6 are exactly
+  the campaign's jobs; fig10 lacks its 8-CPU Conservative Base job
+  (ROADMAP item 2).
 
 * :func:`perturbed_jobs` — an unbounded stream of distinct-by-hash
   jobs for the *cold* half.  Each perturbation varies the off-chip L2
@@ -64,9 +65,14 @@ def figure_jobs(figures: Sequence[str] = ("fig5",),
                 settings: Optional[Settings] = None) -> List[SimJob]:
     """The figure-driver jobs for the given figure ids, quick-sized.
 
-    These are byte-for-byte the jobs ``repro-oltp campaign`` runs for
-    the same figures — same specs, same hashes — so a load generator
-    pointed at a campaign cache directory gets genuine warm hits.
+    For fig5 and fig6 these are the jobs ``repro-oltp campaign`` runs
+    for the same figures — same specs, same hashes — so a load
+    generator pointed at a campaign cache directory gets genuine warm
+    hits.  Fig10 is one job short: its ladders leave out the 8-CPU
+    Conservative Base machine (``Cons 8M4w`` at quick settings), which
+    the campaign's fig10 also runs.  Reading the figures' declared job
+    lists instead would change the warm job set the service benchmark
+    submits (ROADMAP item 2).
     """
     settings = settings or Settings.quick()
     jobs: List[SimJob] = []

@@ -32,7 +32,6 @@ a materialized trace as one zero-copy chunk and a stream as itself.
 from __future__ import annotations
 
 import time
-from array import array
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.integrity.errors import StateError, TraceMismatchError
@@ -358,8 +357,6 @@ def iter_quanta(trace, engine: str = "") -> Iterator[
     late-arriving ``warmup_quanta``, so the engine loops carry no
     warmup bookkeeping of their own.
 
-    Quantum refs that are not an ``array`` (the numpy views of a
-    shared-memory trace) are handed out as a list of Python ints.
     On a streamed trace every chunk additionally emits a
     ``stream.chunk`` observability span (engine, chunk index, quanta,
     references) when tracing is enabled.
@@ -367,10 +364,6 @@ def iter_quanta(trace, engine: str = "") -> Iterator[
     if not is_streaming(trace):
         warmup = trace.warmup_quanta
         for qi, quantum in enumerate(trace.quanta):
-            if not isinstance(quantum.refs, array):
-                # A shared-memory trace holds numpy views; iterating one
-                # would box a numpy scalar per reference.
-                quantum = TraceQuantum(quantum.cpu, quantum.refs.tolist())
             yield qi, quantum, qi == warmup, qi >= warmup
         return
 

@@ -21,6 +21,7 @@ from repro.integrity.errors import ConfigError, FaultInjectionError
 from repro.obs import Tracer, use_tracer
 from repro.runner import (
     CampaignRunner,
+    SupervisedExecutor,
     TraceSpec,
     TraceStore,
     run_simulations,
@@ -335,8 +336,8 @@ class TestArchiveTraces:
         store = TraceStore(spill_dir=str(tmp_path))
         tracer = Tracer()
         with use_tracer(tracer):
-            CampaignRunner(jobs=2, trace_store=store)._archive_traces(
-                self.SPECS)
+            SupervisedExecutor(2, store)._archive_traces(self.SPECS,
+                                                         with_obs=True)
         assert all(store.is_archived(spec) for spec in self.SPECS)
         assert store.stats.builds == 0
         builds = [s for s in tracer.spans if s.name == "trace.build"]
@@ -348,8 +349,9 @@ class TestArchiveTraces:
                     == [(q.cpu, list(q.refs)) for q in built.quanta])
 
     def test_a_failed_build_is_retried_here(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(executor, "_archive_trace", _broken_build)
+        monkeypatch.setattr(supervisor, "_archive_trace", _broken_build)
         store = TraceStore(spill_dir=str(tmp_path))
-        CampaignRunner(jobs=2, trace_store=store)._archive_traces(self.SPECS)
+        SupervisedExecutor(2, store)._archive_traces(self.SPECS,
+                                                     with_obs=False)
         assert all(store.is_archived(spec) for spec in self.SPECS)
         assert store.stats.builds == 2

@@ -12,7 +12,6 @@ These are the two contracts that make service mode trustworthy:
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import re
@@ -29,7 +28,6 @@ from repro.core.profile import profile_key
 from repro.experiments.common import Settings
 from repro.runner import run_simulations
 from repro.runner.jobs import canonical_json
-from repro.runner.shm import SEGMENT_PREFIX
 from repro.service import figure_jobs
 from repro.service.corpus import perturbed_jobs
 
@@ -106,8 +104,8 @@ class TestKillRestartResume:
         ]
 
         def start():
-            # Each server gets its own session, so its pool workers and
-            # resource tracker share one process group with it.
+            # Each server gets its own session, so its pool workers
+            # share one process group with it.
             proc = subprocess.Popen(
                 args, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                 text=True, env=env, cwd=str(tmp_path),
@@ -159,19 +157,14 @@ class TestKillRestartResume:
             assert second.returncode == 0, out
             assert "drained=yes" in out
         finally:
-            # SIGKILL left the first server's pool workers, resource
-            # tracker and trace segment behind: kill its process group
-            # and unlink the segments it created (named by its pid).
+            # SIGKILL left the first server's pool workers behind:
+            # kill its process group.
             try:
                 os.killpg(first.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
             first.wait(timeout=30)
             first.stdout.close()
-            pattern = f"/dev/shm/{SEGMENT_PREFIX}{first.pid}_*"
-            for path in glob.glob(pattern):
-                os.unlink(path)
-            assert not glob.glob(pattern)
 
         # The uninterrupted ground truth: the same corpus simulated
         # serially in this process.
