@@ -18,8 +18,8 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.oltp.index import BPlusTree
-from repro.oltp.schema import BLOCK_SIZE, TpcbScale
+from repro.oltp.index import ImplicitIndex
+from repro.oltp.schema import TpcbScale
 
 
 @dataclass(frozen=True)
@@ -62,23 +62,9 @@ class TpcbDatabase:
         history_base = a + t + b
 
         # Primary-key B+-tree indexes, as Oracle reaches these rows.
-        # Values encode (global block, offset) of the row.
-        def location_pairs(count, base, locate):
-            pairs = []
-            for rid in range(count):
-                blk, off = locate(rid)
-                pairs.append((rid, (base + blk) * BLOCK_SIZE + off))
-            return pairs
-
-        self.account_index = BPlusTree.build(
-            location_pairs(scale.accounts, 0, scale.account_location)
-        )
-        self.teller_index = BPlusTree.build(
-            location_pairs(scale.tellers, a, scale.teller_location)
-        )
-        self.branch_index = BPlusTree.build(
-            location_pairs(scale.branches, a + t, scale.branch_location)
-        )
+        self.account_index = ImplicitIndex(scale.accounts)
+        self.teller_index = ImplicitIndex(scale.tellers)
+        self.branch_index = ImplicitIndex(scale.branches)
 
         aidx_base = history_base + self.HISTORY_WINDOW_BLOCKS
         tidx_base = aidx_base + self.account_index.num_blocks
@@ -120,17 +106,22 @@ class TpcbDatabase:
         Raises KeyError for a missing row, as a real index would.
         """
         if table == "account":
-            index, base = self.account_index, self.layout.account_index_base
+            index, base, locate = (self.account_index,
+                                   self.layout.account_index_base, self.account_block)
         elif table == "teller":
-            index, base = self.teller_index, self.layout.teller_index_base
+            index, base, locate = (self.teller_index,
+                                   self.layout.teller_index_base, self.teller_block)
         elif table == "branch":
-            index, base = self.branch_index, self.layout.branch_index_base
+            index, base, locate = (self.branch_index,
+                                   self.layout.branch_index_base, self.branch_block)
         else:
             raise KeyError(f"no index on table {table!r}")
-        value, path = index.lookup(row_id)
-        if value is None:
-            raise KeyError(f"{table} row {row_id} not found")
-        return value // BLOCK_SIZE, value % BLOCK_SIZE, tuple(base + b for b in path)
+        try:
+            path = index.path(row_id)
+        except KeyError:
+            raise KeyError(f"{table} row {row_id} not found") from None
+        block, offset = locate(row_id)
+        return block, offset, tuple(base + b for b in path)
 
     def history_block(self, history_row: int) -> Tuple[int, int]:
         """(global block id, byte offset) of history row ``history_row``.

@@ -15,8 +15,12 @@ the effect from the same mechanism rather than by construction.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, FrozenSet
 
+import numpy as np
+
+from repro.cpu.events import FLAG_BITS, FLAG_MASK
 from repro.oltp.config import WorkloadConfig
 from repro.oltp.locks import NUM_LATCH_SLOTS
 from repro.oltp.schema import BLOCK_SIZE
@@ -45,6 +49,14 @@ def _mix(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _mix_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_mix` over a uint64 array (multiplications wrap mod 2**64)."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
 class Region:
     """A named, page-aligned range of the virtual address space."""
 
@@ -66,11 +78,13 @@ class Region:
 class MemoryModel:
     """Places engine objects in memory and hashes pages to frames.
 
-    All public ``*_line(s)`` helpers return *physical line numbers*
-    ready for the cache simulator.  ``page_bytes`` (scaled with the
-    workload) is also the granularity of home-node assignment, and
-    ``text_pages`` is the physical-page set used for OS instruction
-    replication.
+    The ``*_addr`` helpers return virtual byte addresses.
+    ``page_table[vpage]`` is the first physical line of the frame
+    backing each virtual page, so :meth:`line_of` and :meth:`translate`
+    give *physical line numbers* ready for the cache simulator.
+    ``page_bytes`` (scaled with the workload) is also the granularity
+    of home-node assignment, and ``text_pages`` is the physical-page
+    set used for OS instruction replication.
     """
 
     #: Servers per CPU that share a PGA page colour (see
@@ -86,8 +100,8 @@ class MemoryModel:
         page_lines = 1 << (page_lines.bit_length() - 1)
         self.page_bytes = page_lines * LINE_SIZE
         self._page_lines = page_lines
+        self._page_shift = page_lines.bit_length() - 1
         self._salt = _mix(seed + 0x5EED)
-        self._page_cache: Dict[int, int] = {}
 
         num_procs = config.num_servers + 2  # servers + LGWR + DBWR
         buckets = max(16, config.buffer_frames // 4)
@@ -127,8 +141,13 @@ class MemoryModel:
         alloc("kcold", max(4096, 64 * 1024 // config.scale))
         self.virtual_size = cursor
 
+        # 40-bit physical page numbers: vastly larger than any cache,
+        # so hash collisions between distinct pages are negligible.
+        vpages = np.arange(cursor // self.page_bytes, dtype=np.uint64)
+        ppages = _mix_array(vpages ^ np.uint64(self._salt)) & np.uint64(0xFFFFFFFFFF)
+        self.page_table = ppages.astype(np.int64) * page_lines
         self._colour_pga_pages(pga_regions)
-        self.text_pages: FrozenSet[int] = frozenset(self._collect_text_pages())
+        self.text_pages: FrozenSet[int] = self._collect_text_pages()
 
     def _colour_pga_pages(self, pga_regions) -> None:
         """Give server PGAs correlated physical page colours.
@@ -150,50 +169,49 @@ class MemoryModel:
         ncpus = self.config.ncpus
         for pga_id, region in enumerate(pga_regions):
             group = (pga_id // ncpus) % self.NUM_ALIAS_GROUPS
-            vpage0 = region.base // self.page_bytes
-            vpage1 = (region.end - 1) // self.page_bytes
-            for j, vpage in enumerate(range(vpage0, vpage1 + 1)):
-                # Low bits (set index): a *random* colour shared by the
-                # whole group, so group members alias exactly while the
-                # group's pages spread evenly over the index space.
-                # High bits: unique per PGA, invisible to the index.
-                colour = _mix((group << 20) ^ (j * 0x9E37) ^ self._salt) & 0xFFFFF
-                ppage = (1 << 42) | (pga_id << 24) | colour
-                self._page_cache[vpage] = ppage * self._page_lines
+            vpage0, vpage1 = self.page_span(region)
+            j = np.arange(vpage1 - vpage0, dtype=np.uint64)
+            # Low bits (set index): a *random* colour shared by the
+            # whole group, so group members alias exactly while the
+            # group's pages spread evenly over the index space.
+            # High bits: unique per PGA, invisible to the index.
+            key = np.uint64((group << 20) ^ self._salt)
+            colour = _mix_array(key ^ (j * np.uint64(0x9E37))) & np.uint64(0xFFFFF)
+            ppage = colour.astype(np.int64) | ((1 << 42) | (pga_id << 24))
+            self.page_table[vpage0:vpage1] = ppage * self._page_lines
+
+    def page_span(self, region: Region) -> tuple:
+        """[first, last + 1) virtual pages of ``region``."""
+        return (region.base // self.page_bytes,
+                (region.end - 1) // self.page_bytes + 1)
 
     # -- virtual to physical ----------------------------------------------------
 
-    def _ppage_base_line(self, vpage: int) -> int:
-        """First physical line of the frame backing ``vpage`` (memoized)."""
-        cached = self._page_cache.get(vpage)
-        if cached is None:
-            # 40-bit physical page number: vastly larger than any cache,
-            # so hash collisions between distinct pages are negligible.
-            ppage = _mix(vpage ^ self._salt) & 0xFFFFFFFFFF
-            cached = ppage * self._page_lines
-            self._page_cache[vpage] = cached
-        return cached
-
     def line_of(self, byte_addr: int) -> int:
         """Physical line number backing a virtual byte address."""
+        if not 0 <= byte_addr < self.virtual_size:
+            raise IndexError(f"address {byte_addr:#x} outside the address space")
         vpage, off = divmod(byte_addr, self.page_bytes)
-        return self._ppage_base_line(vpage) + (off >> LINE_SHIFT)
+        return int(self.page_table[vpage]) + (off >> LINE_SHIFT)
 
-    def lines_of(self, byte_addr: int, nbytes: int) -> list:
-        """Physical lines covering [byte_addr, byte_addr + nbytes)."""
-        if nbytes <= 0:
-            return []
-        first = byte_addr >> LINE_SHIFT
-        last = (byte_addr + nbytes - 1) >> LINE_SHIFT
-        return [self.line_of(v << LINE_SHIFT) for v in range(first, last + 1)]
+    def translate(self, refs) -> array:
+        """Packed virtual-line refs -> packed physical-line refs.
 
-    def _collect_text_pages(self):
+        ``refs`` holds ``(virtual line << FLAG_BITS) | flags`` integers,
+        as the trace builder records them; the result keeps each ref's
+        flags and replaces its line through :attr:`page_table`.
+        """
+        v = np.array(refs, dtype=np.int64)
+        vline = v >> FLAG_BITS
+        line = self.page_table[vline >> self._page_shift] + (vline & (self._page_lines - 1))
+        return array("q", ((line << FLAG_BITS) | (v & FLAG_MASK)).tobytes())
+
+    def _collect_text_pages(self) -> FrozenSet[int]:
+        pages = set()
         for name in ("text_hot", "text_cold", "ktext_hot", "ktext_cold"):
-            region = self.regions[name]
-            vpage0 = region.base // self.page_bytes
-            vpage1 = (region.end - 1) // self.page_bytes
-            for vpage in range(vpage0, vpage1 + 1):
-                yield self._ppage_base_line(vpage) // self._page_lines
+            vpage0, vpage1 = self.page_span(self.regions[name])
+            pages.update((self.page_table[vpage0:vpage1] // self._page_lines).tolist())
+        return frozenset(pages)
 
     @property
     def page_lines(self) -> int:

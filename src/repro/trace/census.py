@@ -46,14 +46,11 @@ from repro.trace.generator import OltpTrace
 def _region_of_line(model: MemoryModel) -> Dict[int, str]:
     """Physical-page -> region-name map, with PGAs collapsed to 'pga'."""
     page_map: Dict[int, str] = {}
-    page_bytes = model.page_bytes
     for name, region in model.regions.items():
         group = "pga" if name.startswith("pga") else name
-        vpage0 = region.base // page_bytes
-        vpage1 = (region.end - 1) // page_bytes
-        for vpage in range(vpage0, vpage1 + 1):
-            base_line = model._ppage_base_line(vpage)
-            page_map[base_line // model.page_lines] = group
+        vpage0, vpage1 = model.page_span(region)
+        ppages = model.page_table[vpage0:vpage1] // model.page_lines
+        page_map.update(dict.fromkeys(ppages.tolist(), group))
     return page_map
 
 

@@ -10,9 +10,9 @@ fetches its lines in order.  A small probability of straying into the
 cold-text tail reproduces the long footprint tail (error paths, rare
 SQL shapes, seldom-used kernel code).
 
-Because the physical placement of each routine is fixed for a run, the
-encoded reference list per routine is precomputed once — emission is a
-single ``list.extend``.
+The encoded (virtual-line) reference list per routine is precomputed
+once — emission is a single ``list.extend``; the trace builder
+translates the lines to physical ones when the quantum ends.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import random
 from typing import Dict, List
 
 from repro.cpu.events import FLAG_BITS, FLAG_INSTR, FLAG_KERNEL
-from repro.params import LINE_SIZE
+from repro.params import LINE_SHIFT, LINE_SIZE
 from repro.trace.address_space import MemoryModel
 
 #: Relative hot-text sizes of the engine's user-mode routines.
@@ -57,6 +57,9 @@ COLD_VISIT_PROB = 0.015
 #: Lines fetched per cold-text excursion.
 COLD_VISIT_LINES = 4
 
+#: Difference between the packed refs of consecutive lines.
+LINE_STEP = 1 << FLAG_BITS
+
 
 class UnknownRoutineError(KeyError):
     """The engine reported a routine the code model has no slice for."""
@@ -87,11 +90,8 @@ class CodeModel:
             if cursor + nlines > total_lines:
                 nlines = max(1, total_lines - cursor)
             addr0 = region.base + cursor * LINE_SIZE
-            refs = [
-                (self.model.line_of(addr0 + i * LINE_SIZE) << FLAG_BITS) | flags
-                for i in range(nlines)
-            ]
-            self._encoded[name] = refs
+            head = (addr0 >> LINE_SHIFT << FLAG_BITS) | flags
+            self._encoded[name] = list(range(head, head + nlines * LINE_STEP, LINE_STEP))
             self._layout[name] = (addr0, nlines, kernel)
             cursor += nlines
 
@@ -136,8 +136,5 @@ class CodeModel:
             flags = FLAG_INSTR | (FLAG_KERNEL if kernel else 0)
             span = max(1, region.size // LINE_SIZE - COLD_VISIT_LINES)
             start = self.rng.randrange(span)
-            base = region.base + start * LINE_SIZE
-            out.extend(
-                (self.model.line_of(base + i * LINE_SIZE) << FLAG_BITS) | flags
-                for i in range(COLD_VISIT_LINES)
-            )
+            head = ((region.base >> LINE_SHIFT) + start << FLAG_BITS) | flags
+            out.extend(range(head, head + COLD_VISIT_LINES * LINE_STEP, LINE_STEP))

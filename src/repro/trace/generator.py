@@ -1,10 +1,11 @@
 """Trace builder: turns engine activity into a multi-CPU reference trace.
 
 The :class:`TraceBuilder` is the real implementation of the engine's
-tracer interface.  It expands each engine hook into physical-line
+tracer interface.  It expands each engine hook into virtual-line
 references (packed integers; see :mod:`repro.cpu.events`), groups them
 into *quanta* — one per process dispatch, tagged with the CPU the
-process ran on — and records the warmup boundary so the simulator can
+process ran on, translated to physical lines in one step when the
+quantum ends — and records the warmup boundary so the simulator can
 reset statistics exactly where measurement begins, mirroring the
 paper's warmup-then-measure protocol.
 
@@ -30,8 +31,9 @@ from repro.cpu.events import (
 from repro.oltp.config import WorkloadConfig
 from repro.oltp.engine import EngineStats, OracleEngine
 from repro.oltp.tracing import EngineTracer, ProcessContext
+from repro.params import LINE_SHIFT
 from repro.trace.address_space import MemoryModel
-from repro.trace.codepath import CodeModel
+from repro.trace.codepath import LINE_STEP, CodeModel
 
 
 @dataclass
@@ -66,7 +68,11 @@ class OltpTrace:
 
 
 class TraceBuilder(EngineTracer):
-    """EngineTracer implementation that records packed references."""
+    """EngineTracer implementation that records packed references.
+
+    The open buffer holds packed *virtual*-line refs; :meth:`_flush`
+    translates the whole quantum through the memory model's page table.
+    """
 
     def __init__(
         self,
@@ -93,7 +99,7 @@ class TraceBuilder(EngineTracer):
 
     def _flush(self) -> None:
         if self._current is not None and self._buf:
-            self.quanta.append(TraceQuantum(self._current.cpu, array("q", self._buf)))
+            self.quanta.append(TraceQuantum(self._current.cpu, self.model.translate(self._buf)))
             self._buf = []
 
     def finalize(self) -> None:
@@ -122,11 +128,9 @@ class TraceBuilder(EngineTracer):
         # process's proc structure (kernel data, on the new CPU).
         buf = self._buf
         w = FLAG_WRITE | FLAG_KERNEL
-        buf.append((self.model.line_of(self.model.krunq_addr(process.cpu)) << FLAG_BITS) | w)
-        buf.append(
-            (self.model.line_of(self.model.kproc_addr(process.pga_id)) << FLAG_BITS)
-            | FLAG_KERNEL
-        )
+        buf.append((self.model.krunq_addr(process.cpu) >> LINE_SHIFT << FLAG_BITS) | w)
+        buf.append((self.model.kproc_addr(process.pga_id) >> LINE_SHIFT << FLAG_BITS)
+                   | FLAG_KERNEL)
 
     # -- instruction side ----------------------------------------------------------
 
@@ -137,17 +141,15 @@ class TraceBuilder(EngineTracer):
 
     def _touch(self, addr: int, nbytes: int, write: bool,
                dependent: bool = False, kernel: bool = False) -> None:
-        flags = 0
-        if write:
-            flags |= FLAG_WRITE
-        if kernel:
-            flags |= FLAG_KERNEL
-        if dependent:
-            flags |= FLAG_DEPENDENT
-        buf = self._buf
-        for line in self.model.lines_of(addr, nbytes):
-            buf.append((line << FLAG_BITS) | flags)
-            flags &= ~FLAG_DEPENDENT  # only the first load heads the chain
+        if nbytes <= 0:
+            return
+        flags = (FLAG_WRITE if write else 0) | (FLAG_KERNEL if kernel else 0)
+        head = (addr >> LINE_SHIFT << FLAG_BITS) | flags
+        # Only the first load heads an address-dependent chain.
+        self._buf.append(head | FLAG_DEPENDENT if dependent else head)
+        end = ((addr + nbytes - 1) >> LINE_SHIFT) + 1 << FLAG_BITS
+        if head + LINE_STEP < end:
+            self._buf.extend(range(head + LINE_STEP, end, LINE_STEP))
 
     def on_frame(self, frame_id: int, offset: int, nbytes: int,
                  write: bool, dependent: bool = False) -> None:
@@ -198,6 +200,23 @@ class TraceBuilder(EngineTracer):
             self.warmup_quanta = self.quanta_base + len(self.quanta)
 
 
+def _start_engine(ncpus: int, scale: int, seed: int,
+                  warmup_txns: Optional[int], workload):
+    """The engine and trace builder of one run, before any transaction.
+
+    :func:`build_trace` and :func:`stream_trace` both start here, so a
+    streamed trace stays chunk for chunk the trace a whole build gives.
+    """
+    config = WorkloadConfig.build(ncpus=ncpus, scale=scale, seed=seed,
+                                  workload=workload)
+    if warmup_txns is None:
+        warmup_txns = max(100, 4 * config.num_servers)
+    model = MemoryModel(config, seed=seed)
+    rng = random.Random(seed ^ 0xC0DE)
+    builder = TraceBuilder(model, CodeModel(model, rng), rng, warmup_txns)
+    return OracleEngine(config, builder), builder
+
+
 def build_trace(
     *,
     ncpus: int = 1,
@@ -220,28 +239,21 @@ def build_trace(
 
     with current_tracer().span("trace.build", ncpus=ncpus, scale=scale,
                                txns=txns, seed=seed):
-        config = WorkloadConfig.build(ncpus=ncpus, scale=scale, seed=seed,
-                                      workload=workload)
-        if warmup_txns is None:
-            warmup_txns = max(100, 4 * config.num_servers)
-        model = MemoryModel(config, seed=seed)
-        rng = random.Random(seed ^ 0xC0DE)
-        builder = TraceBuilder(model, CodeModel(model, rng), rng, warmup_txns)
-        engine = OracleEngine(config, builder)
+        engine, builder = _start_engine(ncpus, scale, seed, warmup_txns, workload)
         engine.prewarm()
-        engine.run(warmup_txns + txns)
+        engine.run(builder.warmup_txns + txns)
         builder.finalize()
         engine.db.check_consistency()
         return OltpTrace(
             ncpus=ncpus,
             scale=scale,
-            page_bytes=model.page_bytes,
-            text_pages=model.text_pages,
+            page_bytes=builder.model.page_bytes,
+            text_pages=builder.model.text_pages,
             quanta=builder.quanta,
             warmup_quanta=builder.warmup_quanta,
             measured_txns=txns,
             engine_stats=engine.stats,
-            config=config,
+            config=engine.config,
         )
 
 
@@ -275,16 +287,9 @@ def stream_trace(
 
     with current_tracer().span("trace.stream_setup", ncpus=ncpus,
                                scale=scale, seed=seed):
-        config = WorkloadConfig.build(ncpus=ncpus, scale=scale, seed=seed,
-                                      workload=workload)
-        if warmup_txns is None:
-            warmup_txns = max(100, 4 * config.num_servers)
-        model = MemoryModel(config, seed=seed)
-        rng = random.Random(seed ^ 0xC0DE)
-        builder = TraceBuilder(model, CodeModel(model, rng), rng, warmup_txns)
-        engine = OracleEngine(config, builder)
+        engine, builder = _start_engine(ncpus, scale, seed, warmup_txns, workload)
     batch_txns = max(1, int(chunk_txns or DEFAULT_CHUNK_TXNS))
-    total_txns = warmup_txns + txns
+    total_txns = builder.warmup_txns + txns
 
     def produce():
         tracer = current_tracer()
@@ -315,10 +320,10 @@ def stream_trace(
     streamed = StreamedTrace(
         ncpus=ncpus,
         scale=scale,
-        page_bytes=model.page_bytes,
-        text_pages=model.text_pages,
+        page_bytes=builder.model.page_bytes,
+        text_pages=builder.model.text_pages,
         measured_txns=txns,
-        config=config,
+        config=engine.config,
         chunks=produce(),
     )
     return streamed

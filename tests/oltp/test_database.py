@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.oltp.database import TpcbDatabase
-from repro.oltp.schema import TpcbScale
+from repro.oltp.index import BPlusTree
+from repro.oltp.schema import BLOCK_SIZE, TpcbScale
 
 
 def make(scale=64):
@@ -35,6 +36,43 @@ class TestSegments:
         assert blk == db.layout.teller_base
         blk, _ = db.branch_block(0)
         assert blk == db.layout.branch_base
+
+
+class TestIndexes:
+    TABLES = ("account", "teller", "branch")
+
+    def rows(self, db, table):
+        return {"account": db.scale.accounts, "teller": db.scale.tellers,
+                "branch": db.scale.branches}[table]
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_lookup_row_matches_bulk_loaded_tree(self, table):
+        db = make(scale=256)
+        layout = db.layout
+        locate = getattr(db, table + "_block")
+        pairs = []
+        for rid in range(self.rows(db, table)):
+            blk, off = locate(rid)
+            pairs.append((rid, blk * BLOCK_SIZE + off))
+        tree = BPlusTree.build(pairs)
+        base = getattr(layout, table + "_index_base")
+        assert getattr(layout, table + "_index_blocks") == tree.num_blocks
+        for rid in range(0, len(pairs), 7):
+            value, path = tree.lookup(rid)
+            assert db.lookup_row(table, rid) == (
+                value // BLOCK_SIZE, value % BLOCK_SIZE,
+                tuple(base + b for b in path))
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_lookup_row_rejects_missing_rows(self, table):
+        db = make()
+        for rid in (-1, self.rows(db, table)):
+            with pytest.raises(KeyError):
+                db.lookup_row(table, rid)
+
+    def test_lookup_row_rejects_unindexed_table(self):
+        with pytest.raises(KeyError):
+            make().lookup_row("history", 0)
 
 
 class TestBalances:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.oltp.index import BPlusTree, Node
+from repro.oltp.index import BPlusTree, ImplicitIndex, Node
 
 
 class TestBulkLoad:
@@ -156,3 +156,27 @@ def test_range_scan_matches_sorted_filter(keys):
     mid_lo, mid_hi = lo + (hi - lo) // 4, hi - (hi - lo) // 4
     expected = [(k, k) for k in sorted(keys) if mid_lo <= k <= mid_hi]
     assert t.range_scan(mid_lo, mid_hi) == expected
+
+
+class TestImplicitIndex:
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            ImplicitIndex(0)
+        with pytest.raises(ValueError):
+            ImplicitIndex(10, fanout=2)
+
+    def test_path_rejects_missing_keys(self):
+        index = ImplicitIndex(100, fanout=8)
+        for key in (-1, 100):
+            with pytest.raises(KeyError):
+                index.path(key)
+
+
+@given(st.integers(1, 20_000), st.sampled_from([4, 8, 32, 128]))
+@settings(max_examples=40, deadline=None)
+def test_implicit_index_matches_bulk_loaded_tree(n, fanout):
+    tree = BPlusTree.build([(k, k) for k in range(n)], fanout=fanout)
+    index = ImplicitIndex(n, fanout)
+    assert (index.height, index.num_blocks) == (tree.height, tree.num_blocks)
+    for key in range(n):
+        assert index.path(key) == tuple(tree.lookup(key)[1])

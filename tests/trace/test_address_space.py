@@ -1,14 +1,46 @@
 """Tests for the address-space model and page colouring."""
 
+import random
 from collections import defaultdict
 
+import pytest
+
+from repro.cpu.events import decode
 from repro.oltp.config import WorkloadConfig
 from repro.params import LINE_SIZE
-from repro.trace.address_space import MemoryModel
+from repro.trace.address_space import MemoryModel, _mix
+from repro.trace.codepath import CodeModel
+from repro.trace.generator import TraceBuilder
 
 
 def make(ncpus=1, scale=128, seed=5):
     return MemoryModel(WorkloadConfig.build(ncpus=ncpus, scale=scale, seed=5), seed=seed)
+
+
+def scalar_page_table(model, seed):
+    """Each virtual page's first physical line, hashed one page at a time."""
+    salt = _mix(seed + 0x5EED)
+    pages = model.virtual_size // model.page_bytes
+    table = [(_mix(v ^ salt) & 0xFFFFFFFFFF) * model.page_lines for v in range(pages)]
+    ncpus = model.config.ncpus
+    for pga_id in range(model.config.num_servers + 2):
+        region = model.regions[f"pga{pga_id}"]
+        group = (pga_id // ncpus) % model.NUM_ALIAS_GROUPS
+        vpage0 = region.base // model.page_bytes
+        vpage1 = (region.end - 1) // model.page_bytes
+        for j, vpage in enumerate(range(vpage0, vpage1 + 1)):
+            colour = _mix((group << 20) ^ (j * 0x9E37) ^ salt) & 0xFFFFF
+            table[vpage] = ((1 << 42) | (pga_id << 24) | colour) * model.page_lines
+    return table
+
+
+def open_refs_after_touch(**touch):
+    """Physical refs of one ``on_frame`` touch on a fresh builder."""
+    model = make()
+    rng = random.Random(5)
+    builder = TraceBuilder(model, CodeModel(model, rng), rng, warmup_txns=0)
+    builder.on_frame(0, **touch)
+    return model, [decode(r) for r in model.translate(builder._buf)]
 
 
 class TestRegions:
@@ -64,14 +96,32 @@ class TestTranslation:
         l1 = model.line_of(base + LINE_SIZE)
         assert l1 == l0 + 1
 
-    def test_lines_of_covers_span(self):
-        model = make()
-        base = model.regions["log"].base
-        lines = model.lines_of(base + 10, 130)  # crosses 2 line boundaries
-        assert len(lines) == 3
+    def test_touch_covers_span(self):
+        # 130 bytes at offset 10 cross 2 line boundaries.
+        model, refs = open_refs_after_touch(offset=10, nbytes=130, write=False,
+                                            dependent=True)
+        base = model.frame_addr(0)
+        assert [r[0] for r in refs] == [model.line_of(base + i * LINE_SIZE)
+                                        for i in range(3)]
+        assert [r[4] for r in refs] == [True, False, False]
 
-    def test_lines_of_empty(self):
-        assert make().lines_of(0, 0) == []
+    def test_touch_empty(self):
+        _, refs = open_refs_after_touch(offset=0, nbytes=0, write=True)
+        assert refs == []
+
+    def test_line_of_rejects_addresses_outside_the_space(self):
+        model = make()
+        model.line_of(model.virtual_size - 1)
+        for addr in (-1, -model.page_bytes, model.virtual_size,
+                     model.virtual_size + model.page_bytes):
+            with pytest.raises(IndexError):
+                model.line_of(addr)
+
+    @pytest.mark.parametrize("ncpus,scale,seed", [(1, 128, 5), (4, 64, 11),
+                                                  (8, 32, 2000)])
+    def test_page_table_matches_scalar_hash(self, ncpus, scale, seed):
+        model = make(ncpus=ncpus, scale=scale, seed=seed)
+        assert model.page_table.tolist() == scalar_page_table(model, seed)
 
     def test_distinct_objects_distinct_lines(self):
         model = make()
@@ -88,12 +138,10 @@ class TestPlacementHelpers:
         model = make()
         model.frame_addr(0)
         model.frame_addr(model.config.buffer_frames - 1)
-        import pytest
         with pytest.raises(IndexError):
             model.frame_addr(model.config.buffer_frames)
 
     def test_meta_addr_unknown_struct(self):
-        import pytest
         with pytest.raises(KeyError):
             make().meta_addr("bogus", 0)
 

@@ -28,14 +28,19 @@ def lines_in_region(builder, region_name):
     region = model.regions[region_name]
     page0 = region.base // model.page_bytes
     page1 = (region.end - 1) // model.page_bytes
-    pages = {model._ppage_base_line(p) // model.page_lines
+    pages = {model.line_of(p * model.page_bytes) // model.page_lines
              for p in range(page0, page1 + 1)}
     return pages
 
 
+def open_refs(builder):
+    """The open quantum's refs as the flush will record them (physical)."""
+    return builder.model.translate(builder._buf)
+
+
 def test_pipe_read_touches_pipe_buffer_and_proc(builder):
     builder.on_syscall("pipe_read", 128, obj=0)
-    refs = [decode(r) for r in builder._buf]
+    refs = [decode(r) for r in open_refs(builder)]
     kernel_data = [r for r in refs if r[3] and not r[2]]
     assert kernel_data  # proc struct + pipe buffer
     kernel_code = [r for r in refs if r[3] and r[2]]
@@ -47,7 +52,7 @@ def test_pipe_write_marks_buffer_written(builder):
     pipe_pages = lines_in_region(builder, "kpipe")
     model = builder.model
     writes = [
-        decode(r) for r in builder._buf
+        decode(r) for r in open_refs(builder)
         if decode(r)[1] and (decode(r)[0] // model.page_lines) in pipe_pages
     ]
     assert writes
@@ -55,7 +60,7 @@ def test_pipe_write_marks_buffer_written(builder):
 
 def test_disk_io_touches_device_queue_and_interrupt_path(builder):
     builder.on_syscall("disk_write", 2048)
-    refs = [decode(r) for r in builder._buf]
+    refs = [decode(r) for r in open_refs(builder)]
     kglobal_pages = lines_in_region(builder, "kglobal")
     model = builder.model
     device = [r for r in refs
@@ -76,7 +81,7 @@ def test_switch_emits_scheduler_traffic(builder):
     # The flush pushed the old quantum; the new buffer has runqueue
     # and proc-struct refs, all kernel-flagged.
     assert builder._buf
-    assert all(decode(r)[3] for r in builder._buf)
+    assert all(decode(r)[3] for r in open_refs(builder))
 
 
 def test_quantum_tagged_with_process_cpu(builder):
@@ -89,7 +94,7 @@ def test_dependent_flag_only_on_chain_head(builder):
     builder.on_meta("buf_hash", 3, False, dependent=True)
     # A multi-line touch would clear the flag after the first line;
     # a 16-byte meta touch is one line, flagged.
-    assert decode(builder._buf[-1])[4] is True
+    assert decode(open_refs(builder)[-1])[4] is True
     builder.on_frame(0, 0, 256, False, dependent=True)  # 4 lines
-    tail = [decode(r)[4] for r in builder._buf[-4:]]
+    tail = [decode(r)[4] for r in open_refs(builder)[-4:]]
     assert tail == [True, False, False, False]
