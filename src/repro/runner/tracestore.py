@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.scenario.workload import BASELINE_WORKLOAD, WorkloadSpec
-from repro.trace.generator import OltpTrace, build_trace, stream_trace
+from repro.trace.generator import OltpTrace, build_trace
 from repro.trace.storage import (
     FORMAT_VERSION,
     STREAM_FORMAT_VERSION,
@@ -266,12 +266,14 @@ class StreamingTraceStore:
     1. an existing *chunked* archive (``strace_*.npz``) streams back
        chunk-by-chunk — ``np.load`` decompresses one zip member at a
        time;
-    2. on a miss the live generator streams, and when a ``spill_dir``
-       is configured every chunk is teed into a
-       :class:`~repro.trace.storage.ChunkedTraceWriter` on its way to
-       the consumer, so the archive appears as a side effect of the
-       first replay — no second pass, no full materialization, and an
-       interrupted run leaves no partial archive (atomic rename).
+    2. on a miss the live generator streams from a producer process
+       (:mod:`repro.runner.producer`), so generation overlaps the
+       consumer's replay, and when a ``spill_dir`` is configured the
+       consumer tees every chunk it receives into a
+       :class:`~repro.trace.storage.ChunkedTraceWriter`, so the archive
+       appears as a side effect of the first replay — no second pass,
+       no full materialization, and an interrupted run leaves no
+       partial archive (atomic rename).
 
     ``chunk_txns`` sets the generation batch; ``chunk_quanta`` (per
     call) re-slices whatever the producer emits, letting consumers
@@ -295,6 +297,7 @@ class StreamingTraceStore:
         """A fresh chunk stream for ``spec`` (archive or live build)."""
         from repro.integrity.errors import TraceFormatError
         from repro.obs import current_metrics
+        from repro.runner.producer import producer_stream
 
         path = self._archive_path(spec)
         if path is not None and os.path.exists(path):
@@ -314,15 +317,7 @@ class StreamingTraceStore:
                     streamed.rechunk(chunk_quanta)
                 return streamed
 
-        streamed = stream_trace(
-            ncpus=spec.ncpus,
-            scale=spec.scale,
-            txns=spec.txns,
-            warmup_txns=spec.warmup_txns,
-            seed=spec.seed,
-            chunk_txns=self.chunk_txns,
-            workload=spec.workload,
-        )
+        streamed = producer_stream(spec, self.chunk_txns)
         self.stats.builds += 1
         current_metrics().count("stream.builds")
         if path is not None:

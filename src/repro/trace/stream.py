@@ -193,6 +193,18 @@ class StreamedTrace:
         return self._consume()
 
     def _consume(self) -> Iterator[TraceChunk]:
+        try:
+            yield from self._validate()
+        finally:
+            # A consumer that stops early (close, an exception, an
+            # interrupt) ends the producer chain now, so its clean-up
+            # (an archive tee's abort, a producer process's reaping)
+            # does not wait for the stream to be collected.
+            close = getattr(self._chunks, "close", None)
+            if close is not None:
+                close()
+
+    def _validate(self) -> Iterator[TraceChunk]:
         ncpus = self.ncpus
         expected = 0
         for chunk in self._chunks:

@@ -394,3 +394,56 @@ class TestStreamChunkSpans:
             StreamedTrace.from_trace(uni_trace, self.CHUNK))
         assert result.to_dict() == simulate(
             base_machine(1), uni_trace).to_dict()
+
+
+class TestProducerSpans:
+    """A live store stream is generated in a producer process: its
+    spans come home from the child's pid, the parent's ``trace.stream``
+    brackets the consumption, and together they still cover the run."""
+
+    SPEC = TraceSpec(ncpus=1, scale=64, txns=120, seed=7)
+
+    @staticmethod
+    def _covered(spans, lo, hi):
+        intervals = sorted((max(s.ts, lo), min(s.ts + s.dur, hi))
+                           for s in spans)
+        covered, end = 0.0, lo
+        for a, b in intervals:
+            a = max(a, end)
+            if b > a:
+                covered += b - a
+                end = b
+        return covered
+
+    def test_child_spans_and_consumer_wait(self):
+        import os
+        import time
+
+        from repro.runner.producer import PRODUCE_SPAN
+        from repro.runner.tracestore import StreamingTraceStore
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            t0 = time.perf_counter()
+            trace = StreamingTraceStore().stream(self.SPEC)
+            simulate(base_machine(1), trace, engine="fast")
+            window = (t0, time.perf_counter())
+
+        me = os.getpid()
+        child = [s for s in tracer.spans if s.pid != me]
+        assert {s.name for s in child} == {"trace.stream_setup",
+                                           PRODUCE_SPAN}
+        assert len({s.pid for s in child}) == 1
+        (produce,) = [s for s in child if s.name == PRODUCE_SPAN]
+
+        parent = [s for s in tracer.spans if s.pid == me]
+        (stream,) = [s for s in parent if s.name == "trace.stream"]
+        chunks = [s for s in parent if s.name == "stream.chunk"]
+        assert chunks
+        assert sum(s.args["refs"] for s in chunks) == trace.refs_seen
+        # perfbench's trace.stream_gen_s: the time the consumer waited.
+        wait = stream.dur - sum(s.dur for s in chunks)
+        assert 0.0 <= wait < produce.dur
+
+        wall = window[1] - window[0]
+        assert self._covered(tracer.spans, *window) >= 0.9 * wall
