@@ -1,7 +1,7 @@
 """The system simulator: replays a trace against one machine config.
 
 This is the reproduction's equivalent of SimOS-Alpha's memory-system
-timing loop.  For every packed reference in the trace it walks the
+timing loop.  For every reference in the trace it walks the
 node's L1/L2 hierarchy, invokes the directory protocol on L2 misses
 and ownership upgrades, charges the configuration's Figure-3 latencies
 through the CPU timing model, and accumulates the paper's statistics.
@@ -26,6 +26,17 @@ Four replay engines implement identical semantics:
   and per-quantum walks replay the private hierarchy and the directory
   protocol in bulk.  Also value-identical to ``_run_fast`` by
   contract.
+
+The two scalar loops share one decode point,
+:func:`~repro.trace.stream.iter_quanta`: numpy splits each quantum's
+packed references into line and flag lists and counts its fetches,
+kernel fetches and data writes, so the loops do no per-reference bit
+arithmetic or counting.  On an in-order CPU they also count L2 (and
+victim-buffer) hits per quantum and charge them in one ``stall`` call
+at quantum end, before the per-quantum checks, fault plans and metrics
+sampling run.  That is exact because :class:`InOrderCPU` only adds
+integers per stall class.  An out-of-order CPU's stalls depend on when
+they happen, so its loops charge every event where it occurs.
 
 The two numpy engines charge no cycles (except the uniprocessor
 kernel on an out-of-order CPU): they tally a latency-free
@@ -56,6 +67,7 @@ from repro.core.profile import (
     retime,
 )
 from repro.core.results import RunResult
+from repro.cpu.events import STALL_L2_HIT
 from repro.cpu.inorder import InOrderCPU
 from repro.cpu.ooo import OutOfOrderCPU
 from repro.integrity.checker import Checker, CheckLevel
@@ -443,21 +455,13 @@ class System:
             l2_sets = l2._sets
             l2_n = l2.num_sets
             l2_dirty = l2._dirty
-            q_instr = 0
-            q_kinstr = 0
+            q_l2hits = l2hits
 
-            for ref in quantum.refs:
-                flags = ref & 15
-                line = ref >> 4
+            for line, flags in zip(quantum.lines, quantum.flags):
                 if flags & 2:  # instruction fetch
-                    i_refs += 1
-                    q_instr += 1
-                    if flags & 4:
-                        q_kinstr += 1
                     if ooo:
                         busy(INSTRS_PER_ILINE, flags & 4)
-                    sets = l1i_sets
-                    ways = sets[line % l1i_n]
+                    ways = l1i_sets[line % l1i_n]
                     if line in ways:
                         if ways[0] != line:
                             ways.remove(line)
@@ -466,12 +470,8 @@ class System:
                     i_miss += 1
                     l1_assoc_here = l1i_assoc
                 else:
-                    d_refs += 1
                     write = flags & 1
-                    if write:
-                        writes += 1
-                    sets = l1d_sets
-                    ways = sets[line % l1d_n]
+                    ways = l1d_sets[line % l1d_n]
                     if line in ways:
                         if ways[0] != line:
                             ways.remove(line)
@@ -493,7 +493,6 @@ class System:
 
                 # ---- L1 miss: probe the L2 --------------------------------
                 write = flags & 1
-                is_instr = flags & 2
                 idx2 = line % l2_n
                 ways2 = l2_sets[idx2]
                 if line in ways2:
@@ -512,7 +511,8 @@ class System:
                                     flags & 8,
                                     False,
                                 )
-                    stall(lat_l2hit, 0, flags & 8, is_instr)
+                    if ooo:
+                        stall(lat_l2hit, STALL_L2_HIT, flags & 8, flags & 2)
                 else:
                     # ---- L2 miss: fill, evict, consult the protocol --------
                     if len(ways2) >= l2_assoc:
@@ -534,6 +534,7 @@ class System:
                     ways2.insert(0, line)
                     if write:
                         l2_dirty[idx2].add(line)
+                    is_instr = flags & 2
                     outcome = service_miss(cpu_id, line, bool(write), bool(is_instr))
                     stall(
                         service_latency(outcome),
@@ -548,13 +549,15 @@ class System:
                     ways.pop()
                 ways.insert(0, line)
 
-            if not ooo and q_instr:
-                busy(q_instr * INSTRS_PER_ILINE, False)
-                if q_kinstr:
-                    cpu.kernel_busy_cycles += q_kinstr * INSTRS_PER_ILINE
+            i_refs += quantum.instr
+            d_refs += quantum.refs - quantum.instr
+            writes += quantum.writes
+            if not ooo:
+                self._charge_quantum(cpu, quantum,
+                                     (l2hits - q_l2hits) * lat_l2hit)
 
             if plan is not None:
-                refs_done += len(quantum.refs)
+                refs_done += quantum.refs
                 if refs_done >= plan.at_ref:
                     plan.apply(self, protocol)
                     plan = None
@@ -611,12 +614,10 @@ class System:
             node = self.nodes[node_id]
             cpu = self.cpus[cpu_id]
             tlb = tlbs[cpu_id] if tlbs is not None else None
-            q_instr = 0
-            q_kinstr = 0
+            q_l2hits = l2hits
+            q_victimhits = victimhits
 
-            for ref in quantum.refs:
-                flags = ref & 15
-                line = ref >> 4
+            for line, flags in zip(quantum.lines, quantum.flags):
                 write = bool(flags & 1)
                 is_instr = bool(flags & 2)
                 if tlb is not None:
@@ -631,17 +632,8 @@ class System:
                         tlb[page] = True
                         if len(tlb) > tlb_entries:
                             tlb.popitem(last=False)
-                if is_instr:
-                    i_refs += 1
-                    q_instr += 1
-                    if flags & 4:
-                        q_kinstr += 1
-                    if ooo:
-                        cpu.busy(INSTRS_PER_ILINE, flags & 4)
-                else:
-                    d_refs += 1
-                    if write:
-                        writes += 1
+                if ooo and is_instr:
+                    cpu.busy(INSTRS_PER_ILINE, flags & 4)
 
                 result = node.access(line, write, is_instr, core)
                 level = result.level
@@ -682,18 +674,23 @@ class System:
                         )
                 if level is HierarchyLevel.L2:
                     l2hits += 1
-                    cpu.stall(lat_l2hit, 0, flags & 8, is_instr)
+                    if ooo:
+                        cpu.stall(lat_l2hit, STALL_L2_HIT, flags & 8, is_instr)
                 elif level is HierarchyLevel.VICTIM:
                     victimhits += 1
-                    cpu.stall(lat_victim, 0, flags & 8, is_instr)
+                    if ooo:
+                        cpu.stall(lat_victim, STALL_L2_HIT, flags & 8, is_instr)
 
-            if not ooo and q_instr:
-                cpu.busy(q_instr * INSTRS_PER_ILINE, False)
-                if q_kinstr:
-                    cpu.kernel_busy_cycles += q_kinstr * INSTRS_PER_ILINE
+            i_refs += quantum.instr
+            d_refs += quantum.refs - quantum.instr
+            writes += quantum.writes
+            if not ooo:
+                self._charge_quantum(
+                    cpu, quantum, (l2hits - q_l2hits) * lat_l2hit
+                    + (victimhits - q_victimhits) * lat_victim)
 
             if plan is not None:
-                refs_done += len(quantum.refs)
+                refs_done += quantum.refs
                 if refs_done >= plan.at_ref:
                     plan.apply(self, protocol)
                     plan = None
@@ -708,6 +705,21 @@ class System:
             i_refs, i_miss, d_refs, d_miss, l2hits, writes, victimhits
         )
         self.tlb_misses += tlb_miss_count
+
+    @staticmethod
+    def _charge_quantum(cpu: InOrderCPU, quantum, hit_cycles: int) -> None:
+        """Charge an in-order CPU one quantum's fetch and L2-hit cycles.
+
+        Exact: :class:`~repro.cpu.inorder.InOrderCPU` adds integers per
+        stall class and ignores ``dependent``/``is_instr``, so one call
+        per quantum leaves the same totals as one call per reference.
+        """
+        if quantum.instr:
+            cpu.busy(quantum.instr * INSTRS_PER_ILINE, False)
+            if quantum.kinstr:
+                cpu.kernel_busy_cycles += quantum.kinstr * INSTRS_PER_ILINE
+        if hit_cycles:
+            cpu.stall(hit_cycles, STALL_L2_HIT)
 
     def _sample(self, qi: int, misses: MissBreakdown, i_refs: int) -> None:
         """Feed one measured quantum to the metrics series."""

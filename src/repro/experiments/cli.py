@@ -461,6 +461,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                             mp_txns=base.mp_txns, seed=args.seed,
                             check=args.check)
     completed: List[str] = []
+    renders_figures = (
+        args.figure in FIGURES + ("all", "profile", "campaign")
+        or (args.figure == "scenario" and scenario_action == "run")
+    )
     profiling = args.figure == "profile"
     serving = args.figure == "serve"
     # Observability is opt-in per invocation: the profile verb and the
@@ -593,9 +597,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"[metrics: {args.metrics_out}]")
         return code
     except KeyboardInterrupt:
-        done = ", ".join(completed) if completed else "none"
-        print(f"\nrepro-oltp: interrupted; figures completed: {done}",
-              file=sys.stderr)
+        message = "\nrepro-oltp: interrupted"
+        if renders_figures:
+            done = ", ".join(completed) if completed else "none"
+            message += f"; figures completed: {done}"
+        print(message, file=sys.stderr)
         return 130
     except (ReproError, JobFailed) as exc:
         print(f"repro-oltp: error: {exc}", file=sys.stderr)

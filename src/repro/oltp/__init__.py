@@ -4,7 +4,6 @@ from repro.oltp.bufferpool import BufferPool, BufferPoolStats
 from repro.oltp.config import WorkloadConfig
 from repro.oltp.database import TpcbDatabase
 from repro.oltp.engine import EngineStats, OracleEngine
-from repro.oltp.index import BPlusTree
 from repro.oltp.locks import LATCHES, LockConflictError, LockManager
 from repro.oltp.log import RedoLog
 from repro.oltp.schema import BLOCK_SIZE, TpcbScale
@@ -17,7 +16,6 @@ __all__ = [
     "WorkloadConfig",
     "TpcbDatabase",
     "EngineStats",
-    "BPlusTree",
     "OracleEngine",
     "LATCHES",
     "LockConflictError",

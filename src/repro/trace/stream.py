@@ -27,6 +27,12 @@ traces:
 
 Engines do not special-case trace types: :func:`iter_chunks` presents
 a materialized trace as one zero-copy chunk and a stream as itself.
+
+:func:`iter_quanta` is also the scalar engines' one decode point: it
+hands them each quantum as a :class:`DecodedQuantum`, its packed
+references split by numpy into line and flag lists and counted.  It
+decodes one quantum at a time, so the decoded copy never holds more
+than one quantum.
 """
 
 from __future__ import annotations
@@ -34,12 +40,22 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
+from repro.cpu.events import (
+    FLAG_BITS,
+    FLAG_INSTR,
+    FLAG_KERNEL,
+    FLAG_MASK,
+    FLAG_WRITE,
+)
 from repro.integrity.errors import StateError, TraceMismatchError
 from repro.trace.generator import OltpTrace, TraceQuantum
 
 __all__ = [
     "DEFAULT_CHUNK_TXNS",
     "NEVER_WARMUP",
+    "DecodedQuantum",
     "TraceChunk",
     "StreamedTrace",
     "iter_chunks",
@@ -78,6 +94,37 @@ class TraceChunk:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceChunk(start={self.start}, quanta={len(self.quanta)})"
+
+
+class DecodedQuantum:
+    """One quantum's packed references, decoded in numpy for a scalar loop.
+
+    ``lines`` and ``flags`` are plain lists (``ref >> 4``, ``ref & 15``)
+    in reference order; ``refs`` counts the references, ``instr`` the
+    instruction fetches, ``kinstr`` the kernel-mode ones among them and
+    ``writes`` the data (non-fetch) references that carry the write
+    flag.
+    """
+
+    __slots__ = ("cpu", "lines", "flags", "refs", "instr", "kinstr",
+                 "writes")
+
+    def __init__(self, quantum: TraceQuantum):
+        refs = np.asarray(quantum.refs, dtype=np.int64)
+        flags = refs & FLAG_MASK
+        self.cpu = quantum.cpu
+        self.lines = (refs >> FLAG_BITS).tolist()
+        self.flags = flags.tolist()
+        self.refs = len(refs)
+        self.instr = _count(flags, FLAG_INSTR, FLAG_INSTR)
+        self.kinstr = _count(flags, FLAG_INSTR | FLAG_KERNEL,
+                             FLAG_INSTR | FLAG_KERNEL)
+        self.writes = _count(flags, FLAG_INSTR | FLAG_WRITE, FLAG_WRITE)
+
+
+def _count(flags: np.ndarray, mask: int, value: int) -> int:
+    """How many ``flags`` have exactly ``value`` under ``mask``."""
+    return int(np.count_nonzero((flags & mask) == value))
 
 
 def is_streaming(trace) -> bool:
@@ -359,10 +406,11 @@ def iter_chunks(trace) -> Iterator[TraceChunk]:
 
 
 def iter_quanta(trace, engine: str = "") -> Iterator[
-        Tuple[int, TraceQuantum, bool, bool]]:
+        Tuple[int, DecodedQuantum, bool, bool]]:
     """Flat per-quantum replay iteration for the scalar engines.
 
-    Yields ``(qi, quantum, at_boundary, measured)``: ``at_boundary``
+    Yields ``(qi, quantum, at_boundary, measured)``, ``quantum`` a
+    :class:`DecodedQuantum` decoded as it is reached: ``at_boundary``
     is True exactly once, at the quantum where the warmup/measurement
     boundary must be crossed, and ``measured`` is True from that
     quantum on — both already normalized against a stream's
@@ -376,7 +424,7 @@ def iter_quanta(trace, engine: str = "") -> Iterator[
     if not is_streaming(trace):
         warmup = trace.warmup_quanta
         for qi, quantum in enumerate(trace.quanta):
-            yield qi, quantum, qi == warmup, qi >= warmup
+            yield qi, DecodedQuantum(quantum), qi == warmup, qi >= warmup
         return
 
     from repro.obs import current_tracer
@@ -390,7 +438,7 @@ def iter_quanta(trace, engine: str = "") -> Iterator[
         # chunk that contains it, so one re-read per chunk is exact.
         warmup = warmup_bound(trace)
         for quantum in chunk.quanta:
-            yield qi, quantum, qi == warmup, qi >= warmup
+            yield qi, DecodedQuantum(quantum), qi == warmup, qi >= warmup
             qi += 1
         if spans:
             tracer.add_span(

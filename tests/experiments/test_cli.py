@@ -144,6 +144,31 @@ class TestMain:
         assert "interrupted" in err
         assert "fig3" in err  # the one figure that completed
 
+    def test_interrupted_figure_verb_lists_no_figures_yet(self, capsys,
+                                                          monkeypatch):
+        import repro.experiments.cli as cli
+
+        def interrupted_batch(jobs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_simulations", interrupted_batch)
+        assert cli.main(["fig5", "--quick"]) == 130
+        err = capsys.readouterr().err
+        assert "repro-oltp: interrupted; figures completed: none" in err
+
+    def test_interrupted_stream_mentions_no_figures(self, capsys,
+                                                    monkeypatch):
+        import repro.experiments.cli as cli
+
+        def interrupted_stream(args, settings):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_stream", interrupted_stream)
+        assert cli.main(["stream", "--quick", "--scale-x", "2"]) == 130
+        err = capsys.readouterr().err
+        assert "repro-oltp: interrupted" in err
+        assert "figures" not in err
+
 
 class TestStreamVerb:
     def test_stream_runs_and_reports(self, capsys):

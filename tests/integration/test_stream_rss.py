@@ -4,12 +4,18 @@ Tier-2 (marked ``slow``; deselected by default, run with ``-m slow``).
 Measures peak RSS in fresh subprocesses — ``ru_maxrss`` is a
 process-lifetime high-water mark, so in-process before/after readings
 would be meaningless — and asserts the scale-out contract: a streamed
-run 100x the reference transaction count must peak within 2x of the
-*reference-sized materialized* run's RSS.  A regression that
-materializes the stream anywhere on the replay path (engine, store,
-validation) blows this bound immediately at 100x.  The store case
-streams through ``StreamingTraceStore``, whose generator runs in a
-producer process, and counts the larger of the two processes' peaks.
+run 100x the reference transaction count must peak within 1.25x of the
+same path's run at the reference count.  The store case streams
+through ``StreamingTraceStore``, whose generator runs in a producer
+process, and counts the larger of the two processes' peaks.
+
+The bound is against the same path rather than a materialized run
+because at this size a whole 100x trace is small beside the process's
+baseline: a run that materializes the 100x stream peaks at about 2.0x
+the reference-sized materialized run, and a producer that keeps every
+chunk it sent at about 1.8x, so a 2x bound over the materialized run
+passes both.  Against the same path both are well past 1.25x, and so
+is a decode that holds the whole stream.
 """
 
 from __future__ import annotations
@@ -22,9 +28,8 @@ import sys
 import pytest
 
 SCALE_X = 100
-RSS_LIMIT = 2.0
-#: The store path's peak over the in-process stream's, both at 100x.
-PIPELINE_RSS_LIMIT = 1.25
+#: A 100x run's peak over the same path's peak at the reference count.
+RSS_LIMIT = 1.25
 
 #: Quick-sized reference workload so the 100x run stays test-sized.
 REF = dict(scale=64, txns=120, seed=7)
@@ -38,13 +43,7 @@ from repro.core.machine import MachineConfig
 from repro.core.system import simulate
 
 machine = MachineConfig(label="rss-guard", ncpus=1)
-if mode == "materialized":
-    from repro.trace.generator import build_trace
-
-    trace = build_trace(ncpus=1, scale=scale, txns=txns, seed=seed)
-    result = simulate(machine, trace, engine="fast")
-    measured = trace.measured_refs
-elif mode == "streamed":
+if mode == "streamed":
     from repro.trace.generator import stream_trace
 
     trace = stream_trace(ncpus=1, scale=scale, txns=txns, seed=seed)
@@ -81,38 +80,29 @@ def _measure(mode: str, txns: int) -> dict:
     return json.loads(out.stdout)
 
 
-def _check_100x(mode: str) -> dict:
-    reference = _measure("materialized", REF["txns"])
-    streamed = _measure(mode, REF["txns"] * SCALE_X)
+def _check_flat(mode: str) -> None:
+    reference = _measure(mode, REF["txns"])
+    scaled = _measure(mode, REF["txns"] * SCALE_X)
 
-    rss_ratio = streamed["maxrss_kb"] / max(1, reference["maxrss_kb"])
-    refs_ratio = (streamed["measured_refs"]
+    rss_ratio = scaled["maxrss_kb"] / max(1, reference["maxrss_kb"])
+    refs_ratio = (scaled["measured_refs"]
                   / max(1, reference["measured_refs"]))
-    detail = {"reference": reference, "streamed": streamed,
+    detail = {"reference": reference, "scaled": scaled,
               "rss_ratio": rss_ratio, "refs_ratio": refs_ratio}
-    # The streamed run really is ~100x the work...
+    # The scaled run really is ~100x the work...
     assert refs_ratio >= 0.9 * SCALE_X, detail
     # ...at essentially reference-run memory.
     assert rss_ratio <= RSS_LIMIT, detail
-    return streamed
 
 
 @pytest.mark.slow
-def test_streamed_100x_rss_within_2x_of_reference():
-    _check_100x("streamed")
+def test_streamed_100x_rss_flat():
+    _check_flat("streamed")
 
 
 @pytest.mark.slow
-def test_store_stream_100x_rss_within_2x_of_reference():
+def test_store_stream_100x_rss_flat():
     """The store's producer-process path, counted across both
     processes: generation moved out of the consumer must not hide its
-    memory.
-
-    At this size a whole 100x trace is only ~0.8x the reference RSS,
-    so the 2x bound alone passes a producer that keeps every chunk it
-    sent; the store's peak must also match the in-process stream's.
-    """
-    store = _check_100x("store")
-    local = _measure("streamed", REF["txns"] * SCALE_X)
-    assert store["maxrss_kb"] <= PIPELINE_RSS_LIMIT * local["maxrss_kb"], {
-        "store": store, "in_process": local}
+    memory."""
+    _check_flat("store")

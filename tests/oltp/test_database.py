@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.oltp.database import TpcbDatabase
-from repro.oltp.index import BPlusTree
 from repro.oltp.schema import BLOCK_SIZE, TpcbScale
+from tests.oltp.bplustree import BPlusTree
 
 
 def make(scale=64):

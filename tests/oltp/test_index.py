@@ -1,10 +1,11 @@
-"""Unit and property tests for the B+-tree index."""
+"""Unit and property tests for the B+-tree index and its reference tree."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.oltp.index import BPlusTree, ImplicitIndex, Node
+from repro.oltp.index import ImplicitIndex
+from tests.oltp.bplustree import BPlusTree, Node
 
 
 class TestBulkLoad:

@@ -13,7 +13,10 @@ suite pins each one directly:
   the boundary at the exact same reference as a materialized replay;
 * **stat invariance** — :class:`StreamingTraceStore` counts stream
   origins per ``stream()`` call, never per chunk, so its stats are
-  invariant to whatever chunk size a consumer picks.
+  invariant to whatever chunk size a consumer picks;
+* **one decode** — the :class:`DecodedQuantum` that ``iter_quanta``
+  hands the scalar engines carries exactly the lines, flags and counts
+  a per-reference decode gives, materialized or streamed.
 
 ``stream_trace`` itself is checked for full equality against
 ``build_trace`` — same workload engine, same seeds, so the streamed
@@ -27,11 +30,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu.events import encode
+from repro.cpu.events import FLAG_INSTR, FLAG_KERNEL, FLAG_WRITE, encode
 from repro.integrity.errors import StateError, TraceMismatchError
 from repro.trace.generator import build_trace, stream_trace
 from repro.trace.stream import (
     NEVER_WARMUP,
+    DecodedQuantum,
     StreamedTrace,
     TraceChunk,
     iter_chunks,
@@ -138,6 +142,59 @@ class TestChunkAlignment:
         streamed = list(iter_quanta(StreamedTrace.from_trace(trace, chunk)))
         assert [(qi, b, m) for qi, _, b, m in base] == \
                [(qi, b, m) for qi, _, b, m in streamed]
+
+
+def per_reference_decode(quantum):
+    """The reference decode: bit arithmetic, one reference at a time."""
+    flags = [ref & 15 for ref in quantum.refs]
+    return {
+        "cpu": quantum.cpu,
+        "lines": [ref >> 4 for ref in quantum.refs],
+        "flags": flags,
+        "refs": len(quantum.refs),
+        "instr": sum(1 for f in flags if f & FLAG_INSTR),
+        "kinstr": sum(1 for f in flags
+                      if f & FLAG_INSTR and f & FLAG_KERNEL),
+        "writes": sum(1 for f in flags
+                      if not f & FLAG_INSTR and f & FLAG_WRITE),
+    }
+
+
+def decoded_fields(quantum: DecodedQuantum):
+    return {name: getattr(quantum, name) for name in DecodedQuantum.__slots__}
+
+
+#: Quanta over every flag combination and lines up to 2**40; empty
+#: quanta included.
+QUANTA = st.lists(
+    st.tuples(st.integers(0, 2),
+              st.lists(st.tuples(st.integers(0, 1 << 40),
+                                 st.integers(0, 15)), max_size=12)),
+    min_size=1, max_size=20,
+)
+
+
+class TestDecode:
+    @settings(max_examples=40, deadline=None)
+    @given(quanta=QUANTA, chunk=st.integers(min_value=1, max_value=25),
+           warmup=st.integers(min_value=0, max_value=19))
+    def test_decode_equals_per_reference(self, quanta, chunk, warmup):
+        trace = make_trace(3, [(cpu, [line << 4 | f for line, f in refs])
+                               for cpu, refs in quanta],
+                           warmup_quanta=min(warmup, len(quanta) - 1))
+        want = [per_reference_decode(q) for q in trace.quanta]
+        for source in (trace, StreamedTrace.from_trace(trace, chunk)):
+            decoded = [q for _, q, _, _ in iter_quanta(source)]
+            assert [decoded_fields(q) for q in decoded] == want
+            # Plain Python ints, as the loops' set and dict keys expect.
+            assert all(type(v) is int
+                       for q in decoded for v in q.lines + q.flags)
+
+    def test_live_stream_decodes_like_the_built_trace(self, reference):
+        want = [per_reference_decode(q) for q in reference.quanta]
+        stream = stream_trace(**WORKLOAD, chunk_txns=3)
+        got = [decoded_fields(q) for _, q, _, _ in iter_quanta(stream)]
+        assert got == want
 
 
 class TestGeneratorStream:
