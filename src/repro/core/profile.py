@@ -68,12 +68,11 @@ __all__ = [
 EV_L2_HIT, EV_LOCAL, EV_RAC_HIT, EV_HOPS = range(4)
 
 
-def profiled(machine: MachineConfig, engine: str) -> bool:
-    """True when ``machine`` replayed on ``engine`` yields a profile
-    (and :meth:`System.run <repro.core.system.System.run>` returns
-    its retiming)."""
-    return engine == "vectorized-mp" or (engine == "vectorized"
-                                         and machine.cpu_model == "inorder")
+def profiled(engine: str) -> bool:
+    """True when a replay on ``engine`` yields a profile (and
+    :meth:`System.run <repro.core.system.System.run>` returns its
+    retiming): the two numpy engines."""
+    return engine in ("vectorized", "vectorized-mp")
 
 
 class CpuProfile:
@@ -220,12 +219,12 @@ def profile_key(spec, machine: MachineConfig,
     Two jobs with equal keys replay the same trace through the same
     cache geometry (L2 and RAC) on the same CPU model, so one's
     profile retimes to the other's result.  ``None`` marks a machine
-    that does not produce a profile (uniprocessor OOO, CMP, victim
-    buffer, TLB, per-quantum checking).
+    that does not produce a profile (CMP, victim buffer, TLB,
+    per-quantum checking).
     """
     from repro.core.system import System
 
-    if not profiled(machine, System.select_engine(machine, check=check)):
+    if not profiled(System.select_engine(machine, check=check)):
         return None
     return (spec, machine.ncpus, machine.l2_size, machine.l2_assoc,
             machine.replicate_code, machine.scale, check, machine.cpu_model,

@@ -16,8 +16,9 @@ Four replay engines implement identical semantics:
   victim buffers, software TLBs) via the clean
   :class:`~repro.memsys.hierarchy.NodeCaches` API.
 * ``vectorized`` (through ``_run_numpy``) — the numpy kernel in
-  :mod:`repro.memsys.vectorized` for coherence-free uniprocessor
-  configurations; selected automatically and value-identical to
+  :mod:`repro.memsys.vectorized` for coherence-free in-order
+  uniprocessor configurations (an out-of-order one takes the staged
+  walk below); selected automatically and value-identical to
   ``_run_fast`` by contract.
 * ``vectorized-mp`` (through ``_run_numpy``) — the staged
   multiprocessor pipeline in :mod:`repro.memsys.vectorized_mp`: a
@@ -38,11 +39,12 @@ sampling run.  That is exact because :class:`InOrderCPU` only adds
 integers per stall class.  An out-of-order CPU's stalls depend on when
 they happen, so its loops charge every event where it occurs.
 
-The two numpy engines charge no cycles (except the uniprocessor
-kernel on an out-of-order CPU): they tally a latency-free
+The two numpy engines charge no cycles: they tally a latency-free
 :class:`~repro.core.profile.MemoryProfile` and :meth:`System.run`
 returns its :func:`~repro.core.profile.retime`, the one latency path
-for those machines.
+for those machines.  A uniprocessor on an out-of-order CPU keeps the
+``vectorized`` engine name but replays on the staged walk of
+``vectorized-mp``, whose ordered profile is the one OOO timing path.
 
 :meth:`System.select_engine` is the single source of truth for the
 dispatch; ``engine=`` overrides it so every path stays reachable.  The
@@ -110,10 +112,10 @@ class System:
     cannot run on it.  All engines produce value-identical results
     wherever their domains overlap.
 
-    Machines on the two numpy engines (bar uniprocessor OOO) replay
-    without latencies: the engines tally a
-    :class:`~repro.core.profile.MemoryProfile` into :attr:`profile`,
-    and :meth:`run` returns its :func:`~repro.core.profile.retime`.
+    Machines on the two numpy engines replay without latencies: the
+    engines tally a :class:`~repro.core.profile.MemoryProfile` into
+    :attr:`profile`, and :meth:`run` returns its
+    :func:`~repro.core.profile.retime`.
     """
 
     def __init__(self, machine: MachineConfig, *, check="off",
@@ -149,7 +151,7 @@ class System:
                                       machine.rac_assoc, node_id=i)
                     for i in range(machine.num_nodes)
                 ]
-        self._profiled = profiled(machine, self.engine)
+        self._profiled = profiled(self.engine)
         self._cpu_models()
         self.misses = MissBreakdown()
         self.l1 = L1Stats()
@@ -368,7 +370,10 @@ class System:
             # (global argsort runs, the sharing census); a chunk
             # iterator is accepted by collecting it.
             trace = trace.collect()
+        # Out-of-order CPUs take the staged walk on one node too: its
+        # ordered profile is the one OOO timing path.
         replay = (replay_uniprocessor if self.engine == "vectorized"
+                  and self.machine.cpu_model == "inorder"
                   else replay_multiprocessor)
         try:
             replay(self, trace, protocol, net)

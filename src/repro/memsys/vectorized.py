@@ -1,4 +1,4 @@
-"""Vectorized uniprocessor replay kernel.
+"""Vectorized in-order uniprocessor replay kernel.
 
 The scalar loops in :mod:`repro.core.system` walk every packed
 reference through the L1/L2 hierarchy one at a time; for the
@@ -21,23 +21,18 @@ The kernel picks one walk per L2 shape:
   are then replayed, by a lean flat-array walk that consumes the
   precomputed purge schedule.
 
-* **Associative L2 that never evicts: the same walk.**  If no L2 set
-  is ever asked to hold more distinct lines than it has ways, every L2
-  miss is exactly a first touch and no purge can reach the L1s, so the
-  schedule (misses, dirty bits, final state) again comes from array
-  reductions and the same flat L1 walk runs.
+* **Associative L2: a scalar walk.**  The L2 is replayed jointly with
+  the L1s (list-based, mirroring ``_run_fast`` operation for
+  operation), and the final L2 and directory state come from that
+  walk.
 
-* **Associative L2 that can evict: a scalar walk.**  The L2 is
-  replayed jointly with the L1s (list-based, mirroring ``_run_fast``
-  operation for operation), and the final L2 and directory state come
-  from that walk.
-
-In-order CPUs are charged no cycles here: the kernel tallies busy
-time, L2 hits and local misses into the run's
+The kernel replays in-order CPUs only and charges them no cycles: it
+tallies busy time, L2 hits and local misses into the run's
 :class:`~repro.core.profile.MemoryProfile`, which ``System.run``
-retimes.  Out-of-order CPUs are handled by recording the
-(position, l2-hit) event list during the walk and replaying the exact
-``busy``/``stall`` call sequence against the CPU model afterwards.
+retimes.  Out-of-order CPUs, whose overlap depends on the order of
+events, take the staged walk of
+:mod:`repro.memsys.vectorized_mp` on one node, which logs an
+:class:`~repro.core.profile.OrderedProfile`.
 
 Multiprocessor traces are out of scope here: the staged coherence
 pipeline in :mod:`repro.memsys.vectorized_mp` (the ``vectorized-mp``
@@ -137,7 +132,7 @@ class _TraceView:
     __slots__ = (
         "n", "warm", "lines", "flags",
         "i_refs_m", "d_refs_m", "writes_m", "kinstr_m",
-        "_lists", "_s1", "_dm", "_ooo", "_ft", "_setmax", "_noev",
+        "_lists", "_s1", "_dm",
     )
 
     def __init__(self, trace):
@@ -162,10 +157,6 @@ class _TraceView:
         self._lists: Optional[tuple] = None
         self._s1: Dict[int, tuple] = {}
         self._dm: Dict[int, _DmSchedule] = {}
-        self._ooo: Optional[tuple] = None
-        self._ft: Optional[tuple] = None
-        self._setmax: Dict[int, int] = {}
-        self._noev: Optional[tuple] = None
 
     def lists(self):
         """Per-phase (lines, flags) python lists."""
@@ -192,61 +183,6 @@ class _TraceView:
         if sched is None:
             sched = self._dm[l2_n] = _DmSchedule(self, l2_n)
         return sched
-
-    def first_touch(self):
-        """No-eviction L2 model, valid whenever no set can overflow.
-
-        Returns ``(uniq, vic, l2m_i, l2m_d, dirty_u, fillw_u)`` where
-        ``vic`` holds -2 at each line's first reference (an L2 miss
-        with no victim) and -1 elsewhere, ``l2m_*`` count measured-phase
-        first touches per stream, and ``dirty_u``/``fillw_u`` give each
-        unique line's any-write and fill-was-write flags.  None of it
-        depends on the L2 geometry, so every no-eviction configuration
-        shares this one computation.
-        """
-        if self._ft is None:
-            uniq, first_idx = np.unique(self.lines, return_index=True)
-            vic = np.full(self.n, -1, dtype=np.int64)
-            vic[first_idx] = -2
-            mi = first_idx >= self.warm
-            is_i = (self.flags[first_idx] & 2) != 0
-            l2m_i = int(np.count_nonzero(mi & is_i))
-            l2m_d = int(np.count_nonzero(mi & ~is_i))
-            dense = np.searchsorted(uniq, self.lines)
-            wsel = dense[(self.flags & 1) != 0]
-            dirty_u = np.bincount(wsel, minlength=len(uniq)) > 0
-            fillw_u = (self.flags[first_idx] & 1) != 0
-            self._ft = (uniq, vic, l2m_i, l2m_d, dirty_u, fillw_u)
-        return self._ft
-
-    def max_set_occupancy(self, l2_n: int) -> int:
-        """Most distinct lines any single L2 set is ever asked to hold."""
-        out = self._setmax.get(l2_n)
-        if out is None:
-            uniq = self.first_touch()[0]
-            counts = np.bincount(uniq % l2_n)
-            out = self._setmax[l2_n] = int(counts.max(initial=0))
-        return out
-
-    def noev_vic_lists(self):
-        """Per-phase first-touch schedules (-2 first touch, else -1)."""
-        if self._noev is None:
-            vic = self.first_touch()[1]
-            self._noev = (vic[:self.warm].tolist(), vic[self.warm:].tolist())
-        return self._noev
-
-    def ooo_events(self):
-        """Per-phase instruction positions/kernel flags + full flag list."""
-        if self._ooo is None:
-            ipos = np.flatnonzero((self.flags & 2) != 0)
-            ik = (self.flags[ipos] & 4).tolist()
-            split = int(np.searchsorted(ipos, self.warm))
-            ipos_l = ipos.tolist()
-            self._ooo = (
-                ipos_l[:split], ik[:split], ipos_l[split:], ik[split:],
-                self.flags.tolist(),
-            )
-        return self._ooo
 
 
 #: Most-recently-used trace views; identity-keyed with a weakref guard
@@ -333,184 +269,25 @@ def _walk_dm(lines, flags, s1s, vics, l1_n, ia, ib, da, db):
     return i_hit, d_hit
 
 
-def _walk_dm_rec(lines, flags, s1s, vics, base, l1_n, ia, ib, da, db, mrec):
-    """Like :func:`_walk_dm` but records (position, l2_hit) per L1 miss,
-    numbering the phase's references from ``base``."""
-    i_hit = d_hit = 0
-    append = mrec.append
-    k = base
-    for line, f, s, v in zip(lines, flags, s1s, vics):
-        if f & 2:
-            if ia[s] == line:
-                i_hit += 1
-                k += 1
-                continue
-            if ib[s] == line:
-                ib[s] = ia[s]
-                ia[s] = line
-                i_hit += 1
-                k += 1
-                continue
-            if v >= 0:
-                vs = v % l1_n
-                if ia[vs] == v:
-                    ia[vs] = ib[vs]
-                    ib[vs] = -1
-                elif ib[vs] == v:
-                    ib[vs] = -1
-                if da[vs] == v:
-                    da[vs] = db[vs]
-                    db[vs] = -1
-                elif db[vs] == v:
-                    db[vs] = -1
-            append((k, v == -1))
-            ib[s] = ia[s]
-            ia[s] = line
-        else:
-            if da[s] == line:
-                d_hit += 1
-                k += 1
-                continue
-            if db[s] == line:
-                db[s] = da[s]
-                da[s] = line
-                d_hit += 1
-                k += 1
-                continue
-            if v >= 0:
-                vs = v % l1_n
-                if ia[vs] == v:
-                    ia[vs] = ib[vs]
-                    ib[vs] = -1
-                elif ib[vs] == v:
-                    ib[vs] = -1
-                if da[vs] == v:
-                    da[vs] = db[vs]
-                    db[vs] = -1
-                elif db[vs] == v:
-                    db[vs] = -1
-            append((k, v == -1))
-            db[s] = da[s]
-            da[s] = line
-        k += 1
-    return i_hit, d_hit
-
-
-def _walk_scalar(lines, flags, s1s, base, l1_n, l2_n, l2_assoc,
-                 ia, ib, da, db, sets2, dirty2, fw, mrec):
-    """Joint L1 + associative-L2 walk for an L2 that can evict.
+def _walk_scalar(lines, flags, s1s, l1_n, l2_n, l2_assoc,
+                 ia, ib, da, db, sets2, dirty2, fw):
+    """Joint L1 + associative-L2 walk.
 
     Mirrors ``_run_fast`` operation for operation, inclusion purges
     included, on the L2's own ``sets2``/``dirty2`` lists; ``fw`` tracks
     each resident line's fill-was-write flag for the directory.
-    ``mrec`` (out-of-order) collects (position, l2_hit) per L1 miss,
-    numbering the phase's references from ``base``.  Returns
-    ``(i_hits, d_hits, l2m_i, l2m_d, writebacks)``.
+    Returns ``(i_hits, d_hits, l2m_i, l2m_d, writebacks)``.
     """
     i_hit = d_hit = l2m_i = l2m_d = wb = 0
-    if mrec is None:
-        for line, f, s in zip(lines, flags, s1s):
-            if f & 2:
-                if ia[s] == line:
-                    i_hit += 1
-                    continue
-                if ib[s] == line:
-                    ib[s] = ia[s]
-                    ia[s] = line
-                    i_hit += 1
-                    continue
-                i2 = line % l2_n
-                ways2 = sets2[i2]
-                if line in ways2:
-                    if ways2[0] != line:
-                        ways2.remove(line)
-                        ways2.insert(0, line)
-                else:
-                    if len(ways2) >= l2_assoc:
-                        victim = ways2.pop()
-                        ds = dirty2[i2]
-                        if victim in ds:
-                            ds.remove(victim)
-                            wb += 1
-                        vs = victim % l1_n
-                        if ia[vs] == victim:
-                            ia[vs] = ib[vs]
-                            ib[vs] = -1
-                        elif ib[vs] == victim:
-                            ib[vs] = -1
-                        if da[vs] == victim:
-                            da[vs] = db[vs]
-                            db[vs] = -1
-                        elif db[vs] == victim:
-                            db[vs] = -1
-                        fw.pop(victim, None)
-                    ways2.insert(0, line)
-                    fw[line] = False
-                    l2m_i += 1
-                ib[s] = ia[s]
-                ia[s] = line
-            else:
-                if da[s] == line:
-                    d_hit += 1
-                    if f & 1:
-                        dirty2[line % l2_n].add(line)
-                    continue
-                if db[s] == line:
-                    db[s] = da[s]
-                    da[s] = line
-                    d_hit += 1
-                    if f & 1:
-                        dirty2[line % l2_n].add(line)
-                    continue
-                i2 = line % l2_n
-                ways2 = sets2[i2]
-                if line in ways2:
-                    if ways2[0] != line:
-                        ways2.remove(line)
-                        ways2.insert(0, line)
-                    if f & 1:
-                        dirty2[i2].add(line)
-                else:
-                    if len(ways2) >= l2_assoc:
-                        victim = ways2.pop()
-                        ds = dirty2[i2]
-                        if victim in ds:
-                            ds.remove(victim)
-                            wb += 1
-                        vs = victim % l1_n
-                        if ia[vs] == victim:
-                            ia[vs] = ib[vs]
-                            ib[vs] = -1
-                        elif ib[vs] == victim:
-                            ib[vs] = -1
-                        if da[vs] == victim:
-                            da[vs] = db[vs]
-                            db[vs] = -1
-                        elif db[vs] == victim:
-                            db[vs] = -1
-                        fw.pop(victim, None)
-                    ways2.insert(0, line)
-                    if f & 1:
-                        dirty2[i2].add(line)
-                    fw[line] = bool(f & 1)
-                    l2m_d += 1
-                db[s] = da[s]
-                da[s] = line
-        return i_hit, d_hit, l2m_i, l2m_d, wb
-
-    append = mrec.append
-    k = base
     for line, f, s in zip(lines, flags, s1s):
         if f & 2:
             if ia[s] == line:
                 i_hit += 1
-                k += 1
                 continue
             if ib[s] == line:
                 ib[s] = ia[s]
                 ia[s] = line
                 i_hit += 1
-                k += 1
                 continue
             i2 = line % l2_n
             ways2 = sets2[i2]
@@ -518,7 +295,6 @@ def _walk_scalar(lines, flags, s1s, base, l1_n, l2_n, l2_assoc,
                 if ways2[0] != line:
                     ways2.remove(line)
                     ways2.insert(0, line)
-                append((k, True))
             else:
                 if len(ways2) >= l2_assoc:
                     victim = ways2.pop()
@@ -541,7 +317,6 @@ def _walk_scalar(lines, flags, s1s, base, l1_n, l2_n, l2_assoc,
                 ways2.insert(0, line)
                 fw[line] = False
                 l2m_i += 1
-                append((k, False))
             ib[s] = ia[s]
             ia[s] = line
         else:
@@ -549,7 +324,6 @@ def _walk_scalar(lines, flags, s1s, base, l1_n, l2_n, l2_assoc,
                 d_hit += 1
                 if f & 1:
                     dirty2[line % l2_n].add(line)
-                k += 1
                 continue
             if db[s] == line:
                 db[s] = da[s]
@@ -557,7 +331,6 @@ def _walk_scalar(lines, flags, s1s, base, l1_n, l2_n, l2_assoc,
                 d_hit += 1
                 if f & 1:
                     dirty2[line % l2_n].add(line)
-                k += 1
                 continue
             i2 = line % l2_n
             ways2 = sets2[i2]
@@ -567,7 +340,6 @@ def _walk_scalar(lines, flags, s1s, base, l1_n, l2_n, l2_assoc,
                     ways2.insert(0, line)
                 if f & 1:
                     dirty2[i2].add(line)
-                append((k, True))
             else:
                 if len(ways2) >= l2_assoc:
                     victim = ways2.pop()
@@ -592,50 +364,9 @@ def _walk_scalar(lines, flags, s1s, base, l1_n, l2_n, l2_assoc,
                     dirty2[i2].add(line)
                 fw[line] = bool(f & 1)
                 l2m_d += 1
-                append((k, False))
             db[s] = da[s]
             da[s] = line
-        k += 1
     return i_hit, d_hit, l2m_i, l2m_d, wb
-
-
-# ---------------------------------------------------------------------------
-# Out-of-order event replay
-# ---------------------------------------------------------------------------
-
-def _replay_ooo(cpu, tv: _TraceView, mrec_w, mrec_m, lat) -> None:
-    """Re-issue the exact busy/stall call sequence of ``_run_fast``.
-
-    Float accumulation in the out-of-order model is order-sensitive, so
-    bit-identity requires replaying per-fetch ``busy`` calls and
-    per-miss ``stall`` calls in trace order, with the statistics reset
-    (but not the pipeline clock) at the warmup boundary.
-    """
-    ipos_w, ik_w, ipos_m, ik_m, flags_l = tv.ooo_events()
-    lat_hit = lat.l2_hit
-    lat_loc = lat.local
-    for ipos, ik, mrec, is_warm in (
-        (ipos_w, ik_w, mrec_w, True),
-        (ipos_m, ik_m, mrec_m, False),
-    ):
-        busy = cpu.busy
-        stall = cpu.stall
-        n_i = len(ipos)
-        ip = 0
-        for pos, l2h in mrec:
-            while ip < n_i and ipos[ip] <= pos:
-                busy(INSTRS_PER_ILINE, ik[ip])
-                ip += 1
-            f = flags_l[pos]
-            if l2h:
-                stall(lat_hit, 0, f & 8, f & 2)
-            else:
-                stall(lat_loc, 1, f & 8, f & 2)
-        while ip < n_i:
-            busy(INSTRS_PER_ILINE, ik[ip])
-            ip += 1
-        if is_warm:
-            cpu.reset()
 
 
 # ---------------------------------------------------------------------------
@@ -656,20 +387,10 @@ def _materialize_l1(cache, flat_a, flat_b) -> None:
 def replay_uniprocessor(system, trace, protocol, net) -> None:
     """Replay ``trace`` and populate ``system`` state and counters.
 
-    The caller (``System._run_numpy``) guarantees a single-node,
-    single-core machine with no victim buffer, TLB, RAC or fault plan.
-
-    A chunk-streamed trace is materialized here: the kernel's
-    structural algorithms (global argsort runs, first-touch
-    ``np.unique``) need the whole reference stream at once, and
-    collection reconstructs the exact trace, so streamed results stay
-    value-identical to materialized ones.
+    The caller (``System._run_numpy``) guarantees a materialized trace
+    and a single-node, single-core, in-order machine with no victim
+    buffer, TLB, RAC or fault plan.
     """
-    from repro.trace.stream import is_streaming
-
-    if is_streaming(trace):
-        trace = trace.collect()
-    machine = system.machine
     node = system.nodes[0]
     l1i, l1d, l2 = node.l1i, node.l1d, node.l2
     if l1i.assoc != 2 or l1d.assoc != 2:
@@ -677,7 +398,6 @@ def replay_uniprocessor(system, trace, protocol, net) -> None:
     l1_n = l1i.num_sets
     l2_n = l2.num_sets
     l2_assoc = l2.assoc
-    ooo = machine.cpu_model == "ooo"
 
     # Observability: the kernel has no quantum loop (it replays out of
     # trace order), so it publishes three synthetic phase spans from
@@ -692,55 +412,32 @@ def replay_uniprocessor(system, trace, protocol, net) -> None:
         return
     lines_w, lines_m, flags_w, flags_m = tv.lists()
     s1_w, s1_m = tv.s1_lists(l1_n)
-    warm = tv.warm
     t_views = perf_counter() if traced else 0.0
 
     ia = [-1] * l1_n
     ib = [-1] * l1_n
     da = [-1] * l1_n
     db = [-1] * l1_n
-    mrec_w: Optional[list] = [] if ooo else None
-    mrec_m: Optional[list] = [] if ooo else None
     sets2 = l2._sets
     dirty2 = l2._dirty
     sharers = protocol.directory._sharers
     owner = protocol.directory._owner
 
-    if l2_assoc == 1 or tv.max_set_occupancy(l2_n) <= l2_assoc:
+    if l2_assoc == 1:
         # The L2's activity is a precomputed schedule, so only the L1s
-        # are walked.  A direct-mapped L2 holds the last line referenced
-        # in each set; an associative L2 whose sets never see more
-        # distinct lines than ways never evicts, so every L2 miss is a
-        # first touch and every touched line stays resident.
-        if l2_assoc == 1:
-            sched = tv.dm(l2_n)
-            vic_w, vic_m = sched.vic_lists(warm)
-            l2m_i, l2m_d, wb_m = sched.l2m_i, sched.l2m_m, sched.wb_m
-            final = zip(sched.final_set, sched.final_lines,
-                        sched.final_dirty, sched.final_fillw)
-        else:
-            uniq, _, l2m_i, l2m_d, dirty_u, fillw_u = tv.first_touch()
-            vic_w, vic_m = tv.noev_vic_lists()
-            wb_m = 0
-            uniq_l = uniq.tolist()
-            # Lines land in ascending order rather than _run_fast's
-            # recency order; per-set LRU order is unobservable once the
-            # run is over (results carry no cache state and the checker
-            # tests membership and set mapping only).
-            final = zip([line % l2_n for line in uniq_l], uniq_l,
-                        dirty_u.tolist(), fillw_u.tolist())
-        if ooo:
-            _walk_dm_rec(lines_w, flags_w, s1_w, vic_w, 0,
-                         l1_n, ia, ib, da, db, mrec_w)
-            i_hit, d_hit = _walk_dm_rec(lines_m, flags_m, s1_m, vic_m, warm,
-                                        l1_n, ia, ib, da, db, mrec_m)
-        else:
-            _walk_dm(lines_w, flags_w, s1_w, vic_w, l1_n, ia, ib, da, db)
-            i_hit, d_hit = _walk_dm(lines_m, flags_m, s1_m, vic_m,
-                                    l1_n, ia, ib, da, db)
+        # are walked: a direct-mapped L2 holds the last line referenced
+        # in each set.
+        sched = tv.dm(l2_n)
+        vic_w, vic_m = sched.vic_lists(tv.warm)
+        l2m_i, l2m_d, wb_m = sched.l2m_i, sched.l2m_m, sched.wb_m
+        _walk_dm(lines_w, flags_w, s1_w, vic_w, l1_n, ia, ib, da, db)
+        i_hit, d_hit = _walk_dm(lines_m, flags_m, s1_m, vic_m,
+                                l1_n, ia, ib, da, db)
 
         # Final L2 + directory state straight from the schedule.
-        for s, line, dirty, fillw in final:
+        for s, line, dirty, fillw in zip(sched.final_set, sched.final_lines,
+                                         sched.final_dirty,
+                                         sched.final_fillw):
             sets2[s].append(line)
             if dirty:
                 dirty2[s].add(line)
@@ -748,15 +445,15 @@ def replay_uniprocessor(system, trace, protocol, net) -> None:
             if fillw:
                 owner[line] = 0
     else:
-        # Some set can overflow: the L2 is replayed scalar, jointly with
-        # the L1s, since inclusion purges couple the levels.  The walk
-        # leaves the final L2 state in place; the directory follows it.
+        # The L2 is replayed scalar, jointly with the L1s, since
+        # inclusion purges couple the levels.  The walk leaves the
+        # final L2 state in place; the directory follows it.
         fw: Dict[int, bool] = {}
-        _walk_scalar(lines_w, flags_w, s1_w, 0, l1_n, l2_n, l2_assoc,
-                     ia, ib, da, db, sets2, dirty2, fw, mrec_w)
+        _walk_scalar(lines_w, flags_w, s1_w, l1_n, l2_n, l2_assoc,
+                     ia, ib, da, db, sets2, dirty2, fw)
         i_hit, d_hit, l2m_i, l2m_d, wb_m = _walk_scalar(
-            lines_m, flags_m, s1_m, warm, l1_n, l2_n, l2_assoc,
-            ia, ib, da, db, sets2, dirty2, fw, mrec_m)
+            lines_m, flags_m, s1_m, l1_n, l2_n, l2_assoc,
+            ia, ib, da, db, sets2, dirty2, fw)
         for ways in sets2:
             for line in ways:
                 sharers[line] = {0}
@@ -788,16 +485,13 @@ def replay_uniprocessor(system, trace, protocol, net) -> None:
     protocol.writebacks += wb_m
     net.counters.local_requests += l2_misses
 
+    # The latency-free profile; System.run retimes it
+    # (repro.core.profile).
     cpu = system.cpus[0]
-    if ooo:
-        _replay_ooo(cpu, tv, mrec_w, mrec_m, machine.latencies)
-    else:
-        # In-order: tally the latency-free profile; System.run retimes
-        # it (repro.core.profile).
-        cpu.busy = i_refs * INSTRS_PER_ILINE
-        cpu.kernel_busy = tv.kinstr_m * INSTRS_PER_ILINE
-        cpu.l2_hits = l2_hits
-        cpu.local = l2_misses
+    cpu.busy = i_refs * INSTRS_PER_ILINE
+    cpu.kernel_busy = tv.kinstr_m * INSTRS_PER_ILINE
+    cpu.l2_hits = l2_hits
+    cpu.local = l2_misses
 
     if traced:
         t_end = perf_counter()

@@ -28,6 +28,10 @@ construction (the differential and golden suites enforce it):
    :class:`~repro.core.profile.OrderedProfile`), which the retime
    replays through the CPU model.
 
+A uniprocessor with an out-of-order CPU replays here too, as a
+one-node machine (under the ``vectorized`` engine name), so every
+out-of-order numpy run is timed from its ordered profile.
+
 Servicing at the reference is exact: it performs the scalar loop's
 protocol calls in the scalar loop's order.  Private lines are exact
 by the census guarantee: no second node ever touches them, so the
@@ -210,7 +214,8 @@ class _Service:
     :meth:`miss` transcribes ``DirectoryProtocol.handle_eviction``,
     ``service_miss`` and ``_rac_evict``, RAC paths included, onto the
     flat node states, driving the real directory and RACs through
-    their own methods; :meth:`write` is ``ensure_owner``.
+    their own methods; :meth:`write` is ``ensure_owner``, skipped on
+    a one-node machine as the scalar loops skip it.
     These machines skip the census' private-line shortcut, so the
     directory tracks every line.  An out-of-order CPU's events go into
     the ordered log through ``rec``; the counts fold into each walk's
@@ -248,7 +253,7 @@ class _Service:
     def write(self, st, nid, line, f, pos, cpu) -> None:
         """A write hit: mark it dirty and take ownership if needed."""
         st.dirty.add(line)
-        if self.directory.owner(line) == nid:
+        if self.nn == 1 or self.directory.owner(line) == nid:
             return
         self.own(nid, line)
         if f & 8:
@@ -856,20 +861,13 @@ def _derived(sc, key, build, cap=4):
 def replay_multiprocessor(system, trace, protocol, net) -> None:
     """Replay ``trace`` on a multiprocessor machine, staged and exact.
 
-    The caller (``System._run_numpy``) guarantees a
-    one-core-per-node machine with no victim buffer, TLB or fault
-    plan.  The run's profile counts land in ``system.cpus``; an
-    out-of-order run also leaves its ordered log in ``system.ordered``.
-
-    A chunk-streamed trace is materialized here: the census pre-pass
-    and the staged walks traverse the trace multiple times, and
-    collection reconstructs the exact trace, so streamed results stay
-    value-identical to materialized ones.
+    The caller (``System._run_numpy``) guarantees a materialized
+    trace and a one-core-per-node machine with no victim buffer, TLB
+    or fault plan: a multiprocessor, or a uniprocessor with an
+    out-of-order CPU.  The run's profile counts land in
+    ``system.cpus``; an out-of-order run also leaves its ordered log
+    in ``system.ordered``.
     """
-    from repro.trace.stream import is_streaming
-
-    if is_streaming(trace):
-        trace = trace.collect()
     machine = system.machine
     nodes = system.nodes
     node0 = nodes[0]

@@ -309,9 +309,9 @@ class StreamedTrace:
         """Materialize the remaining stream into an ``OltpTrace``.
 
         The vectorized engines' structural algorithms (global argsort
-        runs, first-touch ``np.unique``) need the whole reference
-        stream at once; they accept a chunk iterator by collecting it
-        here.  Consumes the stream.
+        runs, the sharing census) need the whole reference stream at
+        once; ``System`` accepts a chunk iterator for them by
+        collecting it here.  Consumes the stream.
         """
         from repro.oltp.engine import EngineStats
 

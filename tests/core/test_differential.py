@@ -123,8 +123,7 @@ GEOMETRIES = [
     (4 * KB, 2),    # 2-way, some sets overflow: scalar walk
     (8 * KB, 4),    # 4-way, overflow-dominated: scalar walk
     (16 * KB, 4),   # 4-way, some sets never overflow: scalar walk
-    (32 * KB, 8),   # no-evict, every set holds its footprint: first-touch
-                    # schedule
+    (32 * KB, 8),   # no-evict, every set holds its footprint: scalar walk
 ]
 TECHNOLOGIES = [
     L2Technology.OFF_CHIP_SRAM,
@@ -427,16 +426,31 @@ class TestStreamingEquivalence:
                 ).to_dict()
                 assert streamed == base, (engine, chunk)
 
-    def test_ooo_streamed_cell(self):
+    @pytest.mark.parametrize("engine", ["fast", "vectorized"])
+    def test_ooo_streamed_cell(self, engine):
         from repro.trace.stream import StreamedTrace
 
         machine = grid_machine(8 * KB, 4, L2Technology.ON_CHIP_SRAM,
                                cpu_model="ooo")
         trace = synthetic_trace(17, warmup=8)
         base = System(machine, engine="fast").run(trace).to_dict()
-        streamed = System(machine, engine="fast").run(
+        streamed = System(machine, engine=engine).run(
             StreamedTrace.from_trace(trace, 7)).to_dict()
         assert streamed == base
+
+    def test_ooo_uniprocessor_leaves_an_ordered_profile(self):
+        """Uniprocessor OOO replays on the staged walk, so the run
+        is timed from its ordered profile."""
+        from repro.trace.stream import StreamedTrace
+
+        machine = grid_machine(8 * KB, 4, L2Technology.ON_CHIP_SRAM,
+                               cpu_model="ooo")
+        system = System(machine, engine="vectorized")
+        system.run(StreamedTrace.from_trace(synthetic_trace(17, warmup=8), 7))
+        assert system.engine == "vectorized"
+        assert system.ordered is not None
+        assert system.profile is not None
+        assert system.profile.ordered is system.ordered
 
     def test_stream_is_single_use(self):
         from repro.integrity.errors import StateError

@@ -123,13 +123,8 @@ class TestFigureJobs:
         groups = {}
         for job in figure_jobs:
             key = profile_key(job.spec, job.machine, job.check)
-            if key is None:
-                # The uniprocessor kernel charges OOO cycles itself.
-                assert (job.machine.cpu_model == "ooo"
-                        and job.machine.num_nodes == 1), job.label
-                continue
+            assert key is not None, job.label
             groups.setdefault(key, []).append(job)
-        assert groups
         for jobs in groups.values():
             trace = store.get(jobs[0].spec)
             _, profile = profile_of(jobs[0].machine, trace, jobs[0].check)
@@ -338,11 +333,16 @@ class TestProfile:
         assert None not in keys and len(keys) == 5
         assert (profile_key(spec, ooo)
                 == profile_key(spec, MachineConfig.integrated_l2(8, cpu_model="ooo")))
-        # The uniprocessor kernel charges OOO cycles as it replays.
+        # Uniprocessor OOO replays once per L2 geometry too: L2 and
+        # L2+MC (both 2M8w) share one ordered profile.
         uni = TraceSpec(ncpus=1, scale=32, txns=10, seed=1)
-        assert profile_key(uni, MachineConfig.base(1, cpu_model="ooo")) is None
+        assert profile_key(uni, MachineConfig.base(1, cpu_model="ooo")) \
+            is not None
+        assert (profile_key(uni, MachineConfig.integrated_l2(
+            1, cpu_model="ooo")) == profile_key(
+                uni, MachineConfig.integrated_l2_mc(1, cpu_model="ooo")))
         assert profile_key(spec, base, check="per-quantum") is None
-        assert not profiled(base, "fast")
+        assert not profiled("fast")
 
     def test_key_ignores_latency_model_not_geometry(self):
         spec = TraceSpec(ncpus=8, scale=32, txns=10, seed=1)

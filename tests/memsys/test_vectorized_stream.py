@@ -1,15 +1,14 @@
-"""Direct kernel calls with chunk-streamed traces.
+"""Chunk-streamed traces on the numpy engines.
 
-``System`` collects a :class:`~repro.trace.stream.StreamedTrace`
-before handing it to the vectorized kernels (the
-``VectorizedUnsupported`` fallback must receive a materialized trace),
-so under ``System.run`` the kernels only ever see materialized input.
-The kernels nevertheless normalize streams at their own entry so that
-*direct* callers — anything invoking ``replay_uniprocessor`` /
-``replay_multiprocessor`` without going through ``System`` — get the
-same bit-identical results.  These tests exercise that entry-point
-contract by driving the kernels exactly the way ``System.run`` wires
-them up (homemap → protocol → interconnect), minus the pre-collect.
+``System._run_numpy`` is the one place a
+:class:`~repro.trace.stream.StreamedTrace` is collected: both replay
+kernels take a materialized trace only, and the
+``VectorizedUnsupported`` fallback needs one too.  These tests check
+that seam from both sides.  A streamed ``System.run`` reproduces the
+kernel driven directly on the materialized trace, and the stream's
+validating iterator still sees every quantum and reference.  The
+kernels are driven exactly the way ``System.run`` wires them up
+(homemap → protocol → interconnect).
 """
 
 from __future__ import annotations
@@ -48,9 +47,8 @@ def mp():
 
 
 def run_kernel(machine: MachineConfig, trace, kernel, engine: str) -> dict:
-    """Invoke a replay kernel the way ``System.run`` does, skipping the
-    System-level stream pre-collect so the kernel's own normalization
-    is what handles a streamed ``trace``."""
+    """Invoke a replay kernel on a materialized ``trace`` the way
+    ``System.run`` does, without going through ``System._run_numpy``."""
     system = System(machine, engine=engine)
     system._ran = True
     replicated = None
@@ -61,11 +59,15 @@ def run_kernel(machine: MachineConfig, trace, kernel, engine: str) -> dict:
     homemap = HomeMap(machine.num_nodes, trace.page_bytes, replicated)
     protocol = system.protocol = DirectoryProtocol(
         homemap, system.nodes, system.racs)
-    net = InterconnectModel(machine.latencies)
+    net = InterconnectModel(machine.latencies, machine.topology)
     kernel(system, trace, protocol, net)
     for cpu in system.cpus:
         cpu.drain()
     return system._collect(trace, protocol, net).to_dict()
+
+
+def run_streamed(machine: MachineConfig, stream, engine: str) -> dict:
+    return System(machine, engine=engine).run(stream).to_dict()
 
 
 class TestUniprocessorKernel:
@@ -74,11 +76,10 @@ class TestUniprocessorKernel:
         machine = MachineConfig.base(1, scale=SCALE)
         base = run_kernel(machine, uni, replay_uniprocessor, "vectorized")
         stream = StreamedTrace.from_trace(uni, chunk)
-        streamed = run_kernel(machine, stream, replay_uniprocessor,
-                              "vectorized")
+        streamed = run_streamed(machine, stream, "vectorized")
         assert streamed == base
-        # The kernel consumed the stream via collect(): the validating
-        # iterator saw every quantum and reference.
+        # System collected the stream: the validating iterator saw
+        # every quantum and reference.
         assert stream.consumed
         assert stream.quanta_seen == len(uni.quanta)
         assert stream.refs_seen == uni.total_refs
@@ -87,7 +88,7 @@ class TestUniprocessorKernel:
     def test_stream_single_use_after_kernel(self, uni):
         machine = MachineConfig.base(1, scale=SCALE)
         stream = StreamedTrace.from_trace(uni, 5)
-        run_kernel(machine, stream, replay_uniprocessor, "vectorized")
+        run_streamed(machine, stream, "vectorized")
         with pytest.raises(Exception):
             stream.collect()
 
@@ -99,8 +100,7 @@ class TestMultiprocessorKernel:
         base = run_kernel(machine, mp, replay_multiprocessor,
                           "vectorized-mp")
         stream = StreamedTrace.from_trace(mp, chunk)
-        streamed = run_kernel(machine, stream, replay_multiprocessor,
-                              "vectorized-mp")
+        streamed = run_streamed(machine, stream, "vectorized-mp")
         assert streamed == base
         assert stream.consumed
         assert stream.quanta_seen == len(mp.quanta)
@@ -109,7 +109,19 @@ class TestMultiprocessorKernel:
         """The direct-call path reproduces ``System.run`` end to end."""
         machine = MachineConfig.fully_integrated(2, scale=SCALE)
         via_system = System(machine, engine="vectorized-mp").run(
-            StreamedTrace.from_trace(mp, 7)).to_dict()
-        direct = run_kernel(machine, StreamedTrace.from_trace(mp, 7),
-                            replay_multiprocessor, "vectorized-mp")
+            mp).to_dict()
+        direct = run_kernel(machine, mp, replay_multiprocessor,
+                            "vectorized-mp")
         assert direct == via_system
+
+    @pytest.mark.parametrize("chunk", CHUNKS, ids=CHUNK_IDS)
+    def test_uniprocessor_ooo_streamed(self, uni, chunk):
+        """A uniprocessor OOO machine replays on the staged walk, so
+        the multiprocessor kernel is what a streamed ``vectorized``
+        run reproduces."""
+        machine = MachineConfig.base(1, scale=SCALE, cpu_model="ooo")
+        base = run_kernel(machine, uni, replay_multiprocessor, "vectorized")
+        stream = StreamedTrace.from_trace(uni, chunk)
+        assert run_streamed(machine, stream, "vectorized") == base
+        assert stream.quanta_seen == len(uni.quanta)
+        assert base == System(machine, engine="fast").run(uni).to_dict()
