@@ -9,25 +9,32 @@ extras.  Integration level, L2 technology, topology and label never
 change cache contents, so a whole integration ladder over one L2
 geometry shares a single replay.
 
+The CPU model does not change cache contents either, and neither
+does OS code replication on a machine without a RAC: replication only
+moves the home of the text pages, so it changes where instruction
+misses are served, not which references hit, miss or invalidate.
+
 * :class:`MemoryProfile` holds the latency-independent half: the
   run's counters plus, per CPU, busy time, L2 hits, local and RAC
   service, and remote service per (stall class, upgrade, home, owner);
-  for an out-of-order CPU, whose overlap depends on the order of
-  events, also the events in order (:class:`OrderedProfile`).
+  when the replay logged them, also the events in order
+  (:class:`OrderedProfile`), which an out-of-order CPU's overlap
+  needs.  :meth:`MemoryProfile.serves` says which machines of its key
+  it can be retimed for.
 * :func:`profile_key` names the replays a profile can stand in for.
-* :func:`retime` applies a machine's latency model to a profile and
-  returns the :class:`~repro.core.results.RunResult` a cold replay of
-  that machine would produce, bit for bit.  An in-order CPU's stall
-  cycles are sums of per-event latencies, and integer sums commute, so
-  ``count x latency`` per event class is exact; an out-of-order CPU
-  replays the ordered log through
-  :func:`~repro.cpu.ooo.charge_quantum_ooo`.
+* :func:`retime` applies a machine's CPU model, code replication and
+  latency model to a profile and returns the
+  :class:`~repro.core.results.RunResult` a cold replay of that machine
+  would produce, bit for bit.  An in-order CPU's stall cycles are sums
+  of per-event latencies, and integer sums commute, so ``count x
+  latency`` per event class is exact; an out-of-order CPU replays the
+  ordered log through :func:`~repro.cpu.ooo.charge_quantum_ooo`.
 """
 
 from __future__ import annotations
 
 import base64
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -172,7 +179,14 @@ class OrderedProfile:
 
 @dataclass
 class MemoryProfile:
-    """Everything a cold replay measures except cycles."""
+    """Everything a cold replay measures except cycles.
+
+    ``ordered`` is the event log of a replay on an out-of-order CPU
+    (``None`` otherwise).  ``replicated`` marks a multi-node walk that
+    localized the text pages.  ``code_separable`` marks a RAC-free,
+    non-replicated multi-node walk over a trace whose instruction
+    references are exactly its text-page references.
+    """
 
     num_nodes: int
     cpus: List[CpuProfile]
@@ -185,6 +199,25 @@ class MemoryProfile:
     l2_hits: int
     trace_refs: int
     ordered: Optional[OrderedProfile] = None
+    replicated: bool = False
+    code_separable: bool = False
+
+    def serves(self, machine: MachineConfig) -> bool:
+        """Whether :func:`retime` can charge ``machine``, a machine of
+        this profile's :func:`profile_key`.
+
+        An out-of-order machine needs the ordered log.  A replicated
+        profile serves only replicated machines.  A non-replicated
+        multi-node profile serves a replicated machine only when
+        ``code_separable``: then no instruction line is ever written
+        or read as data, so replication turns exactly the 2-hop
+        instruction misses into local ones.
+        """
+        if machine.cpu_model == "ooo" and self.ordered is None:
+            return False
+        return (self.num_nodes == 1
+                or machine.replicate_code == self.replicated
+                or (machine.replicate_code and self.code_separable))
 
     def to_dict(self) -> dict:
         """JSON-safe form (the worker envelope); exact round trip."""
@@ -217,18 +250,22 @@ def profile_key(spec, machine: MachineConfig,
     """The replay identity of a job, or ``None`` when it has none.
 
     Two jobs with equal keys replay the same trace through the same
-    cache geometry (L2 and RAC) on the same CPU model, so one's
-    profile retimes to the other's result.  ``None`` marks a machine
-    that does not produce a profile (CMP, victim buffer, TLB,
-    per-quantum checking).
+    cache geometry (L2 and RAC) and leave the same cache contents, so
+    one's profile retimes to the other's result when it
+    :meth:`~MemoryProfile.serves` it.  The key names only what changes
+    cache contents: not the CPU model, and code replication only on a
+    RAC machine, whose RAC holds remote-home lines only.  ``None``
+    marks a machine that does not produce a profile (CMP, victim
+    buffer, TLB, per-quantum checking).
     """
     from repro.core.system import System
 
     if not profiled(System.select_engine(machine, check=check)):
         return None
+    rac = machine.rac_size is not None
     return (spec, machine.ncpus, machine.l2_size, machine.l2_assoc,
-            machine.replicate_code, machine.scale, check, machine.cpu_model,
-            machine.rac_size, machine.rac_assoc)
+            machine.scale, check, machine.rac_size, machine.rac_assoc,
+            rac and machine.replicate_code)
 
 
 def event_costs(machine: MachineConfig, c: int,
@@ -304,19 +341,58 @@ def _ooo_breakdowns(log: OrderedProfile,
     return [cpu.breakdown() for cpu in cpus]
 
 
+def _localize_code(profile: MemoryProfile) -> MemoryProfile:
+    """``profile`` as a replicated walk would have tallied it: each
+    CPU's 2-hop instruction misses (``hops[n:2n]``) are served locally.
+    Valid for a ``code_separable`` profile only."""
+    n = profile.num_nodes
+    cpus = [CpuProfile.from_dict(cpu.to_dict()) for cpu in profile.cpus]
+    moved = 0
+    for cpu in cpus:
+        count = sum(cpu.hops[n:2 * n])
+        cpu.hops[n:2 * n] = [0] * n
+        cpu.local += count
+        moved += count
+    misses, network, ordered = profile.misses, profile.network, profile.ordered
+    if ordered is not None:
+        cls = ordered.cls
+        code = (cls >= EV_HOPS + n) & (cls < EV_HOPS + 2 * n)
+        ordered = replace(ordered,
+                          cls=np.where(code, EV_LOCAL, cls).astype(cls.dtype))
+    return replace(
+        profile, cpus=cpus, ordered=ordered, replicated=True,
+        misses=replace(misses, i_local=misses.i_local + moved,
+                       i_remote=misses.i_remote - moved),
+        network=replace(network,
+                        local_requests=network.local_requests + moved,
+                        requests_2hop=network.requests_2hop - moved))
+
+
 def retime(profile: MemoryProfile, machine: MachineConfig) -> RunResult:
-    """Charge ``machine``'s latencies to ``profile``: the result a cold
-    replay of ``machine`` would return, bit for bit."""
+    """Charge ``machine`` to ``profile``: the result a cold replay of
+    ``machine`` would return, bit for bit.
+
+    ``machine`` must share the profile's :func:`profile_key` and be one
+    it :meth:`~MemoryProfile.serves`.  Its CPU model picks the timing
+    path; a replicated multi-node machine retimed from a
+    non-replicated profile first has its instruction misses localized.
+    """
+    if not profile.serves(machine):
+        raise ValueError(f"this profile cannot be retimed for "
+                         f"{machine.label}")
     tracer = current_tracer()
     with tracer.span("retime", label=machine.label):
+        if (machine.replicate_code and not profile.replicated
+                and profile.num_nodes > 1):
+            profile = _localize_code(profile)
         costs = [event_costs(machine, c, profile.num_nodes)
                  for c in range(len(profile.cpus))]
-        if profile.ordered is None:
-            per_cpu = [_inorder_breakdown(cpu, *cost)
-                       for cpu, cost in zip(profile.cpus, costs)]
-        else:
+        if machine.cpu_model == "ooo":
             with tracer.span("mp.timing", mode="ordered"):
                 per_cpu = _ooo_breakdowns(profile.ordered, costs)
+        else:
+            per_cpu = [_inorder_breakdown(cpu, *cost)
+                       for cpu, cost in zip(profile.cpus, costs)]
         total = ExecutionBreakdown()
         for b in per_cpu:
             total.add(b)

@@ -131,6 +131,8 @@ class System:
         self.profile: Optional[MemoryProfile] = None
         #: An out-of-order profile's ordered log, set by the engine.
         self.ordered: Optional[OrderedProfile] = None
+        #: Set by the multiprocessor engine; see MemoryProfile.
+        self.code_separable = False
         with current_tracer().span("system.init", label=machine.label):
             self.nodes: List[NodeCaches] = [
                 NodeCaches(
@@ -776,6 +778,9 @@ class System:
                 l2_hits=self.l2_hits,
                 trace_refs=trace_refs,
                 ordered=self.ordered,
+                replicated=(self.machine.replicate_code
+                            and self.machine.num_nodes > 1),
+                code_separable=self.code_separable,
             )
             return retime(self.profile, self.machine)
         per_cpu = [cpu.breakdown() for cpu in self.cpus]

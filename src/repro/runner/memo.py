@@ -5,12 +5,15 @@ Every path that runs jobs — the campaign runner, the inline
 service — plans a batch the same way, through :meth:`ProfileMemo.plan`:
 
 * a job whose :func:`~repro.core.profile.profile_key` the memo already
-  holds is retimed from that profile (:func:`retime_job`);
-* the rest group by key, and one representative per group replays;
-* the representative's profile goes into the memo and retimes its
-  siblings; a representative that returns no profile (its engine fell
-  back to the scalar loop) or fails sends its siblings to replay on
-  their own.
+  holds, under a profile that :meth:`~repro.core.profile.MemoryProfile.serves`
+  it, is retimed from that profile (:func:`retime_job`);
+* the rest group by key, and one representative per group replays:
+  the member whose profile serves the most, an out-of-order job over
+  an in-order one and a non-replicated job over a replicated one;
+* the representative's profile goes into the memo and retimes the
+  siblings it serves; the others, and the siblings of a representative
+  that returns no profile (its engine fell back to the scalar loop)
+  or fails, replay on their own.
 
 The memo is an LRU of at most :data:`PROFILE_MEMO_LIMIT` profiles.
 """
@@ -64,20 +67,34 @@ class ProfileMemo:
 
     def lookup(self, job: SimJob) -> Optional[MemoryProfile]:
         """The memoized profile ``job`` retimes from, if any."""
-        return self.get(profile_key(job.spec, job.machine, job.check))
+        profile = self.get(profile_key(job.spec, job.machine, job.check))
+        if profile is not None and profile.serves(job.machine):
+            return profile
+        return None
 
     def plan(self, jobs: Sequence[SimJob],
              indices: Optional[Sequence[int]] = None) -> "ReplayPlan":
-        """Plan ``jobs[i]`` for each of ``indices`` (default: all)."""
+        """Plan ``jobs[i]`` for each of ``indices`` (default: all).
+
+        Memo hits that serve their job retime; every other job groups
+        by profile key, and one member per group replays, at the
+        position of the group's first job."""
         return ReplayPlan(self, jobs,
                           range(len(jobs)) if indices is None else indices)
+
+
+def _breadth(job: SimJob) -> tuple:
+    """Ranks a group's members: the highest one's profile serves the
+    whole group (an ordered log serves in-order CPUs too, and a
+    non-replicated profile may serve replicated machines)."""
+    return job.machine.cpu_model == "ooo", not job.machine.replicate_code
 
 
 class ReplayPlan:
     """One batch of jobs planned against a :class:`ProfileMemo`.
 
     ``retimed`` lists ``(index, profile)`` for the jobs the memo already
-    covers.  ``replays`` lists one representative per profile key the
+    serves.  ``replays`` lists one representative per profile key the
     memo lacks, plus every job without a key.  Report each replay with
     :meth:`replayed` or :meth:`failed`; jobs that must then replay on
     their own collect in ``leftover``.
@@ -86,38 +103,51 @@ class ReplayPlan:
     def __init__(self, memo: ProfileMemo, jobs: Sequence[SimJob],
                  indices: Sequence[int]):
         self._memo = memo
+        self._jobs = jobs
         self._keys: Dict[int, tuple] = {}
         self._siblings: Dict[int, List[int]] = {}
         self.retimed: List[Tuple[int, MemoryProfile]] = []
         self.leftover: List[int] = []
-        representative: Dict[tuple, int] = {}
+        groups: Dict[tuple, List[int]] = {}
+        order: List[List[int]] = []  # the groups, by first member
         for i in indices:
             job = jobs[i]
             key = profile_key(job.spec, job.machine, job.check)
             if key is None:
-                self._siblings[i] = []
+                order.append([i])
                 continue
             self._keys[i] = key
             profile = memo.get(key)
-            if profile is not None:
+            if profile is not None and profile.serves(job.machine):
                 self.retimed.append((i, profile))
-            elif key in representative:
-                self._siblings[representative[key]].append(i)
+            elif key in groups:
+                groups[key].append(i)
             else:
-                representative[key] = i
-                self._siblings[i] = []
+                groups[key] = [i]
+                order.append(groups[key])
+        for members in order:
+            rep = max(members, key=lambda m: _breadth(jobs[m]))
+            self._siblings[rep] = [m for m in members if m != rep]
         self.replays: List[int] = list(self._siblings)
 
     def replayed(self, i: int,
                  profile: Optional[MemoryProfile]) -> List[int]:
         """Record job ``i``'s replay; returns the siblings to retime
-        from ``profile``.  With no profile they join ``leftover``."""
+        from ``profile``, which replaces the memo's entry for the key.
+        Siblings it does not serve, or all of them when there is no
+        profile, join ``leftover``."""
         siblings = self._siblings.pop(i, [])
         if profile is None:
             self.leftover.extend(siblings)
             return []
         self._memo.put(self._keys[i], profile)
-        return siblings
+        served = []
+        for sib in siblings:
+            if profile.serves(self._jobs[sib].machine):
+                served.append(sib)
+            else:
+                self.leftover.append(sib)
+        return served
 
     def failed(self, i: int) -> None:
         """Job ``i`` failed: its siblings replay on their own."""

@@ -463,7 +463,9 @@ class SupervisedExecutor:
         ``on_result(job, result, seconds, obs, profile)`` fires as
         each job *completes* (not in submission order), so the caller can
         persist results — cache, journal — the moment they exist;
-        a kill after that instant can never lose the job.
+        a kill after that instant can never lose the job.  It runs in
+        this process after the freed worker slots are refilled, so
+        work it does (retiming siblings, say) overlaps the next jobs.
 
         Every distinct trace the jobs need is archived first (see
         :meth:`_archive_traces`); ``with_obs`` also has the workers and
@@ -542,15 +544,10 @@ class SupervisedExecutor:
             self.stats.respawns += 1
             metrics.count("campaign.pool_respawns")
 
-        while ready or waiting or inflight:
-            now = time.monotonic()
-            # Promote retries whose backoff has elapsed.
-            due = [a for a in waiting if a.not_before <= now]
-            for attempt in due:
-                waiting.remove(attempt)
-                ready.append(attempt)
-            # Keep at most `workers` jobs in flight so deadlines track
-            # actual execution, not time spent queued inside the pool.
+        def fill() -> None:
+            """Submit ready jobs while a worker slot is free.  At most
+            `workers` jobs are in flight, so deadlines track actual
+            execution, not time spent queued inside the pool."""
             while ready and len(inflight) < self.workers:
                 attempt = ready.popleft()
                 try:
@@ -561,10 +558,19 @@ class SupervisedExecutor:
                     self.stats.crashes += 1
                     metrics.count("campaign.worker_crashes")
                     respawn("submit on broken pool")
-                    break
+                    return
                 deadline = (time.monotonic() + self.job_timeout
                             if self.job_timeout else None)
                 inflight[future] = (attempt, deadline)
+
+        while ready or waiting or inflight:
+            now = time.monotonic()
+            # Promote retries whose backoff has elapsed.
+            due = [a for a in waiting if a.not_before <= now]
+            for attempt in due:
+                waiting.remove(attempt)
+                ready.append(attempt)
+            fill()
             if not inflight:
                 if waiting:
                     pause = min(a.not_before for a in waiting) - time.monotonic()
@@ -574,6 +580,7 @@ class SupervisedExecutor:
             done, _ = wait(set(inflight), timeout=self._tick(waiting, inflight),
                            return_when=FIRST_COMPLETED)
             pool_broke = False
+            completed = []
             for future in done:
                 attempt, _ = inflight.pop(future)
                 try:
@@ -608,8 +615,15 @@ class SupervisedExecutor:
                 outcomes[attempt.index] = JobOutcome(
                     attempt.job, result=result, seconds=seconds,
                     attempts=attempt.attempts + 1)
-                if on_result is not None:
-                    on_result(attempt.job, result, seconds, obs, profile)
+                completed.append((attempt.job, result, seconds, obs,
+                                  profile))
+            if not pool_broke:
+                # Refill the freed slots first: the callbacks (retimes,
+                # persistence) then overlap the next replays.
+                fill()
+            if on_result is not None:
+                for args in completed:
+                    on_result(*args)
             if pool_broke:
                 self.stats.crashes += 1
                 metrics.count("campaign.worker_crashes")

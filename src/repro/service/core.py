@@ -521,7 +521,8 @@ class JobService:
             for sib in siblings:
                 self._finish_retimed(batch[sib], profile)
 
-        outcomes = self._executor.run(jobs, on_result=on_result)
+        outcomes = self._executor.run(
+            jobs, with_obs=current_tracer().enabled, on_result=on_result)
         metrics = current_metrics()
         with self._cv:
             for outcome in outcomes:
@@ -542,7 +543,7 @@ class JobService:
         Persisting first preserves the campaign invariant — once a
         client can observe ``done``, a kill cannot un-finish the job.
         """
-        if obs is not None:  # pragma: no cover - service runs w/o obs
+        if obs is not None:
             current_tracer().absorb(obs["spans"])
             current_metrics().absorb(obs["metrics"])
         if self.cache is not None:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -219,7 +220,10 @@ class SharingCensus:
     The classification is conservative-exact: it is independent of the
     home map (a private line is private under *any* home assignment),
     and a line flagged private provably never receives an
-    invalidation, downgrade or intervention from the directory.
+    invalidation, downgrade or intervention from the directory.  It
+    costs a sort of the whole stream, so it is computed on first use:
+    replays that ignore the private bit (RAC machines, out-of-order
+    CPUs, one-node machines) never pay for it.
 
     ``derived`` is a scratch cache for engine-side projections of
     these arrays (python lists, effective flags, per-geometry set
@@ -234,11 +238,37 @@ class SharingCensus:
     nodes: np.ndarray
     q_offsets: np.ndarray
     q_nodes: np.ndarray
-    uniq: np.ndarray
-    uniq_private: np.ndarray
-    private: np.ndarray
     cores_per_node: int
     derived: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def _classes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(uniq, uniq_private)`` from one stable sort by line."""
+        lines = self.lines
+        if not len(lines):
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+        order = np.argsort(lines, kind="stable")
+        ls = lines[order]
+        ns = self.nodes[order]
+        starts = np.flatnonzero(np.r_[True, ls[1:] != ls[:-1]])
+        nmin = np.minimum.reduceat(ns, starts)
+        nmax = np.maximum.reduceat(ns, starts)
+        return ls[starts], nmin == nmax
+
+    @property
+    def uniq(self) -> np.ndarray:
+        return self._classes[0]
+
+    @property
+    def uniq_private(self) -> np.ndarray:
+        return self._classes[1]
+
+    @cached_property
+    def private(self) -> np.ndarray:
+        uniq, uniq_private = self._classes
+        if not len(uniq):
+            return np.empty(0, dtype=bool)
+        return uniq_private[np.searchsorted(uniq, self.lines)]
 
     def is_private(self, line: int) -> bool:
         """Whether ``line`` is provably private to one node."""
@@ -265,7 +295,8 @@ _CENSUS_CACHE_SIZE = 2
 
 
 def sharing_census(trace: OltpTrace, cores_per_node: int = 1) -> SharingCensus:
-    """Classify every line in ``trace`` as node-private or shared.
+    """Flatten ``trace`` and classify every line as node-private or
+    shared (on first use of the classification).
 
     The scan covers *all* quanta — warmup included — because privacy
     must hold over the whole replay for the batched engine to skip the
@@ -296,30 +327,12 @@ def sharing_census(trace: OltpTrace, cores_per_node: int = 1) -> SharingCensus:
         ([0], np.cumsum(counts))
     ).astype(np.int64)
 
-    if len(lines):
-        order = np.argsort(lines, kind="stable")
-        ls = lines[order]
-        ns = nodes[order]
-        starts = np.flatnonzero(np.r_[True, ls[1:] != ls[:-1]])
-        uniq = ls[starts]
-        nmin = np.minimum.reduceat(ns, starts)
-        nmax = np.maximum.reduceat(ns, starts)
-        uniq_private = nmin == nmax
-        private = uniq_private[np.searchsorted(uniq, lines)]
-    else:
-        uniq = np.empty(0, dtype=np.int64)
-        uniq_private = np.empty(0, dtype=bool)
-        private = np.empty(0, dtype=bool)
-
     sc = SharingCensus(
         lines=lines,
         flags=flags,
         nodes=nodes,
         q_offsets=q_offsets,
         q_nodes=q_nodes,
-        uniq=uniq,
-        uniq_private=uniq_private,
-        private=private,
         cores_per_node=cores_per_node,
     )
     _CENSUS_CACHE.insert(

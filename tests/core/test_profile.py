@@ -33,9 +33,10 @@ from repro.experiments import cli
 from repro.experiments.cli import FIGURES
 from repro.experiments.common import Settings
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
-from repro.params import KB, IntegrationLevel, L2Technology, LatencyTable
+from repro.params import KB, MB, IntegrationLevel, L2Technology, LatencyTable
 from repro.runner import (
     CampaignRunner,
+    ProfileMemo,
     SimJob,
     TraceSpec,
     default_trace_store,
@@ -44,7 +45,13 @@ from repro.runner import (
 from repro.scenario.topology import TopologySpec
 from repro.trace.synthetic import make_trace
 
-from tests.core.test_differential import synthetic_mp_trace, synthetic_trace
+from tests.core.test_differential import (
+    GEOMETRIES,
+    grid_machine,
+    mp_machine,
+    synthetic_mp_trace,
+    synthetic_trace,
+)
 from tests.golden import regen
 
 TINY = Settings(scale=256, uni_txns=15, mp_txns=30, seed=3)
@@ -126,9 +133,15 @@ class TestFigureJobs:
             assert key is not None, job.label
             groups.setdefault(key, []).append(job)
         for jobs in groups.values():
-            trace = store.get(jobs[0].spec)
-            _, profile = profile_of(jobs[0].machine, trace, jobs[0].check)
+            # The member whose profile serves the group: an OOO CPU
+            # logs its events, and generated traces keep code apart
+            # from data, so a non-replicated profile serves them all.
+            rep = max(jobs, key=lambda j: (j.machine.cpu_model == "ooo",
+                                           not j.machine.replicate_code))
+            trace = store.get(rep.spec)
+            _, profile = profile_of(rep.machine, trace, rep.check)
             for job in jobs:
+                assert profile.serves(job.machine), job.label
                 assert (retime(profile, job.machine).to_dict()
                         == cold(job.machine, trace, job.check)), job.label
 
@@ -323,24 +336,30 @@ class TestProfile:
                        "i_refs"):
             assert series["vectorized-mp"][column] == series["fast"][column]
 
-    def test_ooo_and_rac_keys_name_cpu_model_and_rac_geometry(self):
+    def test_keys_name_rac_geometry_and_replication_not_cpu_model(self):
         spec = TraceSpec(ncpus=8, scale=32, txns=10, seed=1)
         base = MachineConfig.fully_integrated(8)
         ooo = base.with_(cpu_model="ooo")
+        repl = base.with_(replicate_code=True)
         rac = base.with_(rac_size=8 * 1024 * KB)
+        # The CPU model and, without a RAC, code replication do not
+        # change cache contents: one key.
+        assert len({profile_key(spec, m) for m in (
+            base, ooo, repl, repl.with_(cpu_model="ooo"),
+            MachineConfig.integrated_l2(8, cpu_model="ooo"))}) == 1
+        # A RAC holds remote-home lines only: replication and the RAC
+        # geometry change what it holds.
         keys = {profile_key(spec, m) for m in (
-            base, ooo, rac, rac.with_(rac_assoc=4), rac.with_(cpu_model="ooo"))}
-        assert None not in keys and len(keys) == 5
-        assert (profile_key(spec, ooo)
-                == profile_key(spec, MachineConfig.integrated_l2(8, cpu_model="ooo")))
-        # Uniprocessor OOO replays once per L2 geometry too: L2 and
-        # L2+MC (both 2M8w) share one ordered profile.
+            base, rac, rac.with_(rac_assoc=4), rac.with_(cpu_model="ooo"),
+            rac.with_(replicate_code=True))}
+        assert None not in keys and len(keys) == 4
+        # Uniprocessors replay once per L2 geometry too, on any CPU.
         uni = TraceSpec(ncpus=1, scale=32, txns=10, seed=1)
         assert profile_key(uni, MachineConfig.base(1, cpu_model="ooo")) \
-            is not None
+            == profile_key(uni, MachineConfig.base(1))
         assert (profile_key(uni, MachineConfig.integrated_l2(
             1, cpu_model="ooo")) == profile_key(
-                uni, MachineConfig.integrated_l2_mc(1, cpu_model="ooo")))
+                uni, MachineConfig.integrated_l2_mc(1)))
         assert profile_key(spec, base, check="per-quantum") is None
         assert not profiled("fast")
 
@@ -370,6 +389,91 @@ class TestProfile:
         cpu.hops[5] = 1
         cpu.reset()
         assert cpu.to_dict() == CpuProfile(2).to_dict()
+
+
+# -- which machines a profile serves -------------------------------------------
+
+def _but_ordered(profile):
+    data = profile.to_dict()
+    del data["ordered"]
+    return data
+
+
+class TestServes:
+    """The CPU model and, without a RAC, code replication are retime
+    parameters: they do not change what a replay measures."""
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES,
+                             ids=lambda g: f"{g[0] // KB}K{g[1]}w")
+    def test_cpu_models_differ_only_in_the_log_uni(self, geometry):
+        machine = grid_machine(*geometry, L2Technology.ON_CHIP_SRAM)
+        trace = synthetic_trace(17, warmup=8)
+        _, inorder = profile_of(machine, trace)
+        _, ooo = profile_of(machine.with_(cpu_model="ooo"), trace)
+        assert inorder.ordered is None and ooo.ordered is not None
+        assert _but_ordered(inorder) == _but_ordered(ooo)
+
+    @pytest.mark.parametrize("l2_assoc", [1, 4], ids=["dm", "4w"])
+    @pytest.mark.parametrize("replicate", [False, True],
+                             ids=["plain", "repl"])
+    @pytest.mark.parametrize("rac", [None, 256 * KB, 8 * KB],
+                             ids=["norac", "rac", "smallrac"])
+    @pytest.mark.parametrize("ncpus", [2, 8])
+    def test_cpu_models_differ_only_in_the_log_mp(self, ncpus, rac,
+                                                  replicate, l2_assoc):
+        machine = mp_machine(ncpus, rac_size=rac, replicate=replicate,
+                             l2_assoc=l2_assoc)
+        trace = synthetic_mp_trace(9, ncpus, replicate=replicate)
+        _, inorder = profile_of(machine, trace)
+        _, ooo = profile_of(machine.with_(cpu_model="ooo"), trace)
+        assert inorder.ordered is None and ooo.ordered is not None
+        assert _but_ordered(inorder) == _but_ordered(ooo)
+        assert ooo.serves(machine) and not inorder.serves(
+            machine.with_(cpu_model="ooo"))
+
+    @pytest.mark.parametrize("cpu_model", ["inorder", "ooo"])
+    @pytest.mark.parametrize("topology", [
+        None, TopologySpec.islands(group_size=4, island_extra=120)],
+        ids=["flat", "islands"])
+    def test_plain_profile_retimes_the_replicated_machine(self, cpu_model,
+                                                          topology):
+        spec = TraceSpec(ncpus=8, scale=TINY.scale, txns=TINY.mp_txns,
+                         seed=TINY.seed)
+        trace = default_trace_store().get(spec)
+        plain = MachineConfig.fully_integrated(
+            8, l2_size=1 * MB, l2_assoc=4, scale=TINY.scale,
+            cpu_model=cpu_model)
+        _, profile = profile_of(plain, trace)
+        assert profile.code_separable and not profile.replicated
+        before = profile.to_dict()
+        repl = plain.with_(replicate_code=True)
+        if topology is not None:
+            repl = repl.with_(topology=topology)
+        assert profile.serves(repl)
+        want = cold(repl, trace)
+        assert retime(profile, repl).to_dict() == want
+        assert profile.to_dict() == before  # the memo's copy is untouched
+        assert want["misses"]["i_local"] > profile.misses.i_local
+
+    def test_code_outside_the_text_pages_is_not_served(self):
+        # Half the instruction fetches leave the text pages, and data
+        # writes land on lines that are also fetched.
+        trace = synthetic_mp_trace(9, 8, replicate=True)
+        plain = mp_machine(8)
+        repl = mp_machine(8, replicate=True)
+        _, profile = profile_of(plain, trace)
+        assert not profile.code_separable
+        assert not profile.serves(repl)
+        with pytest.raises(ValueError):
+            retime(profile, repl)
+        spec = TraceSpec(ncpus=8, scale=1, txns=1, seed=1)
+        jobs = [SimJob(spec=spec, machine=m) for m in (plain, repl)]
+        memo = ProfileMemo()
+        memo.put(profile_key(spec, plain), profile)
+        assert memo.lookup(jobs[0]) is profile
+        assert memo.lookup(jobs[1]) is None
+        plan = memo.plan(jobs)
+        assert [i for i, _ in plan.retimed] == [0] and plan.replays == [1]
 
 
 # -- runner integration --------------------------------------------------------

@@ -11,7 +11,9 @@ always notify the directory first).
 import pytest
 
 from repro.coherence.directory import DirectoryState
+from repro.core.machine import MachineConfig
 from repro.core.profile import CpuProfile
+from repro.core.system import System
 from repro.memsys.vectorized_mp import (
     MODE_ASSOC,
     MODE_DM,
@@ -19,6 +21,10 @@ from repro.memsys.vectorized_mp import (
     _walk_assoc,
     _walk_dm,
 )
+from repro.params import KB
+from repro.trace.census import sharing_census
+
+from tests.core.test_differential import synthetic_mp_trace, synthetic_trace
 
 L1_N = 4
 L2_N = 8
@@ -93,3 +99,17 @@ def test_invalidate_uses_the_membership_set_in_assoc_mode():
     assert not st.holds(LINE)
     assert LINE not in st.sets2[LINE % L2_N]
     assert st.invalidate(LINE) is False  # idempotent, nothing held
+
+
+@pytest.mark.parametrize("ncpus,cpu_model,classified", [
+    (1, "ooo", False), (8, "ooo", False), (8, "inorder", True)])
+def test_only_private_bit_walks_classify_the_census(ncpus, cpu_model,
+                                                    classified):
+    # The private-line shortcut is the in-order RAC-free walks' alone;
+    # the other replays skip the census' sort of the whole stream.
+    trace = (synthetic_trace(3) if ncpus == 1
+             else synthetic_mp_trace(3, ncpus))
+    machine = MachineConfig.base(ncpus, l2_size=16 * KB, scale=1,
+                                 cpu_model=cpu_model)
+    System(machine).run(trace)
+    assert ("_classes" in vars(sharing_census(trace))) == classified

@@ -110,6 +110,16 @@ class TestEngineSpans:
             assert span.ts >= engine.ts
             assert span.ts + span.dur <= engine.ts + engine.dur + 1e-6
 
+    @pytest.mark.parametrize("kw,walk", [
+        ({}, "dm"), ({"l2_assoc": 4}, "assoc"), ({"cpu_model": "ooo"},
+                                                  "ordered")])
+    def test_mp_walks_span_names_its_walk(self, mp8_trace, kw, walk):
+        _, tracer, _ = traced_run(base_machine(8, **kw), mp8_trace,
+                                  "vectorized-mp")
+        (span,) = [s for s in tracer.spans if s.name == "mp.walks"]
+        assert span.args == {"mode": "batch", "walk": walk,
+                             "refs": mp8_trace.total_refs}
+
     def test_mp_ordered_timing_span(self, mp8_trace):
         # An OOO machine walks in batch mode and charges its cycles
         # when the ordered log is retimed.

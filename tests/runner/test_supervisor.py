@@ -106,6 +106,28 @@ class TestHappyPath:
             assert outcome.result.to_dict() == expect.to_dict()
         assert sorted(seen) == sorted(j.label for j in jobs)
 
+    def test_next_job_is_in_flight_before_on_result_runs(self):
+        # A callback that retimes siblings must not hold a worker idle.
+        jobs = tiny_jobs()
+        submitted, seen = [], []
+        with SupervisedExecutor(1, default_trace_store()) as ex:
+            make_pool = ex._make_pool
+
+            def recording_pool():
+                pool = make_pool()
+                submit = pool.submit
+
+                def record(fn, job, *args):
+                    submitted.append(job.label)
+                    return submit(fn, job, *args)
+
+                pool.submit = record
+                return pool
+
+            ex._make_pool = recording_pool
+            ex.run(jobs, on_result=lambda *_: seen.append(list(submitted)))
+        assert seen[0] == [job.label for job in jobs]
+
     def test_stats_stay_quiet_on_a_clean_run(self):
         with SupervisedExecutor(2, default_trace_store()) as ex:
             ex.run(tiny_jobs())

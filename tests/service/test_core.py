@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import threading
 
 import pytest
 
 from repro.integrity.errors import QueueFullError, ServiceUnavailableError
+from repro.obs import Tracer, use_tracer
 from repro.runner import CampaignJournal, JobFailure, JobOutcome
 from repro.service import STATUS_DONE, STATUS_FAILED, STATUS_QUEUED
 from repro.service import core
@@ -32,6 +34,16 @@ class TestSubmission:
         assert done.result.to_dict() == simulated_result(
             tiny_job(0), store).to_dict()
         assert service.counters.simulated == 1
+
+    def test_traced_service_absorbs_the_workers_spans(self, make_service):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            service = make_service()
+            entry = service.submit(tiny_job(0))
+            assert service.wait(entry.job_hash,
+                                timeout=60).status == STATUS_DONE
+        runs = [s for s in tracer.spans if s.name == "system.run"]
+        assert runs and all(s.pid != os.getpid() for s in runs)
 
     def test_duplicate_hash_attaches_to_existing_entry(self, make_service):
         service = make_service(started=False)
