@@ -6,7 +6,7 @@ node's L1/L2 hierarchy, invokes the directory protocol on L2 misses
 and ownership upgrades, charges the configuration's Figure-3 latencies
 through the CPU timing model, and accumulates the paper's statistics.
 
-Four replay engines implement identical semantics:
+Four engine names select three replay paths with identical semantics:
 
 * ``_run_fast`` — the scalar common case (one core per node, no victim
   buffer).  It deliberately reaches into the cache objects' internal
@@ -15,18 +15,15 @@ Four replay engines implement identical semantics:
 * ``_run_general`` — the extended configurations (chip multiprocessing,
   victim buffers, software TLBs) via the clean
   :class:`~repro.memsys.hierarchy.NodeCaches` API.
-* ``vectorized`` (through ``_run_numpy``) — the numpy kernel in
-  :mod:`repro.memsys.vectorized` for coherence-free in-order
-  uniprocessor configurations (an out-of-order one takes the staged
-  walk below); selected automatically and value-identical to
-  ``_run_fast`` by contract.
-* ``vectorized-mp`` (through ``_run_numpy``) — the staged
-  multiprocessor pipeline in :mod:`repro.memsys.vectorized_mp`: a
-  sharing-census pre-pass (:func:`repro.trace.census.sharing_census`)
-  splits lines into provably-private and potentially-shared classes,
-  and per-quantum walks replay the private hierarchy and the directory
-  protocol in bulk.  Also value-identical to ``_run_fast`` by
-  contract.
+* ``vectorized`` and ``vectorized-mp`` (both through ``_run_numpy``)
+  — the staged pipeline in :mod:`repro.memsys.vectorized_mp`, for
+  uniprocessors and multiprocessors respectively: a sharing-census
+  pre-pass (:func:`repro.trace.census.sharing_census`) splits lines
+  into provably-private and potentially-shared classes, and
+  per-quantum walks replay the private hierarchy and the directory
+  protocol in bulk.  A uniprocessor is the one-node case, on which
+  every line is private.  Selected automatically and value-identical
+  to ``_run_fast`` by contract.
 
 The two scalar loops share one decode point,
 :func:`~repro.trace.stream.iter_quanta`: numpy splits each quantum's
@@ -42,9 +39,8 @@ they happen, so its loops charge every event where it occurs.
 The two numpy engines charge no cycles: they tally a latency-free
 :class:`~repro.core.profile.MemoryProfile` and :meth:`System.run`
 returns its :func:`~repro.core.profile.retime`, the one latency path
-for those machines.  A uniprocessor on an out-of-order CPU keeps the
-``vectorized`` engine name but replays on the staged walk of
-``vectorized-mp``, whose ordered profile is the one OOO timing path.
+for those machines; an out-of-order run's ordered profile is the one
+OOO timing path.
 
 :meth:`System.select_engine` is the single source of truth for the
 dispatch; ``engine=`` overrides it so every path stays reachable.  The
@@ -318,11 +314,7 @@ class System:
 
         tracer = self._tracer = current_tracer()
         metrics = current_metrics()
-        if metrics.enabled and self.engine != "vectorized":
-            # The vectorized uniprocessor kernel replays out of trace
-            # order (batched by structure, not by quantum), so it has
-            # no per-quantum sampling point; it reports end-of-run
-            # aggregates only.
+        if metrics.enabled:
             self._sampler = metrics.new_series(
                 label=machine.label, engine=self.engine,
                 ncpus=machine.ncpus, num_nodes=machine.num_nodes,
@@ -361,30 +353,24 @@ class System:
 
     def _run_numpy(self, trace, protocol: DirectoryProtocol,
                    net: InterconnectModel) -> None:
-        from repro.memsys.vectorized import (
+        from repro.memsys.vectorized_mp import (
             VectorizedUnsupported,
-            replay_uniprocessor,
+            replay_multiprocessor,
         )
-        from repro.memsys.vectorized_mp import replay_multiprocessor
 
         if is_streaming(trace):
-            # Both kernels need the whole reference stream at once
-            # (global argsort runs, the sharing census); a chunk
-            # iterator is accepted by collecting it.
+            # The kernel needs the whole reference stream at once (the
+            # sharing census); a chunk iterator is accepted by
+            # collecting it.
             trace = trace.collect()
-        # Out-of-order CPUs take the staged walk on one node too: its
-        # ordered profile is the one OOO timing path.
-        replay = (replay_uniprocessor if self.engine == "vectorized"
-                  and self.machine.cpu_model == "inorder"
-                  else replay_multiprocessor)
         try:
-            replay(self, trace, protocol, net)
+            replay_multiprocessor(self, trace, protocol, net)
         except VectorizedUnsupported:
             # Rare hand-built traces (e.g. an instruction fetch carrying
-            # the write flag) fall outside the kernels' contract; the
+            # the write flag) fall outside the kernel's contract; the
             # scalar loop handles them with identical results.  State is
-            # untouched at this point: the kernels validate before they
-            # mutate anything.
+            # untouched at this point: the kernel validates before it
+            # mutates anything.
             self._fall_back_to_fast(trace, protocol, net)
 
     def _cpu_models(self) -> None:

@@ -1,4 +1,4 @@
-"""Staged multiprocessor replay: the ``vectorized-mp`` engine.
+"""Staged replay: every numpy run, one node or many.
 
 This module is phases 2–4 of the staged replay pipeline; phase 1 is
 :func:`repro.trace.census.sharing_census`.  The pipeline replaces the
@@ -30,8 +30,12 @@ construction (the differential and golden suites enforce it):
    :class:`~repro.core.profile.OrderedProfile`), which the retime
    replays through the CPU model.
 
-A uniprocessor with an out-of-order CPU replays here too, as a
-one-node machine (under the ``vectorized`` engine name), so every
+Both numpy engine names replay here: ``vectorized-mp`` for
+multiprocessors, ``vectorized`` for a uniprocessor, which is the
+one-node case.  On one node every line is private and local, so the
+census never sorts the stream, the walks take the private-line path
+for every miss, and a write hit takes no ownership upgrade (the
+scalar loops skip ``ensure_owner`` when ``num_nodes == 1``).  Every
 out-of-order numpy run is timed from its ordered profile.
 
 Servicing at the reference is exact: it performs the scalar loop's
@@ -42,8 +46,8 @@ evictions, which the engine reconstructs when it copies the flat
 caches back at the end of the run.
 
 Anything the engine cannot replay raises
-:class:`~repro.memsys.vectorized.VectorizedUnsupported` *before
-mutating any state*, and ``System`` falls back to the scalar loop.
+:class:`VectorizedUnsupported` *before mutating any state*, and
+``System`` falls back to the scalar loop.
 """
 
 from __future__ import annotations
@@ -61,12 +65,22 @@ from repro.core.profile import (
     EV_RAC_HIT,
     OrderedProfile,
 )
-from repro.memsys.vectorized import VectorizedUnsupported, _materialize_l1
 from repro.params import INSTRS_PER_ILINE
 from repro.stats.breakdown import MissBreakdown
 from repro.trace.census import sharing_census
 
-__all__ = ["replay_multiprocessor"]
+__all__ = ["VectorizedUnsupported", "replay_multiprocessor"]
+
+
+class VectorizedUnsupported(Exception):
+    """Raised when a trace/machine falls outside the kernel's contract.
+
+    ``System._run_numpy`` catches this and falls back to the
+    scalar fast loop, so callers never observe it.  The only known
+    trigger is a hand-built trace containing an instruction fetch with
+    the write flag set (the OLTP generator never emits one).
+    """
+
 
 # Effective flag word: the trace's write (1) and instruction (2) bits,
 # two census bits, then the reference's hop-tally row: the home node
@@ -398,6 +412,7 @@ def _walk_dm(L, E, S1, S2, nid, states, directory, cpu, nn, xs):
     hv = cpu.hops
     up = 2 * nn
     rdb = 3 * nn
+    mp = nn > 1  # one node: a write hit takes no ownership upgrade
     i_l1m = d_l1m = l2h = l_i = l_d = u_l = 0
     inv_msgs = intervs = wbacks = 0
     for line, f, s1, s2 in zip(L, E, S1, S2):
@@ -417,7 +432,7 @@ def _walk_dm(L, E, S1, S2, nid, states, directory, cpu, nn, xs):
                 if f & 1:
                     dirty.add(line)
                     if f & 4:
-                        if line not in owned:
+                        if mp and line not in owned:
                             owned.add(line)
                             if f & 8:
                                 u_l += 1
@@ -443,7 +458,7 @@ def _walk_dm(L, E, S1, S2, nid, states, directory, cpu, nn, xs):
             if f & 1:
                 dirty.add(line)
                 if f & 4:
-                    if line not in owned:
+                    if mp and line not in owned:
                         owned.add(line)
                         if f & 8:
                             u_l += 1
@@ -585,6 +600,7 @@ def _walk_assoc(L, E, S1, S2, nid, states, directory, cpu, nn, xs):
     hv = cpu.hops
     up = 2 * nn
     rdb = 3 * nn
+    mp = nn > 1  # one node: a write hit takes no ownership upgrade
     i_l1m = d_l1m = l2h = l_i = l_d = u_l = 0
     inv_msgs = intervs = wbacks = 0
     for line, f, s1, s2 in zip(L, E, S1, S2):
@@ -604,7 +620,7 @@ def _walk_assoc(L, E, S1, S2, nid, states, directory, cpu, nn, xs):
                 if f & 1:
                     dirty.add(line)
                     if f & 4:
-                        if line not in owned:
+                        if mp and line not in owned:
                             owned.add(line)
                             if f & 8:
                                 u_l += 1
@@ -633,7 +649,7 @@ def _walk_assoc(L, E, S1, S2, nid, states, directory, cpu, nn, xs):
             if f & 1:
                 dirty.add(line)
                 if f & 4:
-                    if line not in owned:
+                    if mp and line not in owned:
                         owned.add(line)
                         if f & 8:
                             u_l += 1
@@ -836,6 +852,17 @@ def _remote_counts(hops: List[int], n: int) -> tuple:
             sum(hops[rd + n * n:ru]))
 
 
+def _materialize_l1(cache, flat_a, flat_b) -> None:
+    for s, ways in enumerate(cache._sets):
+        ways.clear()
+        a = flat_a[s]
+        if a != -1:
+            ways.append(a)
+            b = flat_b[s]
+            if b != -1:
+                ways.append(b)
+
+
 def _per_quantum_counts(mask: np.ndarray, q_off: np.ndarray) -> List[int]:
     """Per-quantum sums of a boolean mask via cumulative differences."""
     c = np.concatenate(([0], np.cumsum(mask)))
@@ -861,14 +888,13 @@ def _derived(sc, key, build, cap=4):
 
 
 def replay_multiprocessor(system, trace, protocol, net) -> None:
-    """Replay ``trace`` on a multiprocessor machine, staged and exact.
+    """Replay ``trace`` on ``system``'s machine, staged and exact.
 
     The caller (``System._run_numpy``) guarantees a materialized
     trace and a one-core-per-node machine with no victim buffer, TLB
-    or fault plan: a multiprocessor, or a uniprocessor with an
-    out-of-order CPU.  The run's profile counts land in
-    ``system.cpus``; an out-of-order run also leaves its ordered log
-    in ``system.ordered``.
+    or fault plan; a uniprocessor is the one-node case.  The run's
+    profile counts land in ``system.cpus``; an out-of-order run also
+    leaves its ordered log in ``system.ordered``.
     """
     machine = system.machine
     nodes = system.nodes
@@ -949,7 +975,10 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
                 + nnodes * ((flags & 2) != 0)) << EFF_HOME_SHIFT)
         )
         if not general:
-            eff |= sc.private.astype(np.int64) * EFF_PRIVATE
+            # On one node every line is private, and the census is
+            # never sorted.
+            eff |= (EFF_PRIVATE if nnodes == 1
+                    else sc.private.astype(np.int64) * EFF_PRIVATE)
         return eff.tolist()
 
     with tracer.span("mp.census", phase="projections"):
@@ -1094,7 +1123,12 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
 
     # ---- materialize flat state back into the real objects --------------
     with tracer.span("mp.materialize"):
-        priv = set() if general else set(sc.uniq[sc.uniq_private].tolist())
+        if general:
+            priv = ()
+        elif nnodes == 1:
+            priv = None  # every line is private
+        else:
+            priv = set(sc.uniq[sc.uniq_private].tolist())
         for nid, (node, st) in enumerate(zip(nodes, states)):
             _materialize_l1(node.l1i, st.ia, st.ib)
             _materialize_l1(node.l1d, st.da, st.db)
@@ -1115,7 +1149,7 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
             # behind.
             owned = st.owned
             for ln in node.l2.resident_lines():
-                if ln in priv:
+                if priv is None or ln in priv:
                     if ln in owned:
                         directory.set_owner(ln, nid)
                     else:

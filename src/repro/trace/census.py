@@ -288,8 +288,8 @@ class SharingCensus:
 
 # Small MRU cache so repeated replays of one trace (engine sweeps,
 # differential tests, per-machine experiment grids) share one census.
-# Same idiom as memsys.vectorized._VIEW_CACHE: identity plus a weakref
-# liveness check, because traces are not hashable.
+# Entries are keyed by identity plus a weakref liveness check, because
+# traces are not hashable.
 _CENSUS_CACHE: List[Tuple[int, int, object, "SharingCensus"]] = []
 _CENSUS_CACHE_SIZE = 2
 

@@ -1,8 +1,8 @@
 """Multi-engine differential harness.
 
 Parametrized sweeps asserting that the replay engines — ``_run_fast``,
-``_run_general``, the numpy ``vectorized`` kernel and the staged
-``vectorized-mp`` pipeline — produce **equal**
+``_run_general`` and the staged numpy pipeline under its two names,
+``vectorized`` (one node) and ``vectorized-mp`` — produce **equal**
 ``RunResult.to_dict()`` payloads wherever their domains overlap.
 
 The uniprocessor grid covers L2 sizes × associativities × SRAM/DRAM
@@ -119,11 +119,11 @@ def grid_machine(l2_size, l2_assoc, technology, cpu_model="inorder",
 
 
 GEOMETRIES = [
-    (2 * KB, 1),    # direct-mapped, heavy eviction: precomputed schedule
-    (4 * KB, 2),    # 2-way, some sets overflow: scalar walk
-    (8 * KB, 4),    # 4-way, overflow-dominated: scalar walk
-    (16 * KB, 4),   # 4-way, some sets never overflow: scalar walk
-    (32 * KB, 8),   # no-evict, every set holds its footprint: scalar walk
+    (2 * KB, 1),    # direct-mapped, heavy eviction: _walk_dm
+    (4 * KB, 2),    # 2-way, some sets overflow: _walk_assoc
+    (8 * KB, 4),    # 4-way, overflow-dominated: _walk_assoc
+    (16 * KB, 4),   # 4-way, some sets never overflow: _walk_assoc
+    (32 * KB, 8),   # no-evict, every set holds its footprint: _walk_assoc
 ]
 TECHNOLOGIES = [
     L2Technology.OFF_CHIP_SRAM,
@@ -170,11 +170,28 @@ class TestThreeEngineEquivalence:
     @pytest.mark.parametrize("cpu_model", ["inorder", "ooo"])
     @pytest.mark.parametrize("geometry", GEOMETRIES,
                              ids=lambda g: f"{g[0] // KB}K{g[1]}w")
+    def test_one_node_takes_no_ownership_upgrades(self, geometry,
+                                                  cpu_model):
+        """One node has no other copy to invalidate, so a write hit
+        never upgrades: the scalar loops skip ``ensure_owner``, and the
+        staged walks, which see every line as private, must too."""
+        l2_size, l2_assoc = geometry
+        machine = grid_machine(l2_size, l2_assoc, L2Technology.ON_CHIP_SRAM,
+                               cpu_model=cpu_model)
+        results = run_all_engines(machine, synthetic_trace(17, warmup=8))
+        for engine, result in results.items():
+            assert result["protocol"]["upgrades"] == 0, engine
+        assert results["vectorized"] == results["fast"]
+        assert results["fast"] == results["general"]
+
+    @pytest.mark.parametrize("cpu_model", ["inorder", "ooo"])
+    @pytest.mark.parametrize("geometry", GEOMETRIES,
+                             ids=lambda g: f"{g[0] // KB}K{g[1]}w")
     def test_end_of_run_checker_accepts_final_state(self, geometry,
                                                     cpu_model):
-        """The kernel assembles the final L2 and directory state from
-        its schedule or from the scalar walk; the integrity checker
-        must see a state indistinguishable from the scalar loop's."""
+        """The kernel rebuilds the final L2 and directory state from
+        its flat walk state; the integrity checker must see a state
+        indistinguishable from the scalar loop's."""
         l2_size, l2_assoc = geometry
         machine = grid_machine(l2_size, l2_assoc, L2Technology.ON_CHIP_SRAM,
                                cpu_model=cpu_model)

@@ -102,11 +102,13 @@ def test_invalidate_uses_the_membership_set_in_assoc_mode():
 
 
 @pytest.mark.parametrize("ncpus,cpu_model,classified", [
-    (1, "ooo", False), (8, "ooo", False), (8, "inorder", True)])
+    (1, "inorder", False), (1, "ooo", False), (8, "ooo", False),
+    (8, "inorder", True)])
 def test_only_private_bit_walks_classify_the_census(ncpus, cpu_model,
                                                     classified):
     # The private-line shortcut is the in-order RAC-free walks' alone;
-    # the other replays skip the census' sort of the whole stream.
+    # the other replays skip the census' sort of the whole stream.  On
+    # one node every line is private without a sort.
     trace = (synthetic_trace(3) if ncpus == 1
              else synthetic_mp_trace(3, ncpus))
     machine = MachineConfig.base(ncpus, l2_size=16 * KB, scale=1,

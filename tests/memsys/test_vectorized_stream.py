@@ -1,14 +1,14 @@
 """Chunk-streamed traces on the numpy engines.
 
 ``System._run_numpy`` is the one place a
-:class:`~repro.trace.stream.StreamedTrace` is collected: both replay
-kernels take a materialized trace only, and the
+:class:`~repro.trace.stream.StreamedTrace` is collected: the staged
+replay kernel takes a materialized trace only, and the
 ``VectorizedUnsupported`` fallback needs one too.  These tests check
-that seam from both sides.  A streamed ``System.run`` reproduces the
-kernel driven directly on the materialized trace, and the stream's
-validating iterator still sees every quantum and reference.  The
-kernels are driven exactly the way ``System.run`` wires them up
-(homemap → protocol → interconnect).
+that seam from both sides, on one node and on several.  A streamed
+``System.run`` reproduces the kernel driven directly on the
+materialized trace, and the stream's validating iterator still sees
+every quantum and reference.  The kernel is driven exactly the way
+``System.run`` wires it up (homemap → protocol → interconnect).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.coherence.network import InterconnectModel
 from repro.coherence.protocol import DirectoryProtocol
 from repro.core.machine import MachineConfig
 from repro.core.system import System
-from repro.memsys.vectorized import replay_uniprocessor
 from repro.memsys.vectorized_mp import replay_multiprocessor
 from repro.trace.generator import build_trace
 from repro.trace.stream import StreamedTrace
@@ -74,7 +73,7 @@ class TestUniprocessorKernel:
     @pytest.mark.parametrize("chunk", CHUNKS, ids=CHUNK_IDS)
     def test_streamed_input_identical(self, uni, chunk):
         machine = MachineConfig.base(1, scale=SCALE)
-        base = run_kernel(machine, uni, replay_uniprocessor, "vectorized")
+        base = run_kernel(machine, uni, replay_multiprocessor, "vectorized")
         stream = StreamedTrace.from_trace(uni, chunk)
         streamed = run_streamed(machine, stream, "vectorized")
         assert streamed == base
@@ -84,6 +83,7 @@ class TestUniprocessorKernel:
         assert stream.quanta_seen == len(uni.quanta)
         assert stream.refs_seen == uni.total_refs
         assert stream.measured_refs == base["trace_refs"]
+        assert base == System(machine, engine="fast").run(uni).to_dict()
 
     def test_stream_single_use_after_kernel(self, uni):
         machine = MachineConfig.base(1, scale=SCALE)
@@ -116,9 +116,9 @@ class TestMultiprocessorKernel:
 
     @pytest.mark.parametrize("chunk", CHUNKS, ids=CHUNK_IDS)
     def test_uniprocessor_ooo_streamed(self, uni, chunk):
-        """A uniprocessor OOO machine replays on the staged walk, so
-        the multiprocessor kernel is what a streamed ``vectorized``
-        run reproduces."""
+        """A uniprocessor OOO machine replays on the ordered walk as
+        one node, which is what a streamed ``vectorized`` run
+        reproduces."""
         machine = MachineConfig.base(1, scale=SCALE, cpu_model="ooo")
         base = run_kernel(machine, uni, replay_multiprocessor, "vectorized")
         stream = StreamedTrace.from_trace(uni, chunk)

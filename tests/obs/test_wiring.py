@@ -92,10 +92,19 @@ class TestEngineSpans:
         assert run_span.args["engine"] == "fast"
         assert run_span.args["label"] == machine.label
 
-    def test_vectorized_uni_phase_spans(self, uni_trace):
-        _, tracer, _ = traced_run(base_machine(1), uni_trace, "vectorized")
-        names = {s.name for s in tracer.spans}
-        assert {"uni.views", "uni.walk", "uni.finalize"} <= names
+    @pytest.mark.parametrize("kw,walk", [({}, "dm"),
+                                         ({"l2_assoc": 4}, "assoc")])
+    def test_vectorized_uni_phase_spans(self, uni_trace, kw, walk):
+        # An in-order uniprocessor replays on the staged walk as one
+        # node, so it reports the staged phases.
+        _, tracer, _ = traced_run(base_machine(1, **kw), uni_trace,
+                                  "vectorized")
+        spans = {s.name: s for s in tracer.spans}
+        for phase in ("engine.vectorized", "mp.census", "mp.walks",
+                      "mp.coherence", "mp.timing", "mp.materialize"):
+            assert phase in spans, phase
+        assert spans["mp.walks"].args["walk"] == walk
+        assert not any(name.startswith("uni.") for name in spans)
 
     def test_mp_batch_phase_spans_nest_in_engine(self, mp8_trace):
         _, tracer, _ = traced_run(base_machine(8), mp8_trace,
@@ -160,18 +169,26 @@ class TestQuantumSeriesWiring:
         assert series.meta["engine"] == engine
         assert series.meta["ncpus"] == 8
 
-    def test_fast_and_mp_series_are_identical(self, mp8_trace):
-        machine = base_machine(8)
-        fast = traced_run(machine, mp8_trace, "fast")[2].series[0]
-        staged = traced_run(machine, mp8_trace, "vectorized-mp")[2].series[0]
+    @pytest.mark.parametrize("ncpus,kw", [
+        (8, {}), (1, {}), (1, {"l2_size": 1024 * KB, "l2_assoc": 4})],
+        ids=["mp8", "uni-dm", "uni-assoc"])
+    def test_fast_and_mp_series_are_identical(self, mp8_trace, uni_trace,
+                                              ncpus, kw):
+        machine = base_machine(ncpus, **kw)
+        trace = mp8_trace if ncpus > 1 else uni_trace
+        engine = "vectorized-mp" if ncpus > 1 else "vectorized"
+        fast = traced_run(machine, trace, "fast")[2].series[0]
+        staged = traced_run(machine, trace, engine)[2].series[0]
         for field in ("quantum", "miss_local", "miss_2hop", "miss_3hop",
                       "i_refs"):
             assert getattr(fast, field) == getattr(staged, field), field
         # Batch mode's directory gauge covers coherence-tracked shared
         # lines only (private lines bypass the directory until the run
-        # materializes): a positive lower bound on the live occupancy.
+        # materializes): a lower bound on the live occupancy, positive
+        # when nodes share lines and 0 on one node, where every line
+        # is private.
         for flat, live in zip(staged.dir_lines, fast.dir_lines):
-            assert 0 < flat <= live
+            assert (0 < flat <= live) if ncpus > 1 else flat == 0 < live
 
     def test_only_measured_quanta_are_sampled(self, mp8_trace):
         _, _, registry = traced_run(base_machine(8), mp8_trace, "fast")
@@ -186,12 +203,6 @@ class TestQuantumSeriesWiring:
         (series,) = registry.series
         assert sum(series.rac_probes) > 0
         assert sum(series.rac_hits) == result.rac.hits
-
-    def test_vectorized_uni_engine_opens_no_series(self, uni_trace):
-        # The numpy kernel replays out of trace order: no per-quantum
-        # sampling point exists, so it must not open a series.
-        _, _, registry = traced_run(base_machine(1), uni_trace, "vectorized")
-        assert registry.series == []
 
     def test_disabled_metrics_build_no_sampler(self, uni_trace):
         machine = base_machine(1)
@@ -273,7 +284,8 @@ class TestCampaignSpans:
         assert all(s.pid != tracer.pid for s in spans)
         # The workers' engine spans and quantum series came along too.
         assert sum(1 for s in tracer.spans if s.name == "system.run") == 2
-        assert registry.series == []  # vectorized uni: aggregates only
+        assert len(registry.series) == 2
+        assert all(s.meta["engine"] == "vectorized" for s in registry.series)
 
     def test_untraced_parallel_run_ships_no_payload(self):
         with CampaignRunner(jobs=2) as runner:
