@@ -14,10 +14,15 @@ does OS code replication on a machine without a RAC: replication only
 moves the home of the text pages, so it changes where instruction
 misses are served, not which references hit, miss or invalidate.
 
+Every replay engine tallies a profile, and :meth:`System.run
+<repro.core.system.System.run>` always returns its retiming, so the
+Figure-3 latencies are charged in one place: :func:`event_costs`.
+
 * :class:`MemoryProfile` holds the latency-independent half: the
-  run's counters plus, per CPU, busy time, L2 hits, local and RAC
-  service, and remote service per (stall class, upgrade, home, owner);
-  when the replay logged them, also the events in order
+  run's counters plus, per CPU, busy time (software TLB walks
+  included), L2 and victim-buffer hits, local and RAC service, and
+  remote service per (stall class, upgrade, home, owner); for an
+  out-of-order replay, also the events in order
   (:class:`OrderedProfile`), which an out-of-order CPU's overlap
   needs.  :meth:`MemoryProfile.serves` says which machines of its key
   it can be retimed for.
@@ -40,9 +45,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.coherence.network import MessageCounters
+from repro.coherence.protocol import ServiceOutcome
 from repro.core.machine import MachineConfig
 from repro.core.results import RunResult
 from repro.cpu.events import (
+    KERNEL_BUSY,
     STALL_L2_HIT,
     STALL_LOCAL,
     STALL_REMOTE_CLEAN,
@@ -50,7 +57,13 @@ from repro.cpu.events import (
 )
 from repro.cpu.ooo import OutOfOrderCPU, charge_quantum_ooo
 from repro.obs import current_tracer
-from repro.params import RAC_HIT_LATENCY, RAC_REMOTE_DIRTY_LATENCY
+from repro.params import (
+    RAC_HIT_LATENCY,
+    RAC_REMOTE_DIRTY_LATENCY,
+    TLB_WALK_CYCLES,
+    VICTIM_HIT_EXTRA,
+    MissKind,
+)
 from repro.stats.breakdown import (
     ExecutionBreakdown,
     L1Stats,
@@ -64,22 +77,20 @@ __all__ = [
     "MemoryProfile",
     "OrderedProfile",
     "profile_key",
-    "profiled",
     "retime",
+    "tally_service",
 ]
 
 #: Event classes of an :class:`OrderedProfile`: an L2 hit, local
-#: service (a miss or an upgrade), a RAC hit, ``EV_HOPS + i`` for each
-#: :attr:`CpuProfile.hops` slot ``i``, then one per 3-hop slot for
-#: dirty data out of the owner's RAC.
-EV_L2_HIT, EV_LOCAL, EV_RAC_HIT, EV_HOPS = range(4)
+#: service (a miss or an upgrade), a RAC hit, a victim-buffer hit, a
+#: software TLB walk, ``EV_HOPS + i`` for each :attr:`CpuProfile.hops`
+#: slot ``i``, then one per 3-hop slot for dirty data out of the
+#: owner's RAC.
+EV_L2_HIT, EV_LOCAL, EV_RAC_HIT, EV_VICTIM, EV_TLB, EV_HOPS = range(6)
 
-
-def profiled(engine: str) -> bool:
-    """True when a replay on ``engine`` yields a profile (and
-    :meth:`System.run <repro.core.system.System.run>` returns its
-    retiming): the two numpy engines."""
-    return engine in ("vectorized", "vectorized-mp")
+#: A replay packs each ordered-log record's position above its event
+#: class: ``pos << REC_SHIFT | cls``.
+REC_SHIFT = 16
 
 
 class CpuProfile:
@@ -104,24 +115,22 @@ class CpuProfile:
       but a miss in the taxonomy).
 
     The instruction/data split feeds the miss taxonomy, not the
-    latency.  The requester is the CPU itself (profiled machines have
-    one core per node).
+    latency.  The requester is the CPU's node, ``cpu // cores_per_node``.
+    ``busy`` and ``kernel_busy`` are cycles: instruction fetches and
+    software TLB walks, which cost the same on every machine.
     """
 
-    __slots__ = ("busy", "kernel_busy", "l2_hits", "local", "rac_hits",
-                 "rac_dirty", "hops")
+    __slots__ = ("busy", "kernel_busy", "l2_hits", "victim_hits", "local",
+                 "rac_hits", "rac_dirty", "hops")
 
     def __init__(self, num_nodes: int):
         self.hops = [0] * (4 * num_nodes + 2 * num_nodes * num_nodes)
         self.reset()
 
     def reset(self) -> None:
-        self.busy = self.kernel_busy = self.l2_hits = self.local = 0
-        self.rac_hits = self.rac_dirty = 0
+        self.busy = self.kernel_busy = self.l2_hits = self.victim_hits = 0
+        self.local = self.rac_hits = self.rac_dirty = 0
         self.hops = [0] * len(self.hops)
-
-    def drain(self) -> None:
-        """Nothing outstanding (interface parity with the CPU models)."""
 
     def to_dict(self) -> dict:
         data = {name: getattr(self, name) for name in self.__slots__}
@@ -134,6 +143,46 @@ class CpuProfile:
         for name in cls.__slots__:
             setattr(cpu, name, data[name])
         return cpu
+
+
+def tally_service(cpu: CpuProfile, counters: MessageCounters,
+                  outcome: ServiceOutcome, n: int, instr) -> int:
+    """Count one serviced miss or ownership upgrade of an ``n``-node
+    machine into ``cpu`` and ``counters``; return its event class.
+
+    ``instr`` marks a miss of an instruction fetch.  The slot is the
+    one in :class:`CpuProfile`'s layout.  A remote upgrade outcome is
+    ``via_rac`` exactly when ``service_miss`` took ownership of a
+    shared line in the requester's RAC (a miss in the taxonomy);
+    ``ensure_owner``'s upgrades are not.
+    """
+    counters.invalidations += outcome.invalidations
+    kind = outcome.kind
+    if kind is MissKind.LOCAL:
+        counters.local_requests += 1
+        cpu.local += 1
+        if outcome.via_rac:
+            cpu.rac_hits += 1
+            return EV_RAC_HIT
+        return EV_LOCAL
+    home = outcome.home
+    if kind is MissKind.REMOTE_CLEAN:
+        counters.requests_2hop += 1
+        if not outcome.upgrade:
+            slot = home + n if instr else home
+        elif outcome.via_rac:
+            slot = 3 * n + 2 * n * n + home
+        else:
+            slot = 2 * n + home
+    else:
+        counters.requests_3hop += 1
+        row = home + n if instr else home
+        slot = 3 * n + row * n + outcome.dirty_owner
+    cpu.hops[slot] += 1
+    if outcome.from_remote_rac:
+        cpu.rac_dirty += 1
+        return EV_HOPS + slot + n + 2 * n * n
+    return EV_HOPS + slot
 
 
 #: The arrays of an :class:`OrderedProfile` and their stored dtypes.
@@ -150,9 +199,10 @@ class OrderedProfile:
       bits, and each quantum its instruction fetches); ``q_off`` splits
       them into quanta, ``q_nodes`` names each quantum's CPU and
       ``warmup`` is the first measured quantum;
-    * ``pos``/``cls`` — one record per L2 hit and per serviced miss or
-      upgrade, in order: its reference's index into ``flags`` and its
-      event class (``EV_*``).
+    * ``pos``/``cls`` — one record per L2 or victim-buffer hit, per
+      serviced miss or upgrade and per software TLB walk, in order:
+      its reference's index into ``flags`` and its event class
+      (``EV_*``).
     """
 
     warmup: int
@@ -161,6 +211,18 @@ class OrderedProfile:
     flags: np.ndarray
     pos: np.ndarray
     cls: np.ndarray
+
+    @classmethod
+    def from_records(cls, warmup: int, q_off, q_nodes, flags,
+                     records) -> "OrderedProfile":
+        """Build a log from a replay's buffers (anything numpy reads
+        as an array); ``records`` packs each record's position above
+        its event class (``pos << REC_SHIFT | cls``)."""
+        r = np.asarray(records, dtype=np.int64)
+        return cls(warmup=warmup, q_off=np.asarray(q_off),
+                   q_nodes=np.asarray(q_nodes), flags=np.asarray(flags),
+                   pos=(r >> REC_SHIFT).astype(np.int32),
+                   cls=(r & ((1 << REC_SHIFT) - 1)).astype(np.int32))
 
     def to_dict(self) -> dict:
         """JSON-safe form: each array's little-endian bytes in base64."""
@@ -198,6 +260,8 @@ class MemoryProfile:
     measured_txns: int
     l2_hits: int
     trace_refs: int
+    tlb_misses: int = 0
+    victim_hits: int = 0
     ordered: Optional[OrderedProfile] = None
     replicated: bool = False
     code_separable: bool = False
@@ -245,49 +309,48 @@ _STATS = {"misses": MissBreakdown, "l1": L1Stats, "protocol": ProtocolStats,
           "rac": RacStats, "network": MessageCounters}
 
 
-def profile_key(spec, machine: MachineConfig,
-                check: str = "off") -> Optional[tuple]:
-    """The replay identity of a job, or ``None`` when it has none.
+def profile_key(spec, machine: MachineConfig, check: str = "off") -> tuple:
+    """The replay identity of a job.
 
     Two jobs with equal keys replay the same trace through the same
-    cache geometry (L2 and RAC) and leave the same cache contents, so
-    one's profile retimes to the other's result when it
-    :meth:`~MemoryProfile.serves` it.  The key names only what changes
-    cache contents: not the CPU model, and code replication only on a
-    RAC machine, whose RAC holds remote-home lines only.  ``None``
-    marks a machine that does not produce a profile (CMP, victim
-    buffer, TLB, per-quantum checking).
+    caches (L2, RAC, victim buffer, TLB and cores per node) and leave
+    the same cache contents, so one's profile retimes to the other's
+    result when it :meth:`~MemoryProfile.serves` it.  The key names
+    only what changes cache contents or TLB walks: not the CPU model,
+    and code replication only on a RAC machine, whose RAC holds
+    remote-home lines only.
     """
-    from repro.core.system import System
-
-    if not profiled(System.select_engine(machine, check=check)):
-        return None
     rac = machine.rac_size is not None
     return (spec, machine.ncpus, machine.l2_size, machine.l2_assoc,
             machine.scale, check, machine.rac_size, machine.rac_assoc,
-            rac and machine.replicate_code)
+            rac and machine.replicate_code, machine.victim_entries,
+            machine.tlb_entries, machine.cores_per_node)
 
 
-def event_costs(machine: MachineConfig, c: int,
+def event_costs(machine: MachineConfig, node: int,
                 n: int) -> Tuple[List[int], List[int]]:
-    """Cycles and stall class per event class for CPU ``c`` of an
-    ``n``-node ``machine``: ``InterconnectModel.service_latency``'s
-    arithmetic."""
+    """Cycles and stall class per event class for the CPUs of ``node``
+    of an ``n``-node ``machine``: the one place the Figure-3 latencies
+    and the topology's per-hop extras are charged.  A TLB walk's class
+    is ``KERNEL_BUSY``."""
     lat = machine.latencies
     topo = machine.topology
-    # One-way extras to and from this CPU's node; all zero under a
-    # flat topology.
-    out = [topo.hop_extra(c, h) for h in range(n)]
-    back = [topo.hop_extra(h, c) for h in range(n)]
+    # One-way extras to and from this node; all zero under a flat
+    # topology.
+    out = [topo.hop_extra(node, h) for h in range(n)]
+    back = [topo.hop_extra(h, node) for h in range(n)]
     clean = [lat.remote_clean + 2 * x for x in out]
     upgrade = [lat.remote_upgrade + 2 * x for x in out]
     dirty = [lat.remote_dirty + out[h] + topo.hop_extra(h, o) + back[o]
              for h in range(n) for o in range(n)] * 2
     from_rac = RAC_REMOTE_DIRTY_LATENCY - 200
-    cycles = ([lat.l2_hit, lat.local, RAC_HIT_LATENCY] + clean * 2 + upgrade
-              + dirty + upgrade + [d + from_rac for d in dirty])
+    cycles = ([lat.l2_hit, lat.local, RAC_HIT_LATENCY,
+               lat.l2_hit + VICTIM_HIT_EXTRA, TLB_WALK_CYCLES]
+              + clean * 2 + upgrade + dirty + upgrade
+              + [d + from_rac for d in dirty])
     far = [STALL_REMOTE_DIRTY] * len(dirty)
-    klass = ([STALL_L2_HIT, STALL_LOCAL, STALL_LOCAL]
+    klass = ([STALL_L2_HIT, STALL_LOCAL, STALL_LOCAL, STALL_L2_HIT,
+              KERNEL_BUSY]
              + [STALL_REMOTE_CLEAN] * (3 * n) + far
              + [STALL_REMOTE_CLEAN] * n + far)
     return cycles, klass
@@ -295,7 +358,8 @@ def event_costs(machine: MachineConfig, c: int,
 
 def _inorder_breakdown(cpu: CpuProfile, cycles: List[int],
                        klass: List[int]) -> ExecutionBreakdown:
-    stall = [cpu.l2_hits * cycles[EV_L2_HIT],
+    stall = [cpu.l2_hits * cycles[EV_L2_HIT]
+             + cpu.victim_hits * cycles[EV_VICTIM],
              (cpu.local - cpu.rac_hits) * cycles[EV_LOCAL]
              + cpu.rac_hits * cycles[EV_RAC_HIT], 0,
              cpu.rac_dirty * (RAC_REMOTE_DIRTY_LATENCY - 200)]
@@ -385,8 +449,10 @@ def retime(profile: MemoryProfile, machine: MachineConfig) -> RunResult:
         if (machine.replicate_code and not profile.replicated
                 and profile.num_nodes > 1):
             profile = _localize_code(profile)
-        costs = [event_costs(machine, c, profile.num_nodes)
-                 for c in range(len(profile.cpus))]
+        n = profile.num_nodes
+        per_node = [event_costs(machine, h, n) for h in range(n)]
+        cores = machine.cores_per_node
+        costs = [per_node[c // cores] for c in range(len(profile.cpus))]
         if machine.cpu_model == "ooo":
             with tracer.span("mp.timing", mode="ordered"):
                 per_cpu = _ooo_breakdowns(profile.ordered, costs)
@@ -402,6 +468,8 @@ def retime(profile: MemoryProfile, machine: MachineConfig) -> RunResult:
             per_cpu=per_cpu,
             measured_txns=profile.measured_txns,
             l2_hits=profile.l2_hits,
+            victim_hits=profile.victim_hits,
+            tlb_misses=profile.tlb_misses,
             trace_refs=profile.trace_refs,
             **{name: kind(**asdict(getattr(profile, name)))
                for name, kind in _STATS.items()},

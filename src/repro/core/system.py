@@ -3,8 +3,11 @@
 This is the reproduction's equivalent of SimOS-Alpha's memory-system
 timing loop.  For every reference in the trace it walks the
 node's L1/L2 hierarchy, invokes the directory protocol on L2 misses
-and ownership upgrades, charges the configuration's Figure-3 latencies
-through the CPU timing model, and accumulates the paper's statistics.
+and ownership upgrades, and accumulates the paper's statistics.  No
+engine charges cycles: each tallies a latency-free
+:class:`~repro.core.profile.MemoryProfile`, and :meth:`System.run`
+returns its :func:`~repro.core.profile.retime`, the one place the
+configuration's Figure-3 latencies and CPU model are applied.
 
 Four engine names select three replay paths with identical semantics:
 
@@ -29,18 +32,17 @@ The two scalar loops share one decode point,
 :func:`~repro.trace.stream.iter_quanta`: numpy splits each quantum's
 packed references into line and flag lists and counts its fetches,
 kernel fetches and data writes, so the loops do no per-reference bit
-arithmetic or counting.  On an in-order CPU they also count L2 (and
-victim-buffer) hits per quantum and charge them in one ``stall`` call
-at quantum end, before the per-quantum checks, fault plans and metrics
-sampling run.  That is exact because :class:`InOrderCPU` only adds
-integers per stall class.  An out-of-order CPU's stalls depend on when
-they happen, so its loops charge every event where it occurs.
-
-The two numpy engines charge no cycles: they tally a latency-free
-:class:`~repro.core.profile.MemoryProfile` and :meth:`System.run`
-returns its :func:`~repro.core.profile.retime`, the one latency path
-for those machines; an out-of-order run's ordered profile is the one
-OOO timing path.
+arithmetic or counting.  They add each quantum's busy time, L2 (and
+victim-buffer) hits and TLB walks to its CPU's
+:class:`~repro.core.profile.CpuProfile` at quantum end, and count
+every serviced miss or upgrade into its slot with
+:func:`~repro.core.profile.tally_service`.  On an out-of-order CPU
+they also log each reference's flags and every hit, service event and
+TLB walk in order, as the staged walks do: that
+:class:`~repro.core.profile.OrderedProfile` is the one OOO timing
+path.  A streamed in-order run keeps nothing per reference; a streamed
+out-of-order run keeps its log, one flag byte per reference plus one
+record per event.
 
 :meth:`System.select_engine` is the single source of truth for the
 dispatch; ``engine=`` overrides it so every path stays reachable.  The
@@ -51,46 +53,64 @@ each other (``tests/core/test_differential.py``).
 
 from __future__ import annotations
 
+from array import array
+from collections import OrderedDict
 from typing import List, Optional
 
 from repro.coherence.homemap import HomeMap
-from repro.coherence.network import KIND_TO_STALL, InterconnectModel
+from repro.coherence.network import MessageCounters
 from repro.coherence.protocol import DirectoryProtocol
 from repro.core.machine import MachineConfig
 from repro.core.profile import (
+    EV_L2_HIT,
+    EV_TLB,
+    EV_VICTIM,
+    REC_SHIFT,
     CpuProfile,
     MemoryProfile,
     OrderedProfile,
-    profiled,
     retime,
+    tally_service,
 )
 from repro.core.results import RunResult
-from repro.cpu.events import STALL_L2_HIT
-from repro.cpu.inorder import InOrderCPU
-from repro.cpu.ooo import OutOfOrderCPU
 from repro.integrity.checker import Checker, CheckLevel
 from repro.integrity.errors import ConfigError, StateError, TraceMismatchError
 from repro.memsys.hierarchy import HierarchyLevel, NodeCaches
 from repro.memsys.rac import RemoteAccessCache
 from repro.obs import NULL_TRACER, current_metrics, current_tracer
-from repro.params import (
-    INSTRS_PER_ILINE,
-    L1_ASSOC,
-    LINE_SIZE,
-    TLB_WALK_CYCLES,
-    VICTIM_HIT_EXTRA,
-)
-from repro.stats.breakdown import (
-    ExecutionBreakdown,
-    L1Stats,
-    MissBreakdown,
-    ProtocolStats,
-    RacStats,
-)
+from repro.params import INSTRS_PER_ILINE, L1_ASSOC, LINE_SIZE, TLB_WALK_CYCLES
+from repro.stats.breakdown import L1Stats, MissBreakdown, ProtocolStats, RacStats
 from repro.trace.stream import is_streaming, iter_quanta
 
 #: Replay engines accepted by :class:`System` and :func:`simulate`.
 ENGINES = ("auto", "fast", "general", "vectorized", "vectorized-mp")
+
+
+class _OrderedLog:
+    """A scalar loop's ordered profile as it grows: each quantum's
+    CPU, offset and flags, and the records the loop appends to
+    ``rec``."""
+
+    __slots__ = ("warmup", "q_off", "q_cpus", "flags", "rec")
+
+    def __init__(self):
+        self.warmup = 0
+        self.q_off = array("q", [0])
+        self.q_cpus = array("q")
+        self.flags = array("B")
+        self.rec = array("q")
+
+    def positions(self, quantum) -> range:
+        """Log ``quantum``; return its references' run positions."""
+        start = self.q_off[-1]
+        self.q_cpus.append(quantum.cpu)
+        self.flags.extend(quantum.flags)
+        self.q_off.append(start + quantum.refs)
+        return range(start, start + quantum.refs)
+
+    def profile(self) -> OrderedProfile:
+        return OrderedProfile.from_records(
+            self.warmup, self.q_off, self.q_cpus, self.flags, self.rec)
 
 
 class System:
@@ -108,10 +128,9 @@ class System:
     cannot run on it.  All engines produce value-identical results
     wherever their domains overlap.
 
-    Machines on the two numpy engines replay without latencies: the
-    engines tally a :class:`~repro.core.profile.MemoryProfile` into
-    :attr:`profile`, and :meth:`run` returns its
-    :func:`~repro.core.profile.retime`.
+    Every engine replays without latencies: it tallies a
+    :class:`~repro.core.profile.MemoryProfile` into :attr:`profile`,
+    and :meth:`run` returns its :func:`~repro.core.profile.retime`.
     """
 
     def __init__(self, machine: MachineConfig, *, check="off",
@@ -122,8 +141,7 @@ class System:
         self.engine = self.select_engine(
             machine, check=check, fault_plan=fault_plan, engine=engine,
         )
-        #: The run's latency-free profile; set by :meth:`run` when the
-        #: engine produced one, ``None`` otherwise.
+        #: The run's latency-free profile, set by :meth:`run`.
         self.profile: Optional[MemoryProfile] = None
         #: An out-of-order profile's ordered log, set by the engine.
         self.ordered: Optional[OrderedProfile] = None
@@ -149,8 +167,8 @@ class System:
                                       machine.rac_assoc, node_id=i)
                     for i in range(machine.num_nodes)
                 ]
-        self._profiled = profiled(self.engine)
-        self._cpu_models()
+        self.cpus = [CpuProfile(machine.num_nodes)
+                     for _ in range(machine.ncpus)]
         self.misses = MissBreakdown()
         self.l1 = L1Stats()
         self.l2_hits = 0
@@ -226,7 +244,7 @@ class System:
     # -- measurement reset at the warmup boundary --------------------------------
 
     def _reset_measurement(self, protocol: DirectoryProtocol,
-                           net: InterconnectModel) -> None:
+                           counters: MessageCounters) -> None:
         self.misses = MissBreakdown()
         self.l1 = L1Stats()
         self.l2_hits = 0
@@ -244,10 +262,10 @@ class System:
         protocol.invalidations = 0
         protocol.writebacks = 0
         protocol.interventions = 0
-        net.counters.reset()
+        counters.reset()
 
     def _measurement_boundary(self, protocol: DirectoryProtocol,
-                              net: InterconnectModel, i_refs, i_miss,
+                              counters: MessageCounters, i_refs, i_miss,
                               d_refs, d_miss, l2hits, writes,
                               victimhits=0):
         """Cross the warmup/measurement boundary, one way for all engines.
@@ -259,7 +277,7 @@ class System:
         self._flush_counters(
             i_refs, i_miss, d_refs, d_miss, l2hits, writes, victimhits
         )
-        self._reset_measurement(protocol, net)
+        self._reset_measurement(protocol, counters)
         return self.misses.record
 
     # -- public entry ---------------------------------------------------------------
@@ -328,23 +346,21 @@ class System:
             replicated = lambda line: (line >> page_lines_shift) in text_pages  # noqa: E731
         homemap = HomeMap(machine.num_nodes, trace.page_bytes, replicated)
         protocol = self.protocol = DirectoryProtocol(homemap, self.nodes, self.racs)
-        net = InterconnectModel(machine.latencies, machine.topology)
+        counters = MessageCounters()
 
         with tracer.span("system.run", label=machine.label,
                          engine=self.engine, ncpus=machine.ncpus):
             with tracer.span(f"engine.{self.engine}"):
                 if self.engine == "general":
-                    self._run_general(trace, protocol, net)
+                    self._run_general(trace, protocol, counters)
                 elif self.engine.startswith("vectorized"):
-                    self._run_numpy(trace, protocol, net)
+                    self._run_numpy(trace, protocol, counters)
                 else:
-                    self._run_fast(trace, protocol, net)
+                    self._run_fast(trace, protocol, counters)
 
-            for cpu in self.cpus:
-                cpu.drain()
             if self.checker.enabled:
                 self.checker.check_system(self, protocol)
-            result = self._collect(trace, protocol, net)
+            result = self._collect(trace, protocol, counters)
             if self.checker.enabled:
                 result.verify()
         return result
@@ -352,7 +368,7 @@ class System:
     # -- the numpy engines --------------------------------------------------------
 
     def _run_numpy(self, trace, protocol: DirectoryProtocol,
-                   net: InterconnectModel) -> None:
+                   counters: MessageCounters) -> None:
         from repro.memsys.vectorized_mp import (
             VectorizedUnsupported,
             replay_multiprocessor,
@@ -364,50 +380,31 @@ class System:
             # collecting it.
             trace = trace.collect()
         try:
-            replay_multiprocessor(self, trace, protocol, net)
+            replay_multiprocessor(self, trace, protocol, counters)
         except VectorizedUnsupported:
             # Rare hand-built traces (e.g. an instruction fetch carrying
             # the write flag) fall outside the kernel's contract; the
             # scalar loop handles them with identical results.  State is
             # untouched at this point: the kernel validates before it
             # mutates anything.
-            self._fall_back_to_fast(trace, protocol, net)
-
-    def _cpu_models(self) -> None:
-        machine = self.machine
-        if self._profiled:
-            self.cpus = [CpuProfile(machine.num_nodes)
-                         for _ in range(machine.ncpus)]
-        else:
-            cpu_cls = (OutOfOrderCPU if machine.cpu_model == "ooo"
-                       else InOrderCPU)
-            self.cpus = [cpu_cls(i) for i in range(machine.ncpus)]
-
-    def _fall_back_to_fast(self, trace, protocol: DirectoryProtocol,
-                           net: InterconnectModel) -> None:
-        """Replay on the scalar loop, which charges cycles itself."""
-        self.engine = "fast"
-        if self._profiled:
-            self._profiled = False
-            self._cpu_models()
-        self._run_fast(trace, protocol, net)
+            self.engine = "fast"
+            self._run_fast(trace, protocol, counters)
 
     # -- the optimized common-case loop ------------------------------------------------
 
     def _run_fast(self, trace, protocol: DirectoryProtocol,
-                  net: InterconnectModel) -> None:
+                  counters: MessageCounters) -> None:
         machine = self.machine
-        lat_l2hit = machine.latencies.l2_hit
-        mp = machine.num_nodes > 1
-        ooo = machine.cpu_model == "ooo"
+        n = machine.num_nodes
+        mp = n > 1
         owner_get = protocol.directory._owner.get
         service_miss = protocol.service_miss
         ensure_owner = protocol.ensure_owner
         handle_eviction = protocol.handle_eviction
-        service_latency = net.service_latency
         record_miss = self.misses.record
-        kind_to_stall = KIND_TO_STALL
         l2_assoc = machine.l2_assoc
+        log = _OrderedLog() if machine.cpu_model == "ooo" else None
+        rec = None if log is None else log.rec.append
 
         nodes = self.nodes
         cpus = self.cpus
@@ -426,16 +423,16 @@ class System:
         for qi, quantum, at_boundary, measured in iter_quanta(trace, "fast"):
             if at_boundary:
                 record_miss = self._measurement_boundary(
-                    protocol, net, i_refs, i_miss, d_refs, d_miss,
+                    protocol, counters, i_refs, i_miss, d_refs, d_miss,
                     l2hits, writes,
                 )
                 i_refs = i_miss = d_refs = d_miss = l2hits = writes = 0
+                if log is not None:
+                    log.warmup = qi
 
             cpu_id = quantum.cpu
             node = nodes[cpu_id]
             cpu = cpus[cpu_id]
-            stall = cpu.stall
-            busy = cpu.busy
             l1i = node.l1i
             l1d = node.l1d
             l2 = node.l2
@@ -449,11 +446,13 @@ class System:
             l2_n = l2.num_sets
             l2_dirty = l2._dirty
             q_l2hits = l2hits
+            # Run positions for the ordered log; unused in order.
+            positions = (range(quantum.refs) if log is None
+                         else log.positions(quantum))
 
-            for line, flags in zip(quantum.lines, quantum.flags):
+            for pos, line, flags in zip(positions, quantum.lines,
+                                        quantum.flags):
                 if flags & 2:  # instruction fetch
-                    if ooo:
-                        busy(INSTRS_PER_ILINE, flags & 4)
                     ways = l1i_sets[line % l1i_n]
                     if line in ways:
                         if ways[0] != line:
@@ -474,12 +473,10 @@ class System:
                             if mp and owner_get(line) != cpu_id:
                                 outcome = ensure_owner(cpu_id, line)
                                 if outcome is not None:
-                                    stall(
-                                        service_latency(outcome),
-                                        kind_to_stall[outcome.kind],
-                                        flags & 8,
-                                        False,
-                                    )
+                                    ev = tally_service(cpu, counters,
+                                                       outcome, n, False)
+                                    if rec is not None:
+                                        rec(pos << REC_SHIFT | ev)
                         continue
                     d_miss += 1
                     l1_assoc_here = l1d_assoc
@@ -498,14 +495,12 @@ class System:
                         if mp and owner_get(line) != cpu_id:
                             outcome = ensure_owner(cpu_id, line)
                             if outcome is not None:
-                                stall(
-                                    service_latency(outcome),
-                                    kind_to_stall[outcome.kind],
-                                    flags & 8,
-                                    False,
-                                )
-                    if ooo:
-                        stall(lat_l2hit, STALL_L2_HIT, flags & 8, flags & 2)
+                                ev = tally_service(cpu, counters, outcome,
+                                                   n, False)
+                                if rec is not None:
+                                    rec(pos << REC_SHIFT | ev)
+                    if rec is not None:
+                        rec(pos << REC_SHIFT | EV_L2_HIT)
                 else:
                     # ---- L2 miss: fill, evict, consult the protocol --------
                     if len(ways2) >= l2_assoc:
@@ -529,12 +524,9 @@ class System:
                         l2_dirty[idx2].add(line)
                     is_instr = flags & 2
                     outcome = service_miss(cpu_id, line, bool(write), bool(is_instr))
-                    stall(
-                        service_latency(outcome),
-                        kind_to_stall[outcome.kind],
-                        flags & 8,
-                        is_instr,
-                    )
+                    ev = tally_service(cpu, counters, outcome, n, is_instr)
+                    if rec is not None:
+                        rec(pos << REC_SHIFT | ev)
                     record_miss(outcome.kind, bool(is_instr))
 
                 # ---- fill the L1 (clean; dirtiness lives at the L2) ---------
@@ -545,9 +537,9 @@ class System:
             i_refs += quantum.instr
             d_refs += quantum.refs - quantum.instr
             writes += quantum.writes
-            if not ooo:
-                self._charge_quantum(cpu, quantum,
-                                     (l2hits - q_l2hits) * lat_l2hit)
+            cpu.busy += quantum.instr * INSTRS_PER_ILINE
+            cpu.kernel_busy += quantum.kinstr * INSTRS_PER_ILINE
+            cpu.l2_hits += l2hits - q_l2hits
 
             if plan is not None:
                 refs_done += quantum.refs
@@ -562,24 +554,24 @@ class System:
         if plan is not None:
             plan.apply(self, protocol)
         self._flush_counters(i_refs, i_miss, d_refs, d_miss, l2hits, writes)
+        if log is not None:
+            self.ordered = log.profile()
 
     # -- the general loop (CMP / victim buffers) -----------------------------------------
 
     def _run_general(self, trace, protocol: DirectoryProtocol,
-                     net: InterconnectModel) -> None:
+                     counters: MessageCounters) -> None:
         machine = self.machine
-        lat_l2hit = machine.latencies.l2_hit
-        lat_victim = lat_l2hit + VICTIM_HIT_EXTRA
+        n = machine.num_nodes
         cores = machine.cores_per_node
-        mp = machine.num_nodes > 1
-        ooo = machine.cpu_model == "ooo"
+        mp = n > 1
         owner_get = protocol.directory._owner.get
-        kind_to_stall = KIND_TO_STALL
+        log = _OrderedLog() if machine.cpu_model == "ooo" else None
+        rec = None if log is None else log.rec.append
         i_refs = i_miss = d_refs = d_miss = l2hits = victimhits = writes = 0
         # Per-core software-filled TLBs (LRU over physical pages).
         tlb_entries = machine.tlb_entries
         page_shift = (trace.page_bytes // 64).bit_length() - 1
-        from collections import OrderedDict
         tlbs = [OrderedDict() for _ in range(machine.ncpus)] if tlb_entries else None
         tlb_miss_count = 0
         checker = self.checker if self.checker.per_quantum else None
@@ -593,13 +585,15 @@ class System:
                                                               "general"):
             if at_boundary:
                 self._measurement_boundary(
-                    protocol, net, i_refs, i_miss, d_refs, d_miss,
+                    protocol, counters, i_refs, i_miss, d_refs, d_miss,
                     l2hits, writes, victimhits,
                 )
                 i_refs = i_miss = d_refs = d_miss = l2hits = victimhits = writes = 0
                 # Warmup TLB walks were discarded with the rest of the
-                # warmup cycles; discard their count too.
+                # warmup tallies; discard their count too.
                 tlb_miss_count = 0
+                if log is not None:
+                    log.warmup = qi
 
             cpu_id = quantum.cpu
             node_id = cpu_id // cores
@@ -609,8 +603,12 @@ class System:
             tlb = tlbs[cpu_id] if tlbs is not None else None
             q_l2hits = l2hits
             q_victimhits = victimhits
+            q_walks = tlb_miss_count
+            positions = (range(quantum.refs) if log is None
+                         else log.positions(quantum))
 
-            for line, flags in zip(quantum.lines, quantum.flags):
+            for pos, line, flags in zip(positions, quantum.lines,
+                                        quantum.flags):
                 write = bool(flags & 1)
                 is_instr = bool(flags & 2)
                 if tlb is not None:
@@ -619,14 +617,13 @@ class System:
                         tlb.move_to_end(page)
                     else:
                         # Software fill: PALcode instructions execute,
-                        # charged as kernel busy time.
+                        # kernel busy time ahead of the reference.
                         tlb_miss_count += 1
-                        cpu.busy(TLB_WALK_CYCLES, True)
+                        if rec is not None:
+                            rec(pos << REC_SHIFT | EV_TLB)
                         tlb[page] = True
                         if len(tlb) > tlb_entries:
                             tlb.popitem(last=False)
-                if ooo and is_instr:
-                    cpu.busy(INSTRS_PER_ILINE, flags & 4)
 
                 result = node.access(line, write, is_instr, core)
                 level = result.level
@@ -639,12 +636,9 @@ class System:
                     else:
                         d_miss += 1
                     outcome = protocol.service_miss(node_id, line, write, is_instr)
-                    cpu.stall(
-                        net.service_latency(outcome),
-                        kind_to_stall[outcome.kind],
-                        flags & 8,
-                        is_instr,
-                    )
+                    ev = tally_service(cpu, counters, outcome, n, is_instr)
+                    if rec is not None:
+                        rec(pos << REC_SHIFT | ev)
                     self.misses.record(outcome.kind, is_instr)
                     continue
 
@@ -653,34 +647,32 @@ class System:
                         i_miss += 1
                     else:
                         d_miss += 1
-                # Ownership upgrades stall before the hit latency, in
-                # the same order as the fast loop — the OOO model is
+                # Ownership upgrades come before the hit, in the same
+                # order as the fast loop — the OOO model is
                 # order-sensitive, so the engines must agree on it.
                 if write and mp and owner_get(line) != node_id:
                     outcome = protocol.ensure_owner(node_id, line)
                     if outcome is not None:
-                        cpu.stall(
-                            net.service_latency(outcome),
-                            kind_to_stall[outcome.kind],
-                            flags & 8,
-                            False,
-                        )
+                        ev = tally_service(cpu, counters, outcome, n, False)
+                        if rec is not None:
+                            rec(pos << REC_SHIFT | ev)
                 if level is HierarchyLevel.L2:
                     l2hits += 1
-                    if ooo:
-                        cpu.stall(lat_l2hit, STALL_L2_HIT, flags & 8, is_instr)
+                    if rec is not None:
+                        rec(pos << REC_SHIFT | EV_L2_HIT)
                 elif level is HierarchyLevel.VICTIM:
                     victimhits += 1
-                    if ooo:
-                        cpu.stall(lat_victim, STALL_L2_HIT, flags & 8, is_instr)
+                    if rec is not None:
+                        rec(pos << REC_SHIFT | EV_VICTIM)
 
             i_refs += quantum.instr
             d_refs += quantum.refs - quantum.instr
             writes += quantum.writes
-            if not ooo:
-                self._charge_quantum(
-                    cpu, quantum, (l2hits - q_l2hits) * lat_l2hit
-                    + (victimhits - q_victimhits) * lat_victim)
+            walks = (tlb_miss_count - q_walks) * TLB_WALK_CYCLES
+            cpu.busy += quantum.instr * INSTRS_PER_ILINE + walks
+            cpu.kernel_busy += quantum.kinstr * INSTRS_PER_ILINE + walks
+            cpu.l2_hits += l2hits - q_l2hits
+            cpu.victim_hits += victimhits - q_victimhits
 
             if plan is not None:
                 refs_done += quantum.refs
@@ -698,21 +690,8 @@ class System:
             i_refs, i_miss, d_refs, d_miss, l2hits, writes, victimhits
         )
         self.tlb_misses += tlb_miss_count
-
-    @staticmethod
-    def _charge_quantum(cpu: InOrderCPU, quantum, hit_cycles: int) -> None:
-        """Charge an in-order CPU one quantum's fetch and L2-hit cycles.
-
-        Exact: :class:`~repro.cpu.inorder.InOrderCPU` adds integers per
-        stall class and ignores ``dependent``/``is_instr``, so one call
-        per quantum leaves the same totals as one call per reference.
-        """
-        if quantum.instr:
-            cpu.busy(quantum.instr * INSTRS_PER_ILINE, False)
-            if quantum.kinstr:
-                cpu.kernel_busy_cycles += quantum.kinstr * INSTRS_PER_ILINE
-        if hit_cycles:
-            cpu.stall(hit_cycles, STALL_L2_HIT)
+        if log is not None:
+            self.ordered = log.profile()
 
     def _sample(self, qi: int, misses: MissBreakdown, i_refs: int) -> None:
         """Feed one measured quantum to the metrics series."""
@@ -735,7 +714,7 @@ class System:
         self.writes += writes
 
     def _collect(self, trace, protocol: DirectoryProtocol,
-                 net: InterconnectModel) -> RunResult:
+                 counters: MessageCounters) -> RunResult:
         protocol_stats = ProtocolStats(
             upgrades=protocol.upgrades,
             invalidations=protocol.invalidations,
@@ -751,43 +730,25 @@ class System:
         # validating iterator's accounting.
         trace_refs = trace.measured_refs
         measured_txns = getattr(trace, "measured_txns", 0)
-        if self._profiled:
-            self.profile = MemoryProfile(
-                num_nodes=self.machine.num_nodes,
-                cpus=self.cpus,
-                misses=self.misses,
-                l1=self.l1,
-                protocol=protocol_stats,
-                rac=rac_stats,
-                network=net.counters,
-                measured_txns=measured_txns,
-                l2_hits=self.l2_hits,
-                trace_refs=trace_refs,
-                ordered=self.ordered,
-                replicated=(self.machine.replicate_code
-                            and self.machine.num_nodes > 1),
-                code_separable=self.code_separable,
-            )
-            return retime(self.profile, self.machine)
-        per_cpu = [cpu.breakdown() for cpu in self.cpus]
-        total = ExecutionBreakdown()
-        for b in per_cpu:
-            total.add(b)
-        return RunResult(
-            machine=self.machine,
-            breakdown=total,
-            per_cpu=per_cpu,
+        self.profile = MemoryProfile(
+            num_nodes=self.machine.num_nodes,
+            cpus=self.cpus,
             misses=self.misses,
             l1=self.l1,
             protocol=protocol_stats,
             rac=rac_stats,
-            network=net.counters,
+            network=counters,
             measured_txns=measured_txns,
-            tlb_misses=self.tlb_misses,
             l2_hits=self.l2_hits,
-            victim_hits=self.victim_hits,
             trace_refs=trace_refs,
+            tlb_misses=self.tlb_misses,
+            victim_hits=self.victim_hits,
+            ordered=self.ordered,
+            replicated=(self.machine.replicate_code
+                        and self.machine.num_nodes > 1),
+            code_separable=self.code_separable,
         )
+        return retime(self.profile, self.machine)
 
 
 def simulate(machine: MachineConfig, trace, *, check="off",

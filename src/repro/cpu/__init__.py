@@ -1,4 +1,4 @@
-"""Processor timing models and the packed trace-event encoding."""
+"""The out-of-order timing model and the packed trace-event encoding."""
 
 from repro.cpu.events import (
     FLAG_DEPENDENT,
@@ -12,7 +12,6 @@ from repro.cpu.events import (
     decode,
     encode,
 )
-from repro.cpu.inorder import InOrderCPU
 from repro.cpu.ooo import OutOfOrderCPU
 
 __all__ = [
@@ -26,6 +25,5 @@ __all__ = [
     "STALL_REMOTE_DIRTY",
     "decode",
     "encode",
-    "InOrderCPU",
     "OutOfOrderCPU",
 ]

@@ -54,3 +54,7 @@ STALL_LOCAL = 1
 STALL_REMOTE_CLEAN = 2
 STALL_REMOTE_DIRTY = 3
 NUM_STALL_CLASSES = 4
+
+#: Not a stall: the class of a timing record that is kernel busy time
+#: (a software TLB walk).
+KERNEL_BUSY = -1

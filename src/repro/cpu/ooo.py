@@ -158,16 +158,24 @@ def charge_quantum_ooo(cpu, timing: Sequence, ipos: List[int],
 
     ``timing`` holds ``(pos, cycles, klass, dep, is_instr)`` records in
     program order; ``ipos``/``ikern`` are the positions (on the same
-    axis) and kernel flags of the quantum's instruction fetches.  The
-    scalar loop calls ``busy(INSTRS_PER_ILINE, kernel)`` at each fetch
-    *before* any stall that fetch produces, so the merge applies every
-    fetch with ``ipos <= pos`` ahead of the stall at ``pos``.
+    axis) and kernel flags of the quantum's instruction fetches.  A
+    fetch is charged ``busy(INSTRS_PER_ILINE, kernel)`` *before* any
+    stall that fetch produces, so the merge applies every fetch with
+    ``ipos <= pos`` ahead of the stall at ``pos``.  A record of class
+    ``KERNEL_BUSY`` (a software TLB walk) is kernel busy time that
+    comes before its own reference's fetch.
     """
     busy = cpu.busy
     stall = cpu.stall
     n_i = len(ipos)
     ip = 0
     for pos, cycles, klass, dep, is_instr in timing:
+        if klass < 0:  # KERNEL_BUSY, the one class that is not a stall
+            while ip < n_i and ipos[ip] < pos:
+                busy(INSTRS_PER_ILINE, ikern[ip])
+                ip += 1
+            busy(cycles, True)
+            continue
         while ip < n_i and ipos[ip] <= pos:
             busy(INSTRS_PER_ILINE, ikern[ip])
             ip += 1

@@ -63,6 +63,7 @@ from repro.core.profile import (
     EV_L2_HIT,
     EV_LOCAL,
     EV_RAC_HIT,
+    REC_SHIFT,
     OrderedProfile,
 )
 from repro.params import INSTRS_PER_ILINE
@@ -94,10 +95,6 @@ EFF_HOME_SHIFT = 4
 
 MODE_DM = 0     # direct-mapped: flat occupant-per-set array
 MODE_ASSOC = 2  # set-associative LRU: list-of-lists, mirrors SetAssocCache
-
-# An ordered-log record packs a reference's position above its event
-# class.
-REC_SHIFT = 16
 
 
 class _NodeState:
@@ -887,7 +884,7 @@ def _derived(sc, key, build, cap=4):
     return v
 
 
-def replay_multiprocessor(system, trace, protocol, net) -> None:
+def replay_multiprocessor(system, trace, protocol, counters) -> None:
     """Replay ``trace`` on ``system``'s machine, staged and exact.
 
     The caller (``System._run_numpy``) guarantees a materialized
@@ -1019,7 +1016,7 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
     for qi in range(len(q_len)):
         if qi == warmup_end:
             system._measurement_boundary(
-                protocol, net, i_refs, i_miss, d_refs, d_miss,
+                protocol, counters, i_refs, i_miss, d_refs, d_miss,
                 l2hits, writes,
             )
             i_refs = i_miss = d_refs = d_miss = l2hits = writes = 0
@@ -1044,7 +1041,7 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
             res = xs.totals(*res)
         i_l1m, d_l1m, l2h, l_i, l_d, u_l, inv_msgs, intervs, wbacks = res
         # Apply the quantum's local-service aggregates exactly as
-        # service_miss / ensure_owner / service_latency would have, in
+        # service_miss / ensure_owner / tally_service would have, in
         # bulk; remote service sits in the hop tally until the run
         # ends.  Read the stats objects fresh: the boundary above swaps
         # them out.
@@ -1056,7 +1053,6 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
             protocol.invalidations += inv_msgs
             protocol.interventions += intervs
             protocol.writebacks += wbacks
-            counters = net.counters
             counters.local_requests += l_i + l_d + u_l
             counters.invalidations += inv_msgs
             cpu.local += l_i + l_d + u_l
@@ -1104,7 +1100,6 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
 
     # Remote misses and upgrades of the measured phase, from the tallies.
     m = system.misses
-    counters = net.counters
     for cpu in cpus:
         rc_d, rc_i, upg, rd_d, rd_i = _remote_counts(cpu.hops, nnodes)
         m.i_remote += rc_i + rd_i
@@ -1114,12 +1109,8 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
         counters.requests_2hop += rc_d + rc_i + upg
         counters.requests_3hop += rd_d + rd_i
     if rec is not None:
-        r = np.frombuffer(rec, dtype=np.int64)
-        system.ordered = OrderedProfile(
-            warmup=warmup_end, q_off=q_off, q_nodes=sc.q_nodes, flags=flags,
-            pos=(r >> REC_SHIFT).astype(np.int32),
-            cls=(r & ((1 << REC_SHIFT) - 1)).astype(np.int32),
-        )
+        system.ordered = OrderedProfile.from_records(
+            warmup_end, q_off, sc.q_nodes, flags, rec)
 
     # ---- materialize flat state back into the real objects --------------
     with tracer.span("mp.materialize"):

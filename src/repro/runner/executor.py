@@ -256,7 +256,7 @@ class CampaignRunner:
             settle(d, *self._retime(jobs[d], profile), SOURCE_RETIMED)
 
         def replayed(d: int, result: RunResult, seconds: float,
-                     profile: Optional[MemoryProfile]) -> None:
+                     profile: MemoryProfile) -> None:
             settle(d, result, seconds, SOURCE_SIMULATED)
             for sib in plan.replayed(d, profile):
                 settle(sib, *self._retime(jobs[sib], profile),
@@ -378,7 +378,7 @@ class CampaignRunner:
         index_of = {jobs[i].content_hash(): i for i in indices}
 
         def on_result(job: SimJob, result: RunResult, seconds: float,
-                      obs, profile: Optional[MemoryProfile]) -> None:
+                      obs, profile: MemoryProfile) -> None:
             if obs is not None:
                 tracer.absorb(obs["spans"])
                 metrics.absorb(obs["metrics"])

@@ -12,8 +12,8 @@ service — plans a batch the same way, through :meth:`ProfileMemo.plan`:
   an in-order one and a non-replicated job over a replicated one;
 * the representative's profile goes into the memo and retimes the
   siblings it serves; the others, and the siblings of a representative
-  that returns no profile (its engine fell back to the scalar loop)
-  or fails, replay on their own.
+  that fails, replay on their own.  Every engine returns a profile,
+  the scalar loops' fallback included.
 
 The memo is an LRU of at most :data:`PROFILE_MEMO_LIMIT` profiles.
 """
@@ -53,7 +53,7 @@ class ProfileMemo:
     def __init__(self):
         self._profiles: "OrderedDict[tuple, MemoryProfile]" = OrderedDict()
 
-    def get(self, key: Optional[tuple]) -> Optional[MemoryProfile]:
+    def get(self, key: tuple) -> Optional[MemoryProfile]:
         profile = self._profiles.get(key)
         if profile is not None:
             self._profiles.move_to_end(key)
@@ -95,7 +95,7 @@ class ReplayPlan:
 
     ``retimed`` lists ``(index, profile)`` for the jobs the memo already
     serves.  ``replays`` lists one representative per profile key the
-    memo lacks, plus every job without a key.  Report each replay with
+    memo lacks.  Report each replay with
     :meth:`replayed` or :meth:`failed`; jobs that must then replay on
     their own collect in ``leftover``.
     """
@@ -113,9 +113,6 @@ class ReplayPlan:
         for i in indices:
             job = jobs[i]
             key = profile_key(job.spec, job.machine, job.check)
-            if key is None:
-                order.append([i])
-                continue
             self._keys[i] = key
             profile = memo.get(key)
             if profile is not None and profile.serves(job.machine):
@@ -130,16 +127,11 @@ class ReplayPlan:
             self._siblings[rep] = [m for m in members if m != rep]
         self.replays: List[int] = list(self._siblings)
 
-    def replayed(self, i: int,
-                 profile: Optional[MemoryProfile]) -> List[int]:
+    def replayed(self, i: int, profile: MemoryProfile) -> List[int]:
         """Record job ``i``'s replay; returns the siblings to retime
         from ``profile``, which replaces the memo's entry for the key.
-        Siblings it does not serve, or all of them when there is no
-        profile, join ``leftover``."""
+        Siblings it does not serve join ``leftover``."""
         siblings = self._siblings.pop(i, [])
-        if profile is None:
-            self.leftover.extend(siblings)
-            return []
         self._memo.put(self._keys[i], profile)
         served = []
         for sib in siblings:

@@ -112,10 +112,9 @@ def _worker_init(spill_dir: Optional[str], capacity: int,
         install_worker_faults(fault_plans, fault_token_dir)
 
 
-def simulate_job(job: SimJob, trace
-                 ) -> Tuple[RunResult, Optional[MemoryProfile]]:
-    """Replay ``job`` on ``trace``; return the result and, when the
-    machine produces one, its latency-free memory profile."""
+def simulate_job(job: SimJob, trace) -> Tuple[RunResult, MemoryProfile]:
+    """Replay ``job`` on ``trace``; return the result and its
+    latency-free memory profile."""
     system = System(job.machine, check=job.check)
     return system.run(trace), system.profile
 
@@ -130,8 +129,8 @@ def _worker_run(job: SimJob, with_obs: bool = False):
     payloads — the exact representation the cache stores — so the
     parent reconstructs identical values either way.  The payload is
     ``{"result": ..., "profile": ...}``: the job's
-    :class:`~repro.core.profile.MemoryProfile` rides along (``None``
-    for machines without one) so the parent can retime siblings.
+    :class:`~repro.core.profile.MemoryProfile` rides along so the
+    parent can retime siblings.
     ``crc32`` guards the payload's canonical JSON against corruption
     in flight; the supervisor re-verifies it before accepting it.
 
@@ -181,14 +180,14 @@ def _worker_run(job: SimJob, with_obs: bool = False):
     return seconds, payload, crc, obs
 
 
-def _sealed(result: RunResult, profile: Optional[MemoryProfile],
+def _sealed(result: RunResult, profile: MemoryProfile,
             injector) -> Tuple[dict, int]:
     """Serialize ``result`` and ``profile`` with their integrity CRC
     (chaos may corrupt the payload *after* the CRC is taken — that is
     the point)."""
     payload = {
         "result": result.to_dict(),
-        "profile": None if profile is None else profile.to_dict(),
+        "profile": profile.to_dict(),
     }
     crc = zlib.crc32(canonical_json(payload).encode())
     if injector is not None:
@@ -610,8 +609,7 @@ class SupervisedExecutor:
                                   "worker result failed its checksum")
                     continue
                 result = RunResult.from_dict(payload["result"])
-                profile = (None if payload["profile"] is None
-                           else MemoryProfile.from_dict(payload["profile"]))
+                profile = MemoryProfile.from_dict(payload["profile"])
                 outcomes[attempt.index] = JobOutcome(
                     attempt.job, result=result, seconds=seconds,
                     attempts=attempt.attempts + 1)

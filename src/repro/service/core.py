@@ -493,8 +493,8 @@ class JobService:
         """Plan ``batch`` against the memo, as the campaign runner plans
         its batches: memo hits retime at once, one representative per
         profile key replays in the pool and its profile retimes the
-        rest, and the siblings of a representative that fails or
-        returns no profile replay on their own."""
+        rest, and the siblings of a representative that fails replay
+        on their own."""
         with self._cv:
             plan = self._memo.plan([entry.job for entry in batch])
             self._retiming += len(plan.retimed)

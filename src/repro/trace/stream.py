@@ -33,6 +33,12 @@ hands them each quantum as a :class:`DecodedQuantum`, its packed
 references split by numpy into line and flag lists and counted.  It
 decodes one quantum at a time, so the decoded copy never holds more
 than one quantum.
+
+Bounded memory holds for in-order replays: the scalar loops tally
+per-CPU counts and keep nothing per reference.  An out-of-order
+replay keeps its ordered profile, one flag byte per reference plus
+one record per L2 hit, service event and TLB walk, so it grows with
+the stream; ``repro-oltp stream`` replays in-order.
 """
 
 from __future__ import annotations

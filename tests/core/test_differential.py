@@ -38,6 +38,7 @@ from repro.cpu.events import encode
 from repro.integrity.errors import ConfigError, InvariantViolation
 from repro.integrity.faults import FaultPlan
 from repro.params import KB, IntegrationLevel, L2Technology
+from repro.scenario.topology import TopologySpec
 from repro.trace.synthetic import make_trace
 
 PAGE = 256
@@ -506,6 +507,22 @@ CHECKED_MACHINES = {
                lambda: synthetic_mp_trace(9, 2), ("fast", "general")),
     "victim": (victim_machine, lambda: synthetic_mp_trace(9, 2),
                ("general",)),
+    # A software TLB: an out-of-order CPU's walks are kernel busy time
+    # ahead of the same reference's fetch.
+    "tlb": (lambda cpu: grid_machine(4 * KB, 2, L2Technology.OFF_CHIP_SRAM,
+                                     cpu_model=cpu, tlb_entries=4),
+            lambda: synthetic_trace(17, warmup=8), ("general",)),
+    # Two cores per node on islands: remote hops are priced from the
+    # requesting node, not the CPU index.
+    "cmp-islands": (
+        lambda cpu: MachineConfig.chip_multiprocessor(
+            4, cores_per_node=2, l2_size=16 * KB, l2_assoc=4, scale=1,
+            cpu_model=cpu).with_(topology=TopologySpec.islands(2, 40)),
+        lambda: synthetic_mp_trace(9, 8), ("general",)),
+    "victim-islands": (
+        lambda cpu: victim_machine(cpu).with_(
+            topology=TopologySpec.islands(1, 40)),
+        lambda: synthetic_mp_trace(9, 2), ("general",)),
 }
 
 #: Outcome of each (machine, CPU model, check level, fault kind) cell,
@@ -575,6 +592,18 @@ PINNED = {
     ('victim', 'ooo', 'per-quantum', 'lru-corrupt'):
         ("invariant 'set-occupancy' violated: 3 lines in a 2-way set "
          '[node=1, cache=n1.l2, set=16]'),
+    ('tlb', 'inorder', 'off', None):
+        'f9bde13888a6161cd3f5b62cddece34f94a0e075ecd423f7186eb42e2b6526e8',
+    ('tlb', 'ooo', 'off', None):
+        'b5569498cfbd3bcb52737e2621681c2fff3ead7e31100c46a54718246f09c5a1',
+    ('cmp-islands', 'inorder', 'off', None):
+        '0ac35e6b8a6cc865e6ec2aadb639492961f7600958ea91fabf5882b7e17a3e8e',
+    ('cmp-islands', 'ooo', 'off', None):
+        'dbb95233f384ff23ae86f6f99368853de872069137e836d804ef4ae9b3a26f5c',
+    ('victim-islands', 'inorder', 'off', None):
+        '845c435ae55d30847f855e520b36e9756c885b9f2793110022f8a1e956969d1f',
+    ('victim-islands', 'ooo', 'off', None):
+        '4ebe884a5615a46fb707349ec9d78d7160d408a8c62029609f93480895fc23d4',
 }
 
 

@@ -3,11 +3,14 @@
 The contract under test: for any two machines A and B with equal
 :func:`profile_key` — same trace, same cache geometry, any latency
 table, base-table override or topology —
-``retime(profile(A), B).to_dict()`` equals a cold replay of B on the
-scalar ``fast`` engine, which charges every cycle as it goes.  It is
-checked on every golden, on every job of Figures 3-13 and the
-islands/chiplet ladders, and by a Hypothesis suite over random latency
-tables and topologies.
+``retime(profile(A), B).to_dict()`` equals a cold replay of B on a
+scalar engine.  It is checked on every golden, on every job of
+Figures 3-13 and the islands/chiplet ladders, on victim-buffer, CMP
+and TLB machines, and by a Hypothesis suite over random latency
+tables and topologies.  The cold replays retime their own profiles
+too; the independent oracles are the goldens, the pinned outcomes of
+``tests/core/test_differential.py`` and the reference model of
+``tests/core/test_reference_model.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from repro.core.profile import (
     CpuProfile,
     MemoryProfile,
     profile_key,
-    profiled,
     retime,
 )
 from repro.core.system import System, simulate
@@ -51,6 +53,7 @@ from tests.core.test_differential import (
     mp_machine,
     synthetic_mp_trace,
     synthetic_trace,
+    victim_machine,
 )
 from tests.golden import regen
 
@@ -76,20 +79,22 @@ def profile_of(machine, trace, check="off"):
 
 
 def cold(machine, trace, check="off"):
-    """A replay that charges cycles itself (no profile involved)."""
-    system = System(machine, engine="fast", check=check)
-    result = system.run(trace)
-    assert system.profile is None
-    return result.to_dict()
+    """A fresh replay of ``machine`` on a scalar loop."""
+    general = (machine.cores_per_node > 1 or machine.victim_entries
+               or machine.tlb_entries)
+    system = System(machine, engine="general" if general else "fast",
+                    check=check)
+    return system.run(trace).to_dict()
 
 
 def relatives(machine):
     """Machines sharing ``machine``'s cache geometry: every latency
-    table of Figure 3 plus islands/chiplet topologies when it has
-    more than one node."""
+    table of Figure 3 (with an on-chip L2 for a CMP) plus
+    islands/chiplet topologies when it has more than one node."""
     out = [machine.with_(label=f"{level.value} {tech.value}",
                          integration=level, l2_technology=tech)
-           for level, tech in LEVELS]
+           for level, tech in LEVELS
+           if machine.cores_per_node == 1 or level.l2_on_chip]
     n = machine.num_nodes
     if n > 1:
         out.append(machine.with_(
@@ -130,7 +135,6 @@ class TestFigureJobs:
         groups = {}
         for job in figure_jobs:
             key = profile_key(job.spec, job.machine, job.check)
-            assert key is not None, job.label
             groups.setdefault(key, []).append(job)
         for jobs in groups.values():
             # The member whose profile serves the group: an OOO CPU
@@ -352,7 +356,7 @@ class TestProfile:
         keys = {profile_key(spec, m) for m in (
             base, rac, rac.with_(rac_assoc=4), rac.with_(cpu_model="ooo"),
             rac.with_(replicate_code=True))}
-        assert None not in keys and len(keys) == 4
+        assert len(keys) == 4
         # Uniprocessors replay once per L2 geometry too, on any CPU.
         uni = TraceSpec(ncpus=1, scale=32, txns=10, seed=1)
         assert profile_key(uni, MachineConfig.base(1, cpu_model="ooo")) \
@@ -360,8 +364,8 @@ class TestProfile:
         assert (profile_key(uni, MachineConfig.integrated_l2(
             1, cpu_model="ooo")) == profile_key(
                 uni, MachineConfig.integrated_l2_mc(1)))
-        assert profile_key(spec, base, check="per-quantum") is None
-        assert not profiled("fast")
+        assert profile_key(spec, base, check="per-quantum") \
+            != profile_key(spec, base)
 
     def test_key_ignores_latency_model_not_geometry(self):
         spec = TraceSpec(ncpus=8, scale=32, txns=10, seed=1)
@@ -372,15 +376,17 @@ class TestProfile:
         assert profile_key(spec, a) != profile_key(spec, a.with_(l2_assoc=4))
         assert profile_key(spec, a) != profile_key(spec, a, "end-of-run")
 
-    def test_scalar_fallback_yields_no_profile(self):
+    def test_scalar_fallback_yields_a_profile(self):
         # An instruction fetch carrying the write flag is outside the
-        # numpy kernel's contract: the scalar loop replays it instead.
+        # numpy kernel's contract: the scalar loop replays it instead,
+        # and tallies a profile like every engine.
         trace = make_trace(1, [(0, [encode(5, write=True, instr=True),
                                     encode(9)])], page_bytes=256)
         machine = MachineConfig.base(1, scale=1)
         system = System(machine)
         result = system.run(trace)
-        assert system.engine == "fast" and system.profile is None
+        assert system.engine == "fast" and system.profile is not None
+        assert result.to_dict() == retime(system.profile, machine).to_dict()
         assert result.to_dict() == cold(machine, trace)
 
     def test_cpu_profile_reset(self):
@@ -392,6 +398,83 @@ class TestProfile:
 
 
 # -- which machines a profile serves -------------------------------------------
+
+# -- victim-buffer, CMP and TLB machines (the scalar loops' profiles) ---------
+
+#: Machines only the ``general`` loop replays, and their traces.
+SCALAR_CELLS = {
+    "victim": (victim_machine, lambda: synthetic_mp_trace(9, 2)),
+    "cmp": (lambda cpu: MachineConfig.chip_multiprocessor(
+        4, cores_per_node=2, l2_size=16 * KB, l2_assoc=4, scale=1,
+        cpu_model=cpu), lambda: synthetic_mp_trace(9, 8)),
+    "tlb-uni": (lambda cpu: grid_machine(
+        4 * KB, 2, L2Technology.OFF_CHIP_SRAM, cpu_model=cpu,
+        tlb_entries=4), lambda: synthetic_trace(17, warmup=8)),
+    "tlb-mp": (lambda cpu: mp_machine(4, cpu_model=cpu).with_(
+        tlb_entries=8), lambda: synthetic_mp_trace(9, 4)),
+}
+
+
+class TestScalarProfiles:
+    @pytest.mark.parametrize("cpu_model", ["inorder", "ooo"])
+    @pytest.mark.parametrize("cell", sorted(SCALAR_CELLS))
+    def test_retimes_to_every_table_and_topology(self, cell, cpu_model):
+        make_machine, make_trace_ = SCALAR_CELLS[cell]
+        machine = make_machine(cpu_model)
+        trace = make_trace_()
+        result, profile = profile_of(machine, trace)
+        assert (profile.ordered is not None) == (cpu_model == "ooo")
+        assert result.to_dict() == cold(machine, trace)
+        for other in relatives(machine):
+            assert retime(profile, other).to_dict() == cold(other, trace), \
+                other.label
+        if cell.startswith("tlb"):
+            assert profile.tlb_misses == result.tlb_misses > 0
+        if cell == "victim":
+            assert profile.victim_hits == result.victim_hits > 0
+
+    def test_key_names_victim_tlb_and_cores(self):
+        spec = TraceSpec(ncpus=8, scale=1, txns=10, seed=1)
+        base = MachineConfig.fully_integrated(8, l2_size=16 * KB, scale=1)
+        cmp4 = MachineConfig.chip_multiprocessor(
+            4, cores_per_node=2, l2_size=16 * KB, l2_assoc=8, scale=1)
+        machines = [base, base.with_(victim_entries=4),
+                    base.with_(victim_entries=8), base.with_(tlb_entries=64),
+                    base.with_(tlb_entries=128),
+                    base.with_(cores_per_node=2, label="cmp"), cmp4]
+        keys = [profile_key(spec, m) for m in machines]
+        assert len(set(keys)) == len(keys) - 1
+        assert keys[-1] == keys[-2]  # the same CMP, built two ways
+
+    @pytest.mark.parametrize("engine", ["fast", "general", "vectorized",
+                                        "vectorized-mp"])
+    def test_every_engine_leaves_a_profile(self, engine):
+        if engine == "vectorized-mp":
+            machine, trace = mp_machine(2), synthetic_mp_trace(9, 2)
+        else:
+            machine = grid_machine(8 * KB, 4, L2Technology.ON_CHIP_SRAM)
+            trace = synthetic_trace(17, warmup=8)
+        system = System(machine, engine=engine)
+        result = system.run(trace)
+        assert system.profile is not None
+        assert result.to_dict() == retime(system.profile, machine).to_dict()
+
+    @pytest.mark.parametrize("cpu_model", ["inorder", "ooo"])
+    def test_streamed_in_order_run_keeps_no_log(self, cpu_model):
+        from repro.trace.stream import StreamedTrace
+
+        machine = mp_machine(2, cpu_model=cpu_model)
+        trace = synthetic_mp_trace(9, 2)
+        system = System(machine, engine="fast")
+        result = system.run(StreamedTrace.from_trace(trace, 7))
+        ordered = system.profile.ordered
+        if cpu_model == "inorder":
+            assert ordered is None
+        else:
+            # One flag byte per reference, warmup included.
+            assert len(ordered.flags) == trace.total_refs
+        assert result.to_dict() == cold(machine, trace)
+
 
 def _but_ordered(profile):
     data = profile.to_dict()
@@ -522,7 +605,7 @@ class TestRunner:
         assert sources == ["simulated", "simulated", "retimed", "retimed"]
         assert registry.counters["campaign.retimed"] == 2
 
-    def test_fallback_replays_the_siblings(self):
+    def test_fallback_profile_retimes_the_siblings(self):
         trace = make_trace(1, [(0, [encode(5, write=True, instr=True),
                                     encode(9), encode(77, write=True)])],
                            page_bytes=256)
@@ -542,8 +625,8 @@ class TestRunner:
             results = runner.run_jobs(jobs)
         assert [r.to_dict() for r in results] == [
             cold(j.machine, trace) for j in jobs]
-        assert runner.telemetry.simulated == 2
-        assert runner.telemetry.retimed == 0
+        assert runner.telemetry.simulated == 1
+        assert runner.telemetry.retimed == 1
 
     def test_inline_batch_retimes_and_traces_it(self):
         tracer = Tracer()
@@ -583,9 +666,8 @@ def test_all_verb_replays_once_per_profile_key(tmp_path, monkeypatch,
     replays = [e["args"]["label"] for e in events
                if e["name"] == "system.run"]
     keys = [profile_key(j.spec, j.machine, j.check) for j in recorder.jobs]
-    profiled_keys = {key for key in keys if key is not None}
-    assert len(keys) > len(profiled_keys) + keys.count(None)
-    assert len(replays) == len(profiled_keys) + keys.count(None)
+    assert len(keys) > len(set(keys))
+    assert len(replays) == len(set(keys))
     # fig10's Conservative Base shares fig6's 8M4w geometry.
     assert not [label for label in replays if label.startswith("Cons")]
 

@@ -3,8 +3,11 @@
 The System replay engines reach into cache internals for speed (the
 vectorized one does not even keep per-reference cache state).  This
 test re-implements the replay using only the public NodeCaches /
-DirectoryProtocol / InterconnectModel APIs and checks that each engine
-produces identical stall accounting and miss classification.  Engine
+DirectoryProtocol APIs, with its own in-order cycle accumulator and
+its own transcription of the Figure-3 service latencies (not
+``repro.core.profile.event_costs``, the code under test), and checks
+that each engine produces identical stall accounting and miss
+classification.  Engine
 parity with each *other* is covered exhaustively by
 ``tests/core/test_differential.py``; here every engine is anchored to
 the reference semantics directly, so a bug shared by all three cannot
@@ -18,12 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coherence.homemap import HomeMap
-from repro.coherence.network import InterconnectModel
 from repro.coherence.protocol import DirectoryProtocol
 from repro.core.machine import MachineConfig
 from repro.core.system import System
 from repro.cpu.events import encode
-from repro.cpu.inorder import InOrderCPU
 from repro.memsys.hierarchy import HierarchyLevel, NodeCaches
 from repro.params import INSTRS_PER_ILINE, L1_ASSOC, MissKind
 from repro.stats.breakdown import MissBreakdown
@@ -31,11 +32,16 @@ from repro.trace.synthetic import make_trace
 
 PAGE = 256
 
-_KIND_TO_STALL = {
-    MissKind.LOCAL: 1,
-    MissKind.REMOTE_CLEAN: 2,
-    MissKind.REMOTE_DIRTY: 3,
-}
+
+def service_cycles(table, outcome):
+    """Figure 3's stall for a serviced miss or ownership upgrade on a
+    flat-topology machine without RACs: local memory, a 2-hop fetch or
+    data-less upgrade at the remote home, or a 3-hop dirty fetch."""
+    if outcome.kind is MissKind.LOCAL:
+        return table.local
+    if outcome.kind is MissKind.REMOTE_CLEAN:
+        return table.remote_upgrade if outcome.upgrade else table.remote_clean
+    return table.remote_dirty
 
 
 def reference_run(machine: MachineConfig, trace):
@@ -52,42 +58,40 @@ def reference_run(machine: MachineConfig, trace):
     ]
     homemap = HomeMap(machine.ncpus, trace.page_bytes)
     protocol = DirectoryProtocol(homemap, nodes)
-    net = InterconnectModel(machine.latencies)
-    cpus = [InOrderCPU(i) for i in range(machine.ncpus)]
+    table = machine.latencies
+    # An in-order core stalls for every service in full: its time is
+    # busy cycles plus the sum of its stalls.
+    cycles = [0] * machine.ncpus
     misses = MissBreakdown()
     mp = machine.ncpus > 1
 
     for quantum in trace.quanta:
-        cpu = cpus[quantum.cpu]
-        node = nodes[quantum.cpu]
+        c = quantum.cpu
+        node = nodes[c]
         for ref in quantum.refs:
             flags = ref & 15
             line = ref >> 4
             write = bool(flags & 1)
             instr = bool(flags & 2)
             if instr:
-                cpu.busy(INSTRS_PER_ILINE, bool(flags & 4))
+                cycles[c] += INSTRS_PER_ILINE
             result = node.access(line, write, instr)
             if result.victim is not None:
                 protocol.handle_eviction(
                     quantum.cpu, result.victim, result.victim_dirty
                 )
             if result.level is HierarchyLevel.MISS:
-                outcome = protocol.service_miss(quantum.cpu, line, write, instr)
-                cpu.stall(net.service_latency(outcome), _KIND_TO_STALL[outcome.kind])
+                outcome = protocol.service_miss(c, line, write, instr)
+                cycles[c] += service_cycles(table, outcome)
                 misses.record(outcome.kind, instr)
             else:
                 if result.level is HierarchyLevel.L2:
-                    cpu.stall(machine.latencies.l2_hit, 0)
+                    cycles[c] += table.l2_hit
                 if write and mp:
-                    outcome = protocol.ensure_owner(quantum.cpu, line)
+                    outcome = protocol.ensure_owner(c, line)
                     if outcome is not None:
-                        cpu.stall(
-                            net.service_latency(outcome),
-                            _KIND_TO_STALL[outcome.kind],
-                        )
-    total = sum(cpu.now for cpu in cpus)
-    return total, misses
+                        cycles[c] += service_cycles(table, outcome)
+    return sum(cycles), misses
 
 
 def random_trace(seed, ncpus, nquanta=40, nlines=48):

@@ -1,7 +1,6 @@
 """Tests for the out-of-order CPU's overlap behaviour."""
 
 from repro.cpu.events import STALL_L2_HIT, STALL_LOCAL, STALL_REMOTE_DIRTY
-from repro.cpu.inorder import InOrderCPU
 from repro.cpu.ooo import OutOfOrderCPU
 
 
@@ -96,13 +95,12 @@ def test_drain_completes_outstanding():
 def test_ooo_never_slower_than_inorder_on_data():
     """For any data-miss sequence the OOO core is at least as fast."""
     seq = [(100, False), (25, False), (275, True), (25, False), (100, False)]
-    ino, ooo = InOrderCPU(), OutOfOrderCPU()
+    ooo = OutOfOrderCPU()
     for lat, dep in seq:
-        ino.busy(8, False)
-        ino.stall(lat, STALL_LOCAL, dependent=dep)
         ooo.busy(8, False)
         ooo.stall(lat, STALL_LOCAL, dependent=dep)
-    assert ooo.now < ino.now
+    # An in-order core stalls for every miss in full.
+    assert ooo.now < sum(8 + lat for lat, _ in seq)
 
 
 def test_reset_keeps_pipeline_position():

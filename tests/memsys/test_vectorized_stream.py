@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.coherence.homemap import HomeMap
-from repro.coherence.network import InterconnectModel
+from repro.coherence.network import MessageCounters
 from repro.coherence.protocol import DirectoryProtocol
 from repro.core.machine import MachineConfig
 from repro.core.system import System
@@ -58,11 +58,9 @@ def run_kernel(machine: MachineConfig, trace, kernel, engine: str) -> dict:
     homemap = HomeMap(machine.num_nodes, trace.page_bytes, replicated)
     protocol = system.protocol = DirectoryProtocol(
         homemap, system.nodes, system.racs)
-    net = InterconnectModel(machine.latencies, machine.topology)
-    kernel(system, trace, protocol, net)
-    for cpu in system.cpus:
-        cpu.drain()
-    return system._collect(trace, protocol, net).to_dict()
+    counters = MessageCounters()
+    kernel(system, trace, protocol, counters)
+    return system._collect(trace, protocol, counters).to_dict()
 
 
 def run_streamed(machine: MachineConfig, stream, engine: str) -> dict:

@@ -99,7 +99,7 @@ class TestPlan:
         ordered = profile(ordered=True)
         assert plan.replayed(1, ordered) == [0, 2]
         assert memo.get(key(BASE)) is ordered
-        assert plan.replayed(4, None) == []
+        assert plan.replayed(4, profile()) == []
         assert plan.leftover == []
 
     def test_siblings_the_profile_does_not_serve_replay_alone(self):
@@ -124,14 +124,6 @@ class TestPlan:
     def test_indices_select_the_jobs(self):
         plan = ProfileMemo().plan([BASE, FULL, OTHER], [1, 2])
         assert plan.replays == [1, 2]
-
-    def test_no_profile_sends_the_siblings_to_leftover(self):
-        memo = ProfileMemo()
-        plan = memo.plan([BASE, FULL, job(BASE.machine.with_(label="x"))])
-        assert plan.replays == [0]
-        assert plan.replayed(0, None) == []
-        assert plan.leftover == [1, 2]
-        assert memo.get(key(BASE)) is None
 
     def test_failure_sends_the_siblings_to_leftover(self):
         plan = ProfileMemo().plan([BASE, FULL, OTHER])

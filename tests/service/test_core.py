@@ -256,29 +256,6 @@ class TestProfileMemo:
         assert service.counters.simulated == 1
         assert service.counters.retimed == 2
 
-    def test_no_profile_makes_the_siblings_replay(self, make_service,
-                                                  store, monkeypatch):
-        service = make_service(started=False)
-        real_run = service._executor.run
-
-        def run(jobs, on_result=None, **kwargs):
-            # The representative's engine "fell back": no profile.
-            def without_profile(job, result, seconds, obs, profile):
-                on_result(job, result, seconds, obs, None)
-            return real_run(jobs, on_result=without_profile, **kwargs)
-
-        monkeypatch.setattr(service._executor, "run", run)
-        jobs = [tiny_job(i) for i in range(3)]
-        entries = service.submit_many(jobs)
-        service.start()
-        for job, entry in zip(jobs, entries):
-            done = service.wait(entry.job_hash, timeout=60)
-            assert done.source == "simulated"
-            assert done.result.to_dict() == simulated_result(
-                job, store).to_dict()
-        assert service.counters.simulated == 3
-        assert service.counters.retimed == 0
-
     def test_failed_representative_makes_the_siblings_replay(
             self, make_service, monkeypatch):
         service = make_service(started=False)
