@@ -26,7 +26,7 @@ class RunResult:
     equals wall-clock time for the fixed transaction count).
 
     The payload is engine-independent: every replay engine (``fast``,
-    ``general``, ``vectorized``, ``vectorized-mp``) must produce a
+    ``vectorized``, ``vectorized-mp``) must produce a
     value-identical ``to_dict()`` for the same (machine, trace) pair —
     the differential and golden suites enforce it, and the campaign
     cache relies on it to serve results across engines.

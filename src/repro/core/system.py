@@ -9,15 +9,17 @@ engine charges cycles: each tallies a latency-free
 returns its :func:`~repro.core.profile.retime`, the one place the
 configuration's Figure-3 latencies and CPU model are applied.
 
-Four engine names select three replay paths with identical semantics:
+Three engine names select two replay paths with identical semantics:
 
-* ``_run_fast`` — the scalar common case (one core per node, no victim
-  buffer).  It deliberately reaches into the cache objects' internal
-  set lists: at millions of references per run, per-access object
-  allocation would dominate.
-* ``_run_general`` — the extended configurations (chip multiprocessing,
-  victim buffers, software TLBs) via the clean
-  :class:`~repro.memsys.hierarchy.NodeCaches` API.
+* ``fast`` (``_run_fast``) — the scalar loop, for every machine: chip
+  multiprocessors (several cores over each node's L2), victim buffers
+  and software TLBs included.  It deliberately reaches into the cache
+  objects' internal set lists: at millions of references per run,
+  per-access object allocation would dominate.  A plain machine's L1
+  hit pays for none of the extensions: a write purges sibling cores'
+  L1 copies inside its write branch, the victim buffer sits on the L2
+  miss path, and each quantum's TLB walks are found in one pass ahead
+  of its replay (they depend only on the CPU's page sequence).
 * ``vectorized`` and ``vectorized-mp`` (both through ``_run_numpy``)
   — the staged pipeline in :mod:`repro.memsys.vectorized_mp`, for
   uniprocessors and multiprocessors respectively: a sharing-census
@@ -28,16 +30,16 @@ Four engine names select three replay paths with identical semantics:
   every line is private.  Selected automatically and value-identical
   to ``_run_fast`` by contract.
 
-The two scalar loops share one decode point,
+The scalar loop decodes at one point,
 :func:`~repro.trace.stream.iter_quanta`: numpy splits each quantum's
 packed references into line and flag lists and counts its fetches,
-kernel fetches and data writes, so the loops do no per-reference bit
-arithmetic or counting.  They add each quantum's busy time, L2 (and
+kernel fetches and data writes, so the loop does no per-reference bit
+arithmetic or counting.  It adds each quantum's busy time, L2 (and
 victim-buffer) hits and TLB walks to its CPU's
-:class:`~repro.core.profile.CpuProfile` at quantum end, and count
+:class:`~repro.core.profile.CpuProfile` at quantum end, and counts
 every serviced miss or upgrade into its slot with
 :func:`~repro.core.profile.tally_service`.  On an out-of-order CPU
-they also log each reference's flags and every hit, service event and
+it also logs each reference's flags and every hit, service event and
 TLB walk in order, as the staged walks do: that
 :class:`~repro.core.profile.OrderedProfile` is the one OOO timing
 path.  A streamed in-order run keeps nothing per reference; a streamed
@@ -53,7 +55,9 @@ each other (``tests/core/test_differential.py``).
 
 from __future__ import annotations
 
+import heapq
 from array import array
+from bisect import bisect_left
 from collections import OrderedDict
 from typing import List, Optional
 
@@ -62,6 +66,7 @@ from repro.coherence.network import MessageCounters
 from repro.coherence.protocol import DirectoryProtocol
 from repro.core.machine import MachineConfig
 from repro.core.profile import (
+    EV_HOPS,
     EV_L2_HIT,
     EV_TLB,
     EV_VICTIM,
@@ -75,7 +80,7 @@ from repro.core.profile import (
 from repro.core.results import RunResult
 from repro.integrity.checker import Checker, CheckLevel
 from repro.integrity.errors import ConfigError, StateError, TraceMismatchError
-from repro.memsys.hierarchy import HierarchyLevel, NodeCaches
+from repro.memsys.hierarchy import NodeCaches
 from repro.memsys.rac import RemoteAccessCache
 from repro.obs import NULL_TRACER, current_metrics, current_tracer
 from repro.params import INSTRS_PER_ILINE, L1_ASSOC, LINE_SIZE, TLB_WALK_CYCLES
@@ -83,7 +88,7 @@ from repro.stats.breakdown import L1Stats, MissBreakdown, ProtocolStats, RacStat
 from repro.trace.stream import is_streaming, iter_quanta
 
 #: Replay engines accepted by :class:`System` and :func:`simulate`.
-ENGINES = ("auto", "fast", "general", "vectorized", "vectorized-mp")
+ENGINES = ("auto", "fast", "vectorized", "vectorized-mp")
 
 
 class _OrderedLog:
@@ -113,6 +118,35 @@ class _OrderedLog:
             self.warmup, self.q_off, self.q_cpus, self.flags, self.rec)
 
 
+def _tlb_walks(tlb: OrderedDict, lines, page_shift: int,
+               entries: int) -> List[int]:
+    """Look one quantum's references up in a CPU's software-filled
+    ``tlb`` (LRU over pages); return the indices of those that walk."""
+    walks = []
+    for i, line in enumerate(lines):
+        page = line >> page_shift
+        if page in tlb:
+            tlb.move_to_end(page)
+        else:
+            walks.append(i)
+            tlb[page] = True
+            if len(tlb) > entries:
+                tlb.popitem(last=False)
+    return walks
+
+
+def _log_walks(rec: array, base: int, walks) -> None:
+    """Merge a quantum's TLB walks into the ordered records ``rec``, the
+    quantum's own from run position ``base`` on: each walk goes ahead
+    of its reference's records."""
+    start = bisect_left(rec, base << REC_SHIFT)
+    replayed = rec[start:]
+    del rec[start:]
+    rec.extend(heapq.merge(
+        [(base + i) << REC_SHIFT | EV_TLB for i in walks], replayed,
+        key=lambda r: r >> REC_SHIFT))
+
+
 class System:
     """A single-use simulator instance for one machine configuration.
 
@@ -135,6 +169,15 @@ class System:
 
     def __init__(self, machine: MachineConfig, *, check="off",
                  fault_plan=None, engine: str = "auto"):
+        n = machine.num_nodes
+        if (machine.cpu_model == "ooo"
+                and EV_HOPS + 4 * n * (n + 1) > 1 << REC_SHIFT):
+            # An ordered-log record keeps its event class in REC_SHIFT
+            # bits; the largest class of n nodes is EV_HOPS + 4n(n+1) - 1.
+            raise ConfigError(
+                "an out-of-order machine has at most 127 nodes; "
+                f"{machine.label!r} has {n}"
+            )
         self.machine = machine
         self.checker = Checker(check)
         self.fault_plan = fault_plan
@@ -198,18 +241,7 @@ class System:
             raise ConfigError(
                 f"unknown engine {engine!r}; choose one of {', '.join(ENGINES)}"
             )
-        needs_general = bool(
-            machine.cores_per_node > 1 or machine.victim_entries
-            or machine.tlb_entries
-        )
-        if engine == "general":
-            return "general"
         if engine == "fast":
-            if needs_general:
-                raise ConfigError(
-                    "engine='fast' cannot replay CMP, victim-buffer or "
-                    "TLB configurations; use engine='general'"
-                )
             return "fast"
         run_ok = (
             fault_plan is None
@@ -233,8 +265,6 @@ class System:
                     "buffer, TLB, fault plan or per-quantum checking"
                 )
             return "vectorized-mp"
-        if needs_general:
-            return "general"
         if vector_ok:
             return "vectorized"
         if mp_ok:
@@ -351,9 +381,7 @@ class System:
         with tracer.span("system.run", label=machine.label,
                          engine=self.engine, ncpus=machine.ncpus):
             with tracer.span(f"engine.{self.engine}"):
-                if self.engine == "general":
-                    self._run_general(trace, protocol, counters)
-                elif self.engine.startswith("vectorized"):
+                if self.engine.startswith("vectorized"):
                     self._run_numpy(trace, protocol, counters)
                 else:
                     self._run_fast(trace, protocol, counters)
@@ -369,34 +397,23 @@ class System:
 
     def _run_numpy(self, trace, protocol: DirectoryProtocol,
                    counters: MessageCounters) -> None:
-        from repro.memsys.vectorized_mp import (
-            VectorizedUnsupported,
-            replay_multiprocessor,
-        )
+        from repro.memsys.vectorized_mp import replay_multiprocessor
 
         if is_streaming(trace):
             # The kernel needs the whole reference stream at once (the
             # sharing census); a chunk iterator is accepted by
             # collecting it.
             trace = trace.collect()
-        try:
-            replay_multiprocessor(self, trace, protocol, counters)
-        except VectorizedUnsupported:
-            # Rare hand-built traces (e.g. an instruction fetch carrying
-            # the write flag) fall outside the kernel's contract; the
-            # scalar loop handles them with identical results.  State is
-            # untouched at this point: the kernel validates before it
-            # mutates anything.
-            self.engine = "fast"
-            self._run_fast(trace, protocol, counters)
+        replay_multiprocessor(self, trace, protocol, counters)
 
-    # -- the optimized common-case loop ------------------------------------------------
+    # -- the scalar loop ---------------------------------------------------------------
 
     def _run_fast(self, trace, protocol: DirectoryProtocol,
                   counters: MessageCounters) -> None:
         machine = self.machine
         n = machine.num_nodes
         mp = n > 1
+        cores = machine.cores_per_node
         owner_get = protocol.directory._owner.get
         service_miss = protocol.service_miss
         ensure_owner = protocol.ensure_owner
@@ -406,8 +423,36 @@ class System:
         log = _OrderedLog() if machine.cpu_model == "ooo" else None
         rec = None if log is None else log.rec.append
 
-        nodes = self.nodes
-        cpus = self.cpus
+        def upgrade(node_id, cpu, pos, line):
+            # A write to a line another node may hold: take ownership.
+            outcome = ensure_owner(node_id, line)
+            if outcome is not None:
+                ev = tally_service(cpu, counters, outcome, n, False)
+                if rec is not None:
+                    rec(pos << REC_SHIFT | ev)
+
+        # Every node shares one geometry.  Per CPU: its node, profile
+        # and L1 set lists; every L1 set list of its node (an L2
+        # eviction purges them all) and its sibling cores' (a write
+        # purges those; a one-core node has none); its node's L2 set
+        # and dirty lists and victim buffer.
+        node0 = self.nodes[0]
+        l1_n, l1_assoc, l2_n = (node0.l1i.num_sets, node0.l1i.assoc,
+                                node0.l2.num_sets)
+        views = []
+        for cpu_id, cpu in enumerate(self.cpus):
+            node_id, core = divmod(cpu_id, cores)
+            node = self.nodes[node_id]
+            l1s = [c._sets for c in node.l1is + node.l1ds]
+            views.append((node_id, cpu, l1s[core], l1s[cores + core], l1s,
+                          [s for k, s in enumerate(l1s) if k % cores != core],
+                          node.l2._sets, node.l2._dirty, node.victim))
+        # Software-filled TLBs, one per CPU.  Their walks depend only
+        # on each CPU's page sequence, so each quantum's are found in
+        # one pass ahead of its replay.
+        tlbs = ([OrderedDict() for _ in range(machine.ncpus)]
+                if machine.tlb_entries else None)
+        page_shift = (trace.page_bytes // LINE_SIZE).bit_length() - 1
         # Integrity hooks fire only at quantum boundaries, so the
         # per-reference path below stays branch-free when disabled.
         checker = self.checker if self.checker.per_quantum else None
@@ -418,34 +463,27 @@ class System:
         ) else None
         refs_done = 0
         # Run-long counters kept as plain ints for speed.
-        i_refs = i_miss = d_refs = d_miss = l2hits = writes = 0
+        i_refs = i_miss = d_refs = d_miss = l2hits = victimhits = writes = 0
+        tlb_walks = 0
 
-        for qi, quantum, at_boundary, measured in iter_quanta(trace, "fast"):
+        for qi, quantum, at_boundary, measured in iter_quanta(trace):
             if at_boundary:
                 record_miss = self._measurement_boundary(
                     protocol, counters, i_refs, i_miss, d_refs, d_miss,
-                    l2hits, writes,
+                    l2hits, writes, victimhits,
                 )
-                i_refs = i_miss = d_refs = d_miss = l2hits = writes = 0
+                i_refs = i_miss = d_refs = d_miss = l2hits = victimhits = 0
+                writes = tlb_walks = 0
                 if log is not None:
                     log.warmup = qi
 
-            cpu_id = quantum.cpu
-            node = nodes[cpu_id]
-            cpu = cpus[cpu_id]
-            l1i = node.l1i
-            l1d = node.l1d
-            l2 = node.l2
-            l1i_sets = l1i._sets
-            l1i_n = l1i.num_sets
-            l1i_assoc = l1i.assoc
-            l1d_sets = l1d._sets
-            l1d_n = l1d.num_sets
-            l1d_assoc = l1d.assoc
-            l2_sets = l2._sets
-            l2_n = l2.num_sets
-            l2_dirty = l2._dirty
+            (node_id, cpu, l1i_sets, l1d_sets, l1s, others, l2_sets,
+             l2_dirty, vb) = views[quantum.cpu]
             q_l2hits = l2hits
+            q_victimhits = victimhits
+            walks = (() if tlbs is None else _tlb_walks(
+                tlbs[quantum.cpu], quantum.lines, page_shift,
+                machine.tlb_entries))
             # Run positions for the ordered log; unused in order.
             positions = (range(quantum.refs) if log is None
                          else log.positions(quantum))
@@ -453,33 +491,30 @@ class System:
             for pos, line, flags in zip(positions, quantum.lines,
                                         quantum.flags):
                 if flags & 2:  # instruction fetch
-                    ways = l1i_sets[line % l1i_n]
+                    ways = l1i_sets[line % l1_n]
                     if line in ways:
                         if ways[0] != line:
                             ways.remove(line)
                             ways.insert(0, line)
                         continue
                     i_miss += 1
-                    l1_assoc_here = l1i_assoc
                 else:
                     write = flags & 1
-                    ways = l1d_sets[line % l1d_n]
+                    ways = l1d_sets[line % l1_n]
                     if line in ways:
                         if ways[0] != line:
                             ways.remove(line)
                             ways.insert(0, line)
                         if write:
                             l2_dirty[line % l2_n].add(line)
-                            if mp and owner_get(line) != cpu_id:
-                                outcome = ensure_owner(cpu_id, line)
-                                if outcome is not None:
-                                    ev = tally_service(cpu, counters,
-                                                       outcome, n, False)
-                                    if rec is not None:
-                                        rec(pos << REC_SHIFT | ev)
+                            for sets in others:
+                                oways = sets[line % l1_n]
+                                if line in oways:
+                                    oways.remove(line)
+                            if mp and owner_get(line) != node_id:
+                                upgrade(node_id, cpu, pos, line)
                         continue
                     d_miss += 1
-                    l1_assoc_here = l1d_assoc
 
                 # ---- L1 miss: probe the L2 --------------------------------
                 write = flags & 1
@@ -492,13 +527,12 @@ class System:
                         ways2.insert(0, line)
                     if write:
                         l2_dirty[idx2].add(line)
-                        if mp and owner_get(line) != cpu_id:
-                            outcome = ensure_owner(cpu_id, line)
-                            if outcome is not None:
-                                ev = tally_service(cpu, counters, outcome,
-                                                   n, False)
-                                if rec is not None:
-                                    rec(pos << REC_SHIFT | ev)
+                        for sets in others:
+                            oways = sets[line % l1_n]
+                            if line in oways:
+                                oways.remove(line)
+                        if mp and owner_get(line) != node_id:
+                            upgrade(node_id, cpu, pos, line)
                     if rec is not None:
                         rec(pos << REC_SHIFT | EV_L2_HIT)
                 else:
@@ -512,167 +546,62 @@ class System:
                         else:
                             vdirty = False
                         # Inclusion: purge the victim from the L1s.
-                        vways = l1i_sets[victim % l1i_n]
-                        if victim in vways:
-                            vways.remove(victim)
-                        vways = l1d_sets[victim % l1d_n]
-                        if victim in vways:
-                            vways.remove(victim)
-                        handle_eviction(cpu_id, victim, vdirty)
+                        vidx = victim % l1_n
+                        for sets in l1s:
+                            vways = sets[vidx]
+                            if victim in vways:
+                                vways.remove(victim)
+                        if vb is None:
+                            handle_eviction(node_id, victim, vdirty)
+                        else:
+                            # The victim stays on the node; a line it
+                            # displaces from the buffer leaves it.
+                            out = vb.insert(victim, vdirty)
+                            if out is not None:
+                                handle_eviction(node_id, *out)
                     ways2.insert(0, line)
                     if write:
                         l2_dirty[idx2].add(line)
-                    is_instr = flags & 2
-                    outcome = service_miss(cpu_id, line, bool(write), bool(is_instr))
-                    ev = tally_service(cpu, counters, outcome, n, is_instr)
-                    if rec is not None:
-                        rec(pos << REC_SHIFT | ev)
-                    record_miss(outcome.kind, bool(is_instr))
+                    swapped = None if vb is None else vb.extract(line)
+                    if swapped is None:
+                        is_instr = flags & 2
+                        outcome = service_miss(node_id, line, bool(write),
+                                               bool(is_instr))
+                        ev = tally_service(cpu, counters, outcome, n,
+                                           is_instr)
+                        if rec is not None:
+                            rec(pos << REC_SHIFT | ev)
+                        record_miss(outcome.kind, bool(is_instr))
+                    else:
+                        # A victim-buffer swap-back: the line never
+                        # left the node, so the protocol sees at most
+                        # an ownership upgrade.
+                        if swapped:
+                            l2_dirty[idx2].add(line)
+                        if write and mp and owner_get(line) != node_id:
+                            upgrade(node_id, cpu, pos, line)
+                        victimhits += 1
+                        if rec is not None:
+                            rec(pos << REC_SHIFT | EV_VICTIM)
 
                 # ---- fill the L1 (clean; dirtiness lives at the L2) ---------
-                if len(ways) >= l1_assoc_here:
+                if len(ways) >= l1_assoc:
                     ways.pop()
                 ways.insert(0, line)
 
             i_refs += quantum.instr
             d_refs += quantum.refs - quantum.instr
             writes += quantum.writes
-            cpu.busy += quantum.instr * INSTRS_PER_ILINE
-            cpu.kernel_busy += quantum.kinstr * INSTRS_PER_ILINE
-            cpu.l2_hits += l2hits - q_l2hits
-
-            if plan is not None:
-                refs_done += quantum.refs
-                if refs_done >= plan.at_ref:
-                    plan.apply(self, protocol)
-                    plan = None
-            if checker is not None:
-                checker.check_system(self, protocol)
-            if sampler is not None and measured:
-                self._sample(qi, self.misses, i_refs)
-
-        if plan is not None:
-            plan.apply(self, protocol)
-        self._flush_counters(i_refs, i_miss, d_refs, d_miss, l2hits, writes)
-        if log is not None:
-            self.ordered = log.profile()
-
-    # -- the general loop (CMP / victim buffers) -----------------------------------------
-
-    def _run_general(self, trace, protocol: DirectoryProtocol,
-                     counters: MessageCounters) -> None:
-        machine = self.machine
-        n = machine.num_nodes
-        cores = machine.cores_per_node
-        mp = n > 1
-        owner_get = protocol.directory._owner.get
-        log = _OrderedLog() if machine.cpu_model == "ooo" else None
-        rec = None if log is None else log.rec.append
-        i_refs = i_miss = d_refs = d_miss = l2hits = victimhits = writes = 0
-        # Per-core software-filled TLBs (LRU over physical pages).
-        tlb_entries = machine.tlb_entries
-        page_shift = (trace.page_bytes // 64).bit_length() - 1
-        tlbs = [OrderedDict() for _ in range(machine.ncpus)] if tlb_entries else None
-        tlb_miss_count = 0
-        checker = self.checker if self.checker.per_quantum else None
-        sampler = self._sampler
-        plan = self.fault_plan if (
-            self.fault_plan is not None and not self.fault_plan.applied
-        ) else None
-        refs_done = 0
-
-        for qi, quantum, at_boundary, measured in iter_quanta(trace,
-                                                              "general"):
-            if at_boundary:
-                self._measurement_boundary(
-                    protocol, counters, i_refs, i_miss, d_refs, d_miss,
-                    l2hits, writes, victimhits,
-                )
-                i_refs = i_miss = d_refs = d_miss = l2hits = victimhits = writes = 0
-                # Warmup TLB walks were discarded with the rest of the
-                # warmup tallies; discard their count too.
-                tlb_miss_count = 0
-                if log is not None:
-                    log.warmup = qi
-
-            cpu_id = quantum.cpu
-            node_id = cpu_id // cores
-            core = cpu_id % cores
-            node = self.nodes[node_id]
-            cpu = self.cpus[cpu_id]
-            tlb = tlbs[cpu_id] if tlbs is not None else None
-            q_l2hits = l2hits
-            q_victimhits = victimhits
-            q_walks = tlb_miss_count
-            positions = (range(quantum.refs) if log is None
-                         else log.positions(quantum))
-
-            for pos, line, flags in zip(positions, quantum.lines,
-                                        quantum.flags):
-                write = bool(flags & 1)
-                is_instr = bool(flags & 2)
-                if tlb is not None:
-                    page = line >> page_shift
-                    if page in tlb:
-                        tlb.move_to_end(page)
-                    else:
-                        # Software fill: PALcode instructions execute,
-                        # kernel busy time ahead of the reference.
-                        tlb_miss_count += 1
-                        if rec is not None:
-                            rec(pos << REC_SHIFT | EV_TLB)
-                        tlb[page] = True
-                        if len(tlb) > tlb_entries:
-                            tlb.popitem(last=False)
-
-                result = node.access(line, write, is_instr, core)
-                level = result.level
-                if result.victim is not None:
-                    protocol.handle_eviction(node_id, result.victim, result.victim_dirty)
-
-                if level is HierarchyLevel.MISS:
-                    if is_instr:
-                        i_miss += 1
-                    else:
-                        d_miss += 1
-                    outcome = protocol.service_miss(node_id, line, write, is_instr)
-                    ev = tally_service(cpu, counters, outcome, n, is_instr)
-                    if rec is not None:
-                        rec(pos << REC_SHIFT | ev)
-                    self.misses.record(outcome.kind, is_instr)
-                    continue
-
-                if level is not HierarchyLevel.L1:
-                    if is_instr:
-                        i_miss += 1
-                    else:
-                        d_miss += 1
-                # Ownership upgrades come before the hit, in the same
-                # order as the fast loop — the OOO model is
-                # order-sensitive, so the engines must agree on it.
-                if write and mp and owner_get(line) != node_id:
-                    outcome = protocol.ensure_owner(node_id, line)
-                    if outcome is not None:
-                        ev = tally_service(cpu, counters, outcome, n, False)
-                        if rec is not None:
-                            rec(pos << REC_SHIFT | ev)
-                if level is HierarchyLevel.L2:
-                    l2hits += 1
-                    if rec is not None:
-                        rec(pos << REC_SHIFT | EV_L2_HIT)
-                elif level is HierarchyLevel.VICTIM:
-                    victimhits += 1
-                    if rec is not None:
-                        rec(pos << REC_SHIFT | EV_VICTIM)
-
-            i_refs += quantum.instr
-            d_refs += quantum.refs - quantum.instr
-            writes += quantum.writes
-            walks = (tlb_miss_count - q_walks) * TLB_WALK_CYCLES
-            cpu.busy += quantum.instr * INSTRS_PER_ILINE + walks
-            cpu.kernel_busy += quantum.kinstr * INSTRS_PER_ILINE + walks
+            # Each TLB walk is kernel busy time ahead of its reference.
+            walk_cycles = len(walks) * TLB_WALK_CYCLES
+            cpu.busy += quantum.instr * INSTRS_PER_ILINE + walk_cycles
+            cpu.kernel_busy += quantum.kinstr * INSTRS_PER_ILINE + walk_cycles
             cpu.l2_hits += l2hits - q_l2hits
             cpu.victim_hits += victimhits - q_victimhits
+            if walks:
+                tlb_walks += len(walks)
+                if log is not None:
+                    _log_walks(log.rec, positions.start, walks)
 
             if plan is not None:
                 refs_done += quantum.refs
@@ -689,7 +618,7 @@ class System:
         self._flush_counters(
             i_refs, i_miss, d_refs, d_miss, l2hits, writes, victimhits
         )
-        self.tlb_misses += tlb_miss_count
+        self.tlb_misses += tlb_walks
         if log is not None:
             self.ordered = log.profile()
 

@@ -146,8 +146,8 @@ class NodeCaches:
         # purge must not find (and the fill must not race) a
         # just-installed line.  Filling first would evict an extra L1
         # line whenever the L2 victim sits in the same full L1 set as
-        # the incoming line — a state the scalar replay loops never
-        # enter.
+        # the incoming line — a state the scalar replay loop never
+        # enters.
         r2 = self.l2.access(line, write)
         if write and self.num_cores > 1:
             self._purge_l1s(line, except_core=core)

@@ -35,7 +35,7 @@ multiprocessors, ``vectorized`` for a uniprocessor, which is the
 one-node case.  On one node every line is private and local, so the
 census never sorts the stream, the walks take the private-line path
 for every miss, and a write hit takes no ownership upgrade (the
-scalar loops skip ``ensure_owner`` when ``num_nodes == 1``).  Every
+scalar loop skips ``ensure_owner`` when ``num_nodes == 1``).  Every
 out-of-order numpy run is timed from its ordered profile.
 
 Servicing at the reference is exact: it performs the scalar loop's
@@ -45,9 +45,10 @@ directory would only ever record this node's own fills and
 evictions, which the engine reconstructs when it copies the flat
 caches back at the end of the run.
 
-Anything the engine cannot replay raises
-:class:`VectorizedUnsupported` *before mutating any state*, and
-``System`` falls back to the scalar loop.
+The walks model the 2-way L1s that ``System`` always builds
+(``L1_ASSOC``).  A trace with an instruction fetch that carries the
+write flag raises :class:`~repro.integrity.errors.TraceMismatchError`
+here, as it does on the scalar loop.
 """
 
 from __future__ import annotations
@@ -66,21 +67,13 @@ from repro.core.profile import (
     REC_SHIFT,
     OrderedProfile,
 )
+from repro.integrity.errors import TraceMismatchError
 from repro.params import INSTRS_PER_ILINE
 from repro.stats.breakdown import MissBreakdown
 from repro.trace.census import sharing_census
+from repro.trace.stream import WRITE_FETCH
 
-__all__ = ["VectorizedUnsupported", "replay_multiprocessor"]
-
-
-class VectorizedUnsupported(Exception):
-    """Raised when a trace/machine falls outside the kernel's contract.
-
-    ``System._run_numpy`` catches this and falls back to the
-    scalar fast loop, so callers never observe it.  The only known
-    trigger is a hand-built trace containing an instruction fetch with
-    the write flag set (the OLTP generator never emits one).
-    """
+__all__ = ["replay_multiprocessor"]
 
 
 # Effective flag word: the trace's write (1) and instruction (2) bits,
@@ -228,7 +221,7 @@ class _Service:
     ``service_miss`` and ``_rac_evict``, RAC paths included, onto the
     flat node states, driving the real directory and RACs through
     their own methods; :meth:`write` is ``ensure_owner``, skipped on
-    a one-node machine as the scalar loops skip it.
+    a one-node machine as the scalar loop skips it.
     These machines skip the census' private-line shortcut, so the
     directory tracks every line.  An out-of-order CPU's events go into
     the ordered log through ``rec``; the counts fold into each walk's
@@ -896,11 +889,6 @@ def replay_multiprocessor(system, trace, protocol, counters) -> None:
     machine = system.machine
     nodes = system.nodes
     node0 = nodes[0]
-    if node0.l1i.assoc != 2 or node0.l1d.assoc != 2:
-        raise VectorizedUnsupported(
-            "the multiprocessor kernel models 2-way L1s only"
-        )
-
     nnodes = machine.num_nodes
     l2_assoc = machine.l2_assoc
     l1_n = node0.l1i.num_sets
@@ -958,9 +946,7 @@ def replay_multiprocessor(system, trace, protocol, counters) -> None:
 
     def _build_eff():
         if np.any((flags & 3) == 3):
-            # An instruction fetch with the write flag would alias a
-            # data row of the hop tally; the scalar loop replays it.
-            raise VectorizedUnsupported("instruction fetch marked as write")
+            raise TraceMismatchError(WRITE_FETCH)
         home = (lines >> shift) % nnodes
         local = home == sc.nodes
         if machine.replicate_code and trace.text_pages:
@@ -1002,8 +988,6 @@ def replay_multiprocessor(system, trace, protocol, counters) -> None:
     directory = protocol.directory
     xs = rec = None
     if machine.cpu_model == "ooo":
-        if EV_HOPS + 4 * nnodes * (nnodes + 1) > 1 << REC_SHIFT:
-            raise VectorizedUnsupported("too many nodes for the ordered log")
         walk = _walk_ordered
         rec = array("q")
     if general:

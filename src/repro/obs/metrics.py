@@ -106,7 +106,7 @@ class QuantumSeries:
       :data:`~repro.params.INSTRS_PER_ILINE` = instructions, the MPKI
       denominator);
     * ``dir_lines`` — directory-tracked lines (a gauge, not a delta).
-      The scalar engines read the live directory; the staged
+      The scalar loop reads the live directory; the staged
       pipeline reports its coherence-tracked lines, a lower bound on
       in-order RAC-free machines, whose private lines bypass the
       directory until the run materializes;

@@ -12,8 +12,7 @@ service — plans a batch the same way, through :meth:`ProfileMemo.plan`:
   an in-order one and a non-replicated job over a replicated one;
 * the representative's profile goes into the memo and retimes the
   siblings it serves; the others, and the siblings of a representative
-  that fails, replay on their own.  Every engine returns a profile,
-  the scalar loops' fallback included.
+  that fails, replay on their own.  Every engine returns a profile.
 
 The memo is an LRU of at most :data:`PROFILE_MEMO_LIMIT` profiles.
 """

@@ -114,7 +114,7 @@ class JobRecord:
     seconds: float
     source: str  # one of the SOURCE_* constants
     #: Replay engine the job's configuration resolves to ("fast",
-    #: "general", "vectorized" or "vectorized-mp").  Provenance only:
+    #: "vectorized" or "vectorized-mp").  Provenance only:
     #: the engine is not part of the job's content hash, because all
     #: engines are value-identical and cached results stay valid
     #: across them.

@@ -28,13 +28,13 @@ traces:
 Engines do not special-case trace types: :func:`iter_chunks` presents
 a materialized trace as one zero-copy chunk and a stream as itself.
 
-:func:`iter_quanta` is also the scalar engines' one decode point: it
-hands them each quantum as a :class:`DecodedQuantum`, its packed
+:func:`iter_quanta` is also the scalar loop's one decode point: it
+hands it each quantum as a :class:`DecodedQuantum`, its packed
 references split by numpy into line and flag lists and counted.  It
 decodes one quantum at a time, so the decoded copy never holds more
 than one quantum.
 
-Bounded memory holds for in-order replays: the scalar loops tally
+Bounded memory holds for in-order replays: the scalar loop tallies
 per-CPU counts and keep nothing per reference.  An out-of-order
 replay keeps its ordered profile, one flag byte per reference plus
 one record per L2 hit, service event and TLB walk, so it grows with
@@ -102,6 +102,11 @@ class TraceChunk:
         return f"TraceChunk(start={self.start}, quanta={len(self.quanta)})"
 
 
+#: Why a trace whose instruction fetch carries the write flag is refused.
+WRITE_FETCH = ("the trace fetches an instruction with the write flag set; "
+               "a trace may store only to data lines")
+
+
 class DecodedQuantum:
     """One quantum's packed references, decoded in numpy for a scalar loop.
 
@@ -109,7 +114,8 @@ class DecodedQuantum:
     in reference order; ``refs`` counts the references, ``instr`` the
     instruction fetches, ``kinstr`` the kernel-mode ones among them and
     ``writes`` the data (non-fetch) references that carry the write
-    flag.
+    flag.  An instruction fetch that carries it is no reference a
+    machine can replay: it raises :class:`TraceMismatchError`.
     """
 
     __slots__ = ("cpu", "lines", "flags", "refs", "instr", "kinstr",
@@ -118,19 +124,19 @@ class DecodedQuantum:
     def __init__(self, quantum: TraceQuantum):
         refs = np.asarray(quantum.refs, dtype=np.int64)
         flags = refs & FLAG_MASK
+        # How many references carry each kernel/fetch/write combination.
+        kinds = np.bincount(flags & (FLAG_KERNEL | FLAG_INSTR | FLAG_WRITE),
+                            minlength=8).tolist()
+        if (kinds[FLAG_INSTR | FLAG_WRITE]
+                or kinds[FLAG_KERNEL | FLAG_INSTR | FLAG_WRITE]):
+            raise TraceMismatchError(WRITE_FETCH)
         self.cpu = quantum.cpu
         self.lines = (refs >> FLAG_BITS).tolist()
         self.flags = flags.tolist()
         self.refs = len(refs)
-        self.instr = _count(flags, FLAG_INSTR, FLAG_INSTR)
-        self.kinstr = _count(flags, FLAG_INSTR | FLAG_KERNEL,
-                             FLAG_INSTR | FLAG_KERNEL)
-        self.writes = _count(flags, FLAG_INSTR | FLAG_WRITE, FLAG_WRITE)
-
-
-def _count(flags: np.ndarray, mask: int, value: int) -> int:
-    """How many ``flags`` have exactly ``value`` under ``mask``."""
-    return int(np.count_nonzero((flags & mask) == value))
+        self.kinstr = kinds[FLAG_KERNEL | FLAG_INSTR]
+        self.instr = kinds[FLAG_INSTR] + self.kinstr
+        self.writes = kinds[FLAG_WRITE] + kinds[FLAG_KERNEL | FLAG_WRITE]
 
 
 def is_streaming(trace) -> bool:
@@ -411,9 +417,9 @@ def iter_chunks(trace) -> Iterator[TraceChunk]:
     return iter((TraceChunk(0, trace.quanta),))
 
 
-def iter_quanta(trace, engine: str = "") -> Iterator[
+def iter_quanta(trace) -> Iterator[
         Tuple[int, DecodedQuantum, bool, bool]]:
-    """Flat per-quantum replay iteration for the scalar engines.
+    """Flat per-quantum replay iteration for the scalar loop.
 
     Yields ``(qi, quantum, at_boundary, measured)``, ``quantum`` a
     :class:`DecodedQuantum` decoded as it is reached: ``at_boundary``
@@ -424,8 +430,8 @@ def iter_quanta(trace, engine: str = "") -> Iterator[
     warmup bookkeeping of their own.
 
     On a streamed trace every chunk additionally emits a
-    ``stream.chunk`` observability span (engine, chunk index, quanta,
-    references) when tracing is enabled.
+    ``stream.chunk`` observability span (engine ``"fast"``, chunk
+    index, quanta, references) when tracing is enabled.
     """
     if not is_streaming(trace):
         warmup = trace.warmup_quanta
@@ -449,6 +455,6 @@ def iter_quanta(trace, engine: str = "") -> Iterator[
         if spans:
             tracer.add_span(
                 "stream.chunk", t0, time.perf_counter() - t0,
-                engine=engine, chunk=ci, start=chunk.start,
+                engine="fast", chunk=ci, start=chunk.start,
                 quanta=len(chunk.quanta), refs=chunk.refs,
             )

@@ -1,7 +1,7 @@
 """Multi-engine differential harness.
 
-Parametrized sweeps asserting that the replay engines — ``_run_fast``,
-``_run_general`` and the staged numpy pipeline under its two names,
+Parametrized sweeps asserting that the replay engines — the scalar
+loop ``_run_fast`` and the staged numpy pipeline under its two names,
 ``vectorized`` (one node) and ``vectorized-mp`` — produce **equal**
 ``RunResult.to_dict()`` payloads wherever their domains overlap.
 
@@ -17,13 +17,15 @@ cached campaign results stay valid across engines without a
 ``CODE_VERSION`` bump: any field drifting — breakdowns, miss
 taxonomies, L1 stats, directory counters — fails here first.
 
-TLB-on cells are the negative half of the grid: the vectorized and
-fast engines must *refuse* them (ConfigError) and auto-selection must
-fall back to the general engine, rather than silently mis-replaying.
+TLB-on cells are the negative half of the grid: the vectorized
+engine must *refuse* them (ConfigError) and auto-selection must fall
+back to the scalar loop, rather than silently mis-replaying.
 
-Per-quantum checking and fault plans run only on the two scalar
-engines, so their cells are pinned to fixed outcomes instead of
-compared across all four.
+Per-quantum checking, fault plans and the victim-buffer, CMP and TLB
+machines run only on the scalar loop, so their cells are pinned to
+fixed outcomes instead of compared across engines; the reference
+model of ``tests/core/test_reference_model.py`` checks those machines
+independently.
 """
 
 import hashlib
@@ -137,11 +139,11 @@ def run_all_engines(machine, trace):
     """Replay ``trace`` once per engine; Systems are single-use."""
     return {
         engine: System(machine, engine=engine).run(trace).to_dict()
-        for engine in ("fast", "general", "vectorized")
+        for engine in ("fast", "vectorized")
     }
 
 
-class TestThreeEngineEquivalence:
+class TestUniprocessorEquivalence:
     @pytest.mark.parametrize("technology", TECHNOLOGIES,
                              ids=lambda t: t.value)
     @pytest.mark.parametrize("geometry", GEOMETRIES,
@@ -153,7 +155,6 @@ class TestThreeEngineEquivalence:
         trace = synthetic_trace(seed, warmup=warmup)
         results = run_all_engines(machine, trace)
         assert results["vectorized"] == results["fast"]
-        assert results["fast"] == results["general"]
 
     @pytest.mark.parametrize("geometry", [(2 * KB, 1), (2 * KB, 4),
                                           (4 * KB, 2), (16 * KB, 4),
@@ -166,7 +167,6 @@ class TestThreeEngineEquivalence:
         trace = synthetic_trace(17, warmup=8)
         results = run_all_engines(machine, trace)
         assert results["vectorized"] == results["fast"]
-        assert results["fast"] == results["general"]
 
     @pytest.mark.parametrize("cpu_model", ["inorder", "ooo"])
     @pytest.mark.parametrize("geometry", GEOMETRIES,
@@ -174,7 +174,7 @@ class TestThreeEngineEquivalence:
     def test_one_node_takes_no_ownership_upgrades(self, geometry,
                                                   cpu_model):
         """One node has no other copy to invalidate, so a write hit
-        never upgrades: the scalar loops skip ``ensure_owner``, and the
+        never upgrades: the scalar loop skips ``ensure_owner``, and the
         staged walks, which see every line as private, must too."""
         l2_size, l2_assoc = geometry
         machine = grid_machine(l2_size, l2_assoc, L2Technology.ON_CHIP_SRAM,
@@ -183,7 +183,6 @@ class TestThreeEngineEquivalence:
         for engine, result in results.items():
             assert result["protocol"]["upgrades"] == 0, engine
         assert results["vectorized"] == results["fast"]
-        assert results["fast"] == results["general"]
 
     @pytest.mark.parametrize("cpu_model", ["inorder", "ooo"])
     @pytest.mark.parametrize("geometry", GEOMETRIES,
@@ -214,7 +213,7 @@ class TestThreeEngineEquivalence:
 
 
 class TestTlbCells:
-    """TLB-on half of the grid: only the general engine may replay."""
+    """TLB-on half of the grid: only the scalar loop may replay."""
 
     def tlb_machine(self):
         return grid_machine(4 * KB, 2, L2Technology.OFF_CHIP_SRAM,
@@ -224,16 +223,12 @@ class TestTlbCells:
         with pytest.raises(ConfigError):
             System(self.tlb_machine(), engine="vectorized")
 
-    def test_fast_refuses_tlb(self):
-        with pytest.raises(ConfigError):
-            System(self.tlb_machine(), engine="fast")
-
-    def test_auto_falls_back_to_general(self):
+    def test_auto_falls_back_to_fast(self):
         machine = self.tlb_machine()
-        assert System.select_engine(machine) == "general"
+        assert System.select_engine(machine) == "fast"
         system = System(machine)
-        assert system.engine == "general"
-        system.run(synthetic_trace(5))  # replays without error
+        assert system.engine == "fast"
+        assert system.run(synthetic_trace(5)).tlb_misses > 0
 
     def test_machine_reports_not_vectorizable(self):
         assert not self.tlb_machine().vectorizable
@@ -262,7 +257,7 @@ def run_mp_engines(machine, trace):
     """Replay ``trace`` once per MP-capable engine."""
     return {
         engine: System(machine, engine=engine).run(trace).to_dict()
-        for engine in ("fast", "general", "vectorized-mp")
+        for engine in ("fast", "vectorized-mp")
     }
 
 
@@ -284,7 +279,6 @@ class TestMultiprocessorEquivalence:
         trace = synthetic_mp_trace(9, ncpus, replicate=replicate)
         results = run_mp_engines(machine, trace)
         assert results["vectorized-mp"] == results["fast"]
-        assert results["fast"] == results["general"]
 
     @pytest.mark.parametrize("l2_assoc", [1, 2, 8],
                              ids=lambda a: f"{a}w")
@@ -295,7 +289,6 @@ class TestMultiprocessorEquivalence:
         trace = synthetic_mp_trace(21, 4)
         results = run_mp_engines(machine, trace)
         assert results["vectorized-mp"] == results["fast"]
-        assert results["fast"] == results["general"]
 
     def test_no_warmup_boundary(self):
         machine = mp_machine(2)
@@ -331,10 +324,33 @@ class TestMultiprocessorEquivalence:
 
 class TestEngineSelection:
     def test_engines_tuple_is_the_contract(self):
-        assert ENGINES == ("auto", "fast", "general", "vectorized",
-                           "vectorized-mp")
-        with pytest.raises(ConfigError):
-            System.select_engine(MachineConfig.base(1), engine="turbo")
+        assert ENGINES == ("auto", "fast", "vectorized", "vectorized-mp")
+        for name in ("turbo", "general"):
+            with pytest.raises(ConfigError):
+                System.select_engine(MachineConfig.base(1), engine=name)
+
+    @pytest.mark.parametrize("machine", [
+        MachineConfig.chip_multiprocessor(4, cores_per_node=2),
+        MachineConfig.fully_integrated(8, victim_entries=16),
+        MachineConfig.fully_integrated(1).with_(tlb_entries=64),
+    ], ids=["cmp", "victim", "tlb"])
+    def test_extended_machines_select_the_scalar_loop(self, machine):
+        assert System.select_engine(machine) == "fast"
+
+    def test_out_of_order_machines_stop_at_127_nodes(self):
+        """An ordered-log record keeps its event class in REC_SHIFT
+        bits: 127 nodes fit, 128 are refused before anything runs."""
+        def ooo(n):
+            return MachineConfig.fully_integrated(
+                n, l2_size=1 * KB, l2_assoc=1, scale=1, cpu_model="ooo")
+
+        assert System(ooo(127)).engine == "vectorized-mp"
+        with pytest.raises(ConfigError, match="at most 127 nodes"):
+            System(ooo(128))
+        for engine in ENGINES:
+            with pytest.raises(ConfigError):
+                System(ooo(128), engine=engine)
+        System(ooo(128).with_(cpu_model="inorder"))
 
     def test_uniprocessor_auto_selects_vectorized(self):
         assert System.select_engine(MachineConfig.base(1)) == "vectorized"
@@ -409,7 +425,7 @@ class TestStreamingEquivalence:
         l2_size, l2_assoc = geometry
         machine = grid_machine(l2_size, l2_assoc, technology)
         trace = synthetic_trace(11, warmup=12)
-        for engine in ("fast", "general", "vectorized"):
+        for engine in ("fast", "vectorized"):
             base = System(machine, engine=engine).run(trace).to_dict()
             for chunk in STREAM_CHUNKS:
                 streamed = System(machine, engine=engine).run(
@@ -423,7 +439,7 @@ class TestStreamingEquivalence:
 
         machine = grid_machine(4 * KB, 2, L2Technology.ON_CHIP_SRAM)
         trace = synthetic_trace(3, warmup=0)
-        for engine in ("fast", "general", "vectorized"):
+        for engine in ("fast", "vectorized"):
             base = System(machine, engine=engine).run(trace).to_dict()
             streamed = System(machine, engine=engine).run(
                 StreamedTrace.from_trace(trace, chunk)
@@ -436,7 +452,7 @@ class TestStreamingEquivalence:
 
         machine = mp_machine(ncpus, rac_size=256 * KB, replicate=True)
         trace = synthetic_mp_trace(9, ncpus, replicate=True)
-        for engine in ("fast", "general", "vectorized-mp"):
+        for engine in ("fast", "vectorized-mp"):
             base = System(machine, engine=engine).run(trace).to_dict()
             for chunk in STREAM_CHUNKS:
                 streamed = System(machine, engine=engine).run(
@@ -483,7 +499,7 @@ class TestStreamingEquivalence:
 
 
 def victim_machine(cpu_model):
-    """Two nodes with a four-entry victim buffer; ``general`` only."""
+    """Two nodes with a four-entry victim buffer; scalar loop only."""
     return MachineConfig(
         label=f"diff victim {cpu_model}",
         ncpus=2,
@@ -498,31 +514,30 @@ def victim_machine(cpu_model):
 
 
 #: Machines of the checked and fault-planned cells: (machine for a CPU
-#: model, the trace it replays, the scalar engines that can run it).
+#: model, the trace it replays).
 CHECKED_MACHINES = {
     "uni": (lambda cpu: grid_machine(8 * KB, 4, L2Technology.ON_CHIP_SRAM,
                                      cpu_model=cpu),
-            lambda: synthetic_trace(17, warmup=8), ("fast", "general")),
+            lambda: synthetic_trace(17, warmup=8)),
     "mp-rac": (lambda cpu: mp_machine(2, rac_size=8 * KB, cpu_model=cpu),
-               lambda: synthetic_mp_trace(9, 2), ("fast", "general")),
-    "victim": (victim_machine, lambda: synthetic_mp_trace(9, 2),
-               ("general",)),
+               lambda: synthetic_mp_trace(9, 2)),
+    "victim": (victim_machine, lambda: synthetic_mp_trace(9, 2)),
     # A software TLB: an out-of-order CPU's walks are kernel busy time
     # ahead of the same reference's fetch.
     "tlb": (lambda cpu: grid_machine(4 * KB, 2, L2Technology.OFF_CHIP_SRAM,
                                      cpu_model=cpu, tlb_entries=4),
-            lambda: synthetic_trace(17, warmup=8), ("general",)),
+            lambda: synthetic_trace(17, warmup=8)),
     # Two cores per node on islands: remote hops are priced from the
     # requesting node, not the CPU index.
     "cmp-islands": (
         lambda cpu: MachineConfig.chip_multiprocessor(
             4, cores_per_node=2, l2_size=16 * KB, l2_assoc=4, scale=1,
             cpu_model=cpu).with_(topology=TopologySpec.islands(2, 40)),
-        lambda: synthetic_mp_trace(9, 8), ("general",)),
+        lambda: synthetic_mp_trace(9, 8)),
     "victim-islands": (
         lambda cpu: victim_machine(cpu).with_(
             topology=TopologySpec.islands(1, 40)),
-        lambda: synthetic_mp_trace(9, 2), ("general",)),
+        lambda: synthetic_mp_trace(9, 2)),
 }
 
 #: Outcome of each (machine, CPU model, check level, fault kind) cell,
@@ -617,10 +632,10 @@ def replay_outcome(system, trace):
 
 
 class TestCheckedAndFaultedCells:
-    """``fast`` and ``general`` under per-quantum checking and fault
-    plans, in-order and OOO, materialized and streamed: every engine
-    and both trace forms give the pinned outcome, so charging a
-    quantum's stalls at its end moves no check, fault or statistic."""
+    """The scalar loop under per-quantum checking and fault plans, and
+    on its victim-buffer, CMP and TLB machines, in-order and OOO,
+    materialized and streamed: both trace forms give the pinned
+    outcome."""
 
     @pytest.mark.parametrize(
         "cell", sorted(PINNED, key=str),
@@ -629,16 +644,13 @@ class TestCheckedAndFaultedCells:
         from repro.trace.stream import StreamedTrace
 
         name, cpu_model, check, fault = cell
-        make_machine, make_trace_, engines = CHECKED_MACHINES[name]
+        make_machine, make_trace_ = CHECKED_MACHINES[name]
         machine = make_machine(cpu_model)
         trace = make_trace_()
-        for engine in engines:
-            for chunk in (None, 7):
-                source = (trace if chunk is None
-                          else StreamedTrace.from_trace(trace, chunk))
-                plan = (FaultPlan(fault, at_ref=300, seed=3) if fault
-                        else None)
-                system = System(machine, engine=engine, check=check,
-                                fault_plan=plan)
-                assert replay_outcome(system, source) == PINNED[cell], (
-                    engine, chunk)
+        for chunk in (None, 7):
+            source = (trace if chunk is None
+                      else StreamedTrace.from_trace(trace, chunk))
+            plan = FaultPlan(fault, at_ref=300, seed=3) if fault else None
+            system = System(machine, engine="fast", check=check,
+                            fault_plan=plan)
+            assert replay_outcome(system, source) == PINNED[cell], chunk

@@ -130,8 +130,8 @@ class TestVictimBufferSystem:
         ).label
 
 
-class TestGeneralLoopEquivalence:
-    """The fast loop and the general loop implement the same machine."""
+class TestScalarLoopEquivalence:
+    """The scalar loop and the staged walk implement the same machine."""
 
     @staticmethod
     def _random_trace(seed, ncpus=2):
@@ -162,12 +162,12 @@ class TestGeneralLoopEquivalence:
 
         l2_size, l2_assoc = geometry
         machine = MachineConfig.base(2, l2_size=l2_size, l2_assoc=l2_assoc, scale=1)
-        fast = System(machine).run(self._random_trace(seed))
-        general = System(machine, engine="general").run(self._random_trace(seed))
-        assert fast.breakdown.total == general.breakdown.total
-        assert fast.misses.as_dict() == general.misses.as_dict()
-        assert fast.protocol.upgrades == general.protocol.upgrades
-        assert fast.l1.i_misses == general.l1.i_misses
+        staged = System(machine).run(self._random_trace(seed))
+        fast = System(machine, engine="fast").run(self._random_trace(seed))
+        assert fast.breakdown.total == staged.breakdown.total
+        assert fast.misses.as_dict() == staged.misses.as_dict()
+        assert fast.protocol.upgrades == staged.protocol.upgrades
+        assert fast.l1.i_misses == staged.l1.i_misses
 
     def test_loops_agree_with_warmup(self):
         from repro.core.system import System
@@ -177,10 +177,10 @@ class TestGeneralLoopEquivalence:
         t1.warmup_quanta = 20
         t2 = self._random_trace(5)
         t2.warmup_quanta = 20
-        fast = System(machine).run(t1)
-        general = System(machine, engine="general").run(t2)
-        assert fast.breakdown.total == general.breakdown.total
-        assert fast.misses.as_dict() == general.misses.as_dict()
+        staged = System(machine).run(t1)
+        fast = System(machine, engine="fast").run(t2)
+        assert fast.breakdown.total == staged.breakdown.total
+        assert fast.misses.as_dict() == staged.misses.as_dict()
 
 
 class TestTlbSystem:

@@ -34,6 +34,7 @@ from repro.cpu.events import encode
 from repro.experiments import cli
 from repro.experiments.cli import FIGURES
 from repro.experiments.common import Settings
+from repro.integrity.errors import CampaignJobError, TraceMismatchError
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.params import KB, MB, IntegrationLevel, L2Technology, LatencyTable
 from repro.runner import (
@@ -79,12 +80,8 @@ def profile_of(machine, trace, check="off"):
 
 
 def cold(machine, trace, check="off"):
-    """A fresh replay of ``machine`` on a scalar loop."""
-    general = (machine.cores_per_node > 1 or machine.victim_entries
-               or machine.tlb_entries)
-    system = System(machine, engine="general" if general else "fast",
-                    check=check)
-    return system.run(trace).to_dict()
+    """A fresh replay of ``machine`` on the scalar loop."""
+    return System(machine, engine="fast", check=check).run(trace).to_dict()
 
 
 def relatives(machine):
@@ -376,18 +373,19 @@ class TestProfile:
         assert profile_key(spec, a) != profile_key(spec, a.with_(l2_assoc=4))
         assert profile_key(spec, a) != profile_key(spec, a, "end-of-run")
 
-    def test_scalar_fallback_yields_a_profile(self):
-        # An instruction fetch carrying the write flag is outside the
-        # numpy kernel's contract: the scalar loop replays it instead,
-        # and tallies a profile like every engine.
-        trace = make_trace(1, [(0, [encode(5, write=True, instr=True),
-                                    encode(9)])], page_bytes=256)
-        machine = MachineConfig.base(1, scale=1)
-        system = System(machine)
-        result = system.run(trace)
-        assert system.engine == "fast" and system.profile is not None
-        assert result.to_dict() == retime(system.profile, machine).to_dict()
-        assert result.to_dict() == cold(machine, trace)
+    @pytest.mark.parametrize("ncpus,engine", [
+        (1, "auto"), (1, "fast"), (1, "vectorized"), (2, "auto"),
+        (2, "fast"), (2, "vectorized-mp")])
+    def test_every_engine_rejects_a_write_fetch(self, ncpus, engine):
+        # No engine stores to an instruction line: a fetch carrying
+        # the write flag is refused before it is replayed.
+        trace = make_trace(ncpus, [(0, [encode(9)]),
+                                   (ncpus - 1, [encode(5, write=True,
+                                                       instr=True)])],
+                           page_bytes=256)
+        machine = MachineConfig.base(ncpus, scale=1, cpu_model="ooo")
+        with pytest.raises(TraceMismatchError, match="write flag"):
+            System(machine, engine=engine).run(trace)
 
     def test_cpu_profile_reset(self):
         cpu = CpuProfile(2)
@@ -446,7 +444,7 @@ class TestScalarProfiles:
         assert len(set(keys)) == len(keys) - 1
         assert keys[-1] == keys[-2]  # the same CMP, built two ways
 
-    @pytest.mark.parametrize("engine", ["fast", "general", "vectorized",
+    @pytest.mark.parametrize("engine", ["fast", "vectorized",
                                         "vectorized-mp"])
     def test_every_engine_leaves_a_profile(self, engine):
         if engine == "vectorized-mp":
@@ -605,7 +603,7 @@ class TestRunner:
         assert sources == ["simulated", "simulated", "retimed", "retimed"]
         assert registry.counters["campaign.retimed"] == 2
 
-    def test_fallback_profile_retimes_the_siblings(self):
+    def test_a_write_fetch_fails_the_job_and_its_siblings(self):
         trace = make_trace(1, [(0, [encode(5, write=True, instr=True),
                                     encode(9), encode(77, write=True)])],
                            page_bytes=256)
@@ -622,11 +620,12 @@ class TestRunner:
                 SimJob(spec=spec, machine=MachineConfig.integrated_l2(
                     1, l2_size=8 * 1024 * KB, l2_assoc=1, scale=1))]
         with CampaignRunner(jobs=1, trace_store=OneTrace()) as runner:
-            results = runner.run_jobs(jobs)
-        assert [r.to_dict() for r in results] == [
-            cold(j.machine, trace) for j in jobs]
-        assert runner.telemetry.simulated == 1
-        assert runner.telemetry.retimed == 1
+            with pytest.raises(CampaignJobError) as info:
+                runner.run_jobs(jobs)
+        assert [f.label for f in info.value.failures] == [
+            j.label for j in jobs]
+        assert "TraceMismatchError" in str(info.value)
+        assert runner.telemetry.retimed == 0
 
     def test_inline_batch_retimes_and_traces_it(self):
         tracer = Tracer()

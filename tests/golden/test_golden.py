@@ -46,7 +46,7 @@ def test_golden_uni_identical_across_engines(name):
     uniprocessor-capable engines, not just the auto-selected one
     (zipf_uni pins the Zipf-skewed scenario workload)."""
     machine, trace, expected = load_case(name)
-    for engine in ("fast", "general", "vectorized"):
+    for engine in ("fast", "vectorized"):
         got = System(machine, engine=engine).run(trace).to_dict()
         assert got == expected, f"engine={engine}: {REGEN_HINT}"
 
@@ -55,11 +55,11 @@ def test_golden_uni_identical_across_engines(name):
 def test_golden_mp_identical_across_engines(name):
     """The frozen multiprocessor expectations hold bit-for-bit for
     every MP-capable engine — in particular the staged
-    ``vectorized-mp`` pipeline must reproduce the scalar engines'
+    ``vectorized-mp`` pipeline must reproduce the scalar loop's
     payloads exactly (the mp8rac case exercises its RAC miss path, and
     islands_mp8 the non-flat topology routing)."""
     machine, trace, expected = load_case(name)
-    for engine in ("fast", "general", "vectorized-mp"):
+    for engine in ("fast", "vectorized-mp"):
         got = System(machine, engine=engine).run(trace).to_dict()
         assert got == expected, f"engine={engine}: {REGEN_HINT}"
 

@@ -1,9 +1,10 @@
-"""Property test: fast and general loops agree *and* stay invariant-clean.
+"""Property test: the scalar loop stays invariant-clean and agrees with
+the staged walk.
 
-The two replay loops are the highest-risk duplication in the codebase.
-Running both under per-quantum checking on randomized traces asserts
-not just equal statistics (the metamorphic tests do that) but that
-every intermediate machine state both loops pass through is legal.
+The scalar loop runs under per-quantum checking on randomized traces,
+so every intermediate machine state it passes through is legal; the
+staged walk, which keeps no per-reference cache state, is checked at
+the end of its run.  Their statistics must be equal.
 """
 
 import random
@@ -39,24 +40,20 @@ def test_loops_agree_under_per_quantum_checking(seed):
     machine = MachineConfig.base(4, l2_size=8192, l2_assoc=2, scale=1)
     fast_sys = System(machine, check="per-quantum")
     fast = fast_sys.run(_random_trace(seed))
-    general_sys = System(machine, engine="general", check="per-quantum")
-    general = general_sys.run(_random_trace(seed))
+    staged_sys = System(machine, check="end-of-run")
+    staged = staged_sys.run(_random_trace(seed))
 
+    assert fast_sys.engine == "fast"
+    assert staged_sys.engine == "vectorized-mp"
     assert fast_sys.checker.checks_run > 1
-    assert general_sys.checker.checks_run == fast_sys.checker.checks_run
-    assert fast.breakdown.total == general.breakdown.total
-    assert fast.misses.as_dict() == general.misses.as_dict()
-    assert fast.l1.i_refs == general.l1.i_refs
-    assert fast.l1.d_refs == general.l1.d_refs
-    assert fast.l2_hits == general.l2_hits
-    assert fast.trace_refs == general.trace_refs
+    assert staged_sys.checker.checks_run == 1
+    assert fast.to_dict() == staged.to_dict()
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_uniprocessor_agreement(seed):
     machine = MachineConfig.integrated_l2_mc(l2_size=16384, l2_assoc=4, scale=1)
     fast = System(machine, check="per-quantum").run(_random_trace(seed, ncpus=1))
-    general = System(machine, engine="general",
-                     check="per-quantum").run(_random_trace(seed, ncpus=1))
-    assert fast.breakdown.total == general.breakdown.total
-    assert fast.misses.as_dict() == general.misses.as_dict()
+    staged = System(machine,
+                    check="end-of-run").run(_random_trace(seed, ncpus=1))
+    assert fast.to_dict() == staged.to_dict()

@@ -2,8 +2,7 @@
 
 ``System._run_numpy`` is the one place a
 :class:`~repro.trace.stream.StreamedTrace` is collected: the staged
-replay kernel takes a materialized trace only, and the
-``VectorizedUnsupported`` fallback needs one too.  These tests check
+replay kernel takes a materialized trace only.  These tests check
 that seam from both sides, on one node and on several.  A streamed
 ``System.run`` reproduces the kernel driven directly on the
 materialized trace, and the stream's validating iterator still sees

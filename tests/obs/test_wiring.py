@@ -223,7 +223,7 @@ class TestIntegrityMetrics:
 
     def test_per_quantum_tier_counts_every_walk(self, uni_trace):
         _, tracer, registry = traced_run(base_machine(1), uni_trace,
-                                         "general", check="per-quantum")
+                                         "fast", check="per-quantum")
         walks = registry.counters["integrity.checks_run"]
         assert walks > 1
         spans = [s for s in tracer.spans if s.name == "integrity.check"]
@@ -396,12 +396,6 @@ class TestStreamChunkSpans:
             start += span.args["quanta"]
         # Transparency: streamed-with-spans equals plain materialized.
         assert result.to_dict() == simulate(machine, uni_trace).to_dict()
-
-    def test_general_engine_tags_its_chunk_spans(self, uni_trace):
-        machine = base_machine(1)
-        _, chunks = self._streamed_spans(uni_trace, machine, "general")
-        assert chunks
-        assert {s.args["engine"] for s in chunks} == {"general"}
 
     def test_materialized_replay_emits_no_chunk_spans(self, uni_trace):
         tracer = Tracer()

@@ -164,12 +164,15 @@ def decoded_fields(quantum: DecodedQuantum):
     return {name: getattr(quantum, name) for name in DecodedQuantum.__slots__}
 
 
-#: Quanta over every flag combination and lines up to 2**40; empty
+#: Quanta over every flag combination a trace may carry (all but an
+#: instruction fetch with the write flag) and lines up to 2**40; empty
 #: quanta included.
 QUANTA = st.lists(
     st.tuples(st.integers(0, 2),
               st.lists(st.tuples(st.integers(0, 1 << 40),
-                                 st.integers(0, 15)), max_size=12)),
+                                 st.sampled_from([f for f in range(16)
+                                                  if f & 3 != 3])),
+                       max_size=12)),
     min_size=1, max_size=20,
 )
 
@@ -189,6 +192,14 @@ class TestDecode:
             # Plain Python ints, as the loops' set and dict keys expect.
             assert all(type(v) is int
                        for q in decoded for v in q.lines + q.flags)
+
+    @pytest.mark.parametrize("flags", [3, 7, 11, 15])
+    def test_a_write_fetch_is_refused(self, flags):
+        trace = make_trace(1, [(0, [5 << 4]), (0, [9 << 4 | flags])])
+        decoded = iter_quanta(trace)
+        next(decoded)
+        with pytest.raises(TraceMismatchError, match="write flag"):
+            next(decoded)
 
     def test_live_stream_decodes_like_the_built_trace(self, reference):
         want = [per_reference_decode(q) for q in reference.quanta]
