@@ -33,7 +33,9 @@ Figure-3 latencies are charged in one place: :func:`event_costs`.
   would produce, bit for bit.  An in-order CPU's stall cycles are sums
   of per-event latencies, and integer sums commute, so ``count x
   latency`` per event class is exact; an out-of-order CPU replays the
-  ordered log through :func:`~repro.cpu.ooo.charge_quantum_ooo`.
+  ordered log through :func:`~repro.cpu.ooo.charge_quantum_ooo`, one
+  loop per quantum on local variables whose float adds are a
+  per-event model's, in the same order, so its sums are exact too.
 """
 
 from __future__ import annotations
@@ -454,8 +456,11 @@ def retime(profile: MemoryProfile, machine: MachineConfig) -> RunResult:
         cores = machine.cores_per_node
         costs = [per_node[c // cores] for c in range(len(profile.cpus))]
         if machine.cpu_model == "ooo":
-            with tracer.span("mp.timing", mode="ordered"):
-                per_cpu = _ooo_breakdowns(profile.ordered, costs)
+            log = profile.ordered
+            with tracer.span("mp.timing", mode="ordered",
+                             records=len(log.pos),
+                             fetches=int(np.count_nonzero(log.flags & 2))):
+                per_cpu = _ooo_breakdowns(log, costs)
         else:
             per_cpu = [_inorder_breakdown(cpu, *cost)
                        for cpu, cost in zip(profile.cpus, costs)]

@@ -15,6 +15,13 @@ previous miss returns — which is why OLTP, with its chains of
 dependent memory operations, gains far less than SPEC-style codes.
 Instruction-fetch misses stall the front end for a fixed fraction
 of their latency (fetch-ahead hides the rest).
+
+The model is one loop, :func:`charge_quantum_ooo`: it prices a
+quantum of an ordered memory profile (its fetches and service
+records, see :mod:`repro.core.profile`) on local variables and writes
+the processor's state back once.  :class:`OutOfOrderCPU` holds that
+state between quanta, the model's constants, the warmup ``reset``,
+the end-of-run ``drain`` and the ``breakdown``.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from repro.stats.breakdown import ExecutionBreakdown
 
 
 class OutOfOrderCPU:
-    """Windowed latency-overlap timing model for one processor."""
+    """One processor's state and constants for :func:`charge_quantum_ooo`."""
 
     MODEL_NAME = "out-of-order"
 
@@ -69,55 +76,6 @@ class OutOfOrderCPU:
         self._outstanding = []
         self._last_completion = 0.0
 
-    def busy(self, cycles: int, kernel: bool) -> None:
-        c = cycles / self.ISSUE_SPEEDUP
-        self.busy_cycles += c
-        if kernel:
-            self.kernel_busy_cycles += c
-        self._now += c
-
-    def stall(self, cycles: int, klass: int, dependent: bool = False,
-              is_instr: bool = False) -> None:
-        """Account an L1-miss service of ``cycles`` at class ``klass``.
-
-        Data misses overlap with execution up to the window's slack and
-        with up to MSHRS-1 other outstanding misses; dependent loads
-        serialize behind the previous miss; instruction misses stall
-        the front end completely.
-        """
-        now = self._now
-        if is_instr:
-            # Front-end starvation: a fixed fraction of the fetch
-            # latency is hidden; the rest stalls the pipe.
-            stall = cycles * (1.0 - self.FRONTEND_HIDE)
-            self._now = now + stall
-            self.stall_cycles[klass] += stall
-            self._last_completion = self._now
-            return
-
-        outstanding = self._outstanding
-        if outstanding:
-            # Retire misses that have already come back.
-            outstanding = [t for t in outstanding if t > now]
-            self._outstanding = outstanding
-
-        issue = now
-        if dependent and self._last_completion > issue:
-            issue = self._last_completion
-        if len(outstanding) >= self.MSHRS:
-            earliest = min(outstanding)
-            outstanding.remove(earliest)
-            if earliest > issue:
-                issue = earliest
-        completion = issue + cycles
-        outstanding.append(completion)
-        self._last_completion = completion
-
-        stall = completion - now - self.WINDOW_CYCLES
-        if stall > 0:
-            self.stall_cycles[klass] += stall
-            self._now = now + stall
-
     def drain(self) -> None:
         """Wait for all outstanding misses at the end of a run."""
         if self._outstanding:
@@ -128,10 +86,6 @@ class OutOfOrderCPU:
                 self.stall_cycles[1] += last - self._now
                 self._now = last
             self._outstanding = []
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     def reset(self) -> None:
         self.busy_cycles = 0.0
@@ -152,6 +106,10 @@ class OutOfOrderCPU:
         )
 
 
+#: Cycles of issue time one instruction-cache line of fetches costs.
+FETCH_CYCLES = INSTRS_PER_ILINE / OutOfOrderCPU.ISSUE_SPEEDUP
+
+
 def charge_quantum_ooo(cpu, timing: Sequence, ipos: List[int],
                        ikern: List[bool]) -> None:
     """Replay one quantum's timing records through an out-of-order CPU.
@@ -159,27 +117,79 @@ def charge_quantum_ooo(cpu, timing: Sequence, ipos: List[int],
     ``timing`` holds ``(pos, cycles, klass, dep, is_instr)`` records in
     program order; ``ipos``/``ikern`` are the positions (on the same
     axis) and kernel flags of the quantum's instruction fetches.  A
-    fetch is charged ``busy(INSTRS_PER_ILINE, kernel)`` *before* any
-    stall that fetch produces, so the merge applies every fetch with
+    fetch is busy time (``FETCH_CYCLES``) charged *before* any stall
+    that fetch produces, so the merge applies every fetch with
     ``ipos <= pos`` ahead of the stall at ``pos``.  A record of class
     ``KERNEL_BUSY`` (a software TLB walk) is kernel busy time that
-    comes before its own reference's fetch.
+    comes before its own reference's fetch.  The CPU's state lives in
+    locals for the quantum and is written back once.
     """
-    busy = cpu.busy
-    stall = cpu.stall
+    speedup = cpu.ISSUE_SPEEDUP
+    window = cpu.WINDOW_CYCLES
+    mshrs = cpu.MSHRS
+    keep = 1.0 - cpu.FRONTEND_HIDE
+    fetch = FETCH_CYCLES
+    now = cpu._now
+    busy = cpu.busy_cycles
+    kbusy = cpu.kernel_busy_cycles
+    stalls = cpu.stall_cycles
+    outstanding = cpu._outstanding
+    last = cpu._last_completion
     n_i = len(ipos)
     ip = 0
     for pos, cycles, klass, dep, is_instr in timing:
         if klass < 0:  # KERNEL_BUSY, the one class that is not a stall
             while ip < n_i and ipos[ip] < pos:
-                busy(INSTRS_PER_ILINE, ikern[ip])
+                busy += fetch
+                if ikern[ip]:
+                    kbusy += fetch
+                now += fetch
                 ip += 1
-            busy(cycles, True)
+            c = cycles / speedup
+            busy += c
+            kbusy += c
+            now += c
             continue
         while ip < n_i and ipos[ip] <= pos:
-            busy(INSTRS_PER_ILINE, ikern[ip])
+            busy += fetch
+            if ikern[ip]:
+                kbusy += fetch
+            now += fetch
             ip += 1
-        stall(cycles, klass, dep, is_instr)
+        if is_instr:
+            # Front-end starvation: fetch-ahead hides a fixed fraction
+            # of the latency; the rest stalls the pipe.
+            stall = cycles * keep
+            now = now + stall
+            stalls[klass] += stall
+            last = now
+            continue
+        if outstanding:
+            # Retire misses that have already come back.
+            outstanding = [t for t in outstanding if t > now]
+        issue = now  # a dependent load waits for the previous miss
+        if dep and last > issue:
+            issue = last
+        if len(outstanding) >= mshrs:
+            earliest = min(outstanding)
+            outstanding.remove(earliest)
+            if earliest > issue:
+                issue = earliest
+        completion = issue + cycles
+        outstanding.append(completion)
+        last = completion
+        stall = completion - now - window
+        if stall > 0:
+            stalls[klass] += stall
+            now = now + stall
     while ip < n_i:
-        busy(INSTRS_PER_ILINE, ikern[ip])
+        busy += fetch
+        if ikern[ip]:
+            kbusy += fetch
+        now += fetch
         ip += 1
+    cpu._now = now
+    cpu.busy_cycles = busy
+    cpu.kernel_busy_cycles = kbusy
+    cpu._outstanding = outstanding
+    cpu._last_completion = last

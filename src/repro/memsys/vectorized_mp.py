@@ -91,13 +91,12 @@ MODE_ASSOC = 2  # set-associative LRU: list-of-lists, mirrors SetAssocCache
 
 
 class _NodeState:
-    """Flat per-node cache state with coherence entry points.
+    """Flat per-node cache state.
 
-    ``invalidate``/``downgrade``/``holds`` mirror
-    :class:`~repro.memsys.hierarchy.NodeCaches` semantics exactly
-    (``invalidate`` also drops the copy in the node's
+    ``invalidate`` mirrors ``NodeCaches.invalidate`` exactly and also
+    drops the copy in the node's
     :class:`~repro.memsys.rac.RemoteAccessCache` ``rac``, as
-    ``DirectoryProtocol._invalidate_node`` does); the walks drive them
+    ``DirectoryProtocol._invalidate_node`` does; the walks call it
     when another node's miss or upgrade must strip this node's copy of
     a *shared* line.
     """
@@ -128,8 +127,6 @@ class _NodeState:
         self.owned = set()
         self.rac = rac
 
-    # -- coherence entry points (mirror NodeCaches semantics exactly) ---
-
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` everywhere; True when dirty data was lost.
 
@@ -146,7 +143,7 @@ class _NodeState:
             if line in r:
                 r.remove(line)
                 self.sets2[line % self.l2_n].remove(line)
-        s = line % self.l1_n  # drop_l1, inlined for the walks' hot path
+        s = line % self.l1_n
         ia, ib = self.ia, self.ib
         if ia[s] == line:
             ia[s] = ib[s]
@@ -167,61 +164,18 @@ class _NodeState:
             return True
         return lost
 
-    def drop_l1(self, line: int) -> None:
-        s = line % self.l1_n
-        ia, ib = self.ia, self.ib
-        if ia[s] == line:
-            ia[s] = ib[s]
-            ib[s] = -1
-        elif ib[s] == line:
-            ib[s] = -1
-        da, db = self.da, self.db
-        if da[s] == line:
-            da[s] = db[s]
-            db[s] = -1
-        elif db[s] == line:
-            db[s] = -1
-
-    def downgrade(self, line: int) -> bool:
-        """Demote to shared/clean; True when the line was dirty."""
-        dirty = self.dirty
-        if line in dirty:
-            dirty.remove(line)
-            return True
-        return False
-
-    def holds(self, line: int) -> bool:
-        if self.mode == MODE_DM:
-            return self.dmset[line % self.l2_n] == line
-        return line in self.resident
-
-    def fill_l2(self, line: int, s2: int) -> int:
-        """Install a missing line in L2 set ``s2``; returns the victim
-        (purged from the L1s), or -1."""
-        if self.mode == MODE_DM:
-            victim = self.dmset[s2]
-            self.dmset[s2] = line
-        else:
-            ways = self.sets2[s2]
-            victim = -1
-            if len(ways) >= self.l2_assoc:
-                victim = ways.pop()
-                self.resident.remove(victim)
-            ways.insert(0, line)
-            self.resident.add(line)
-        if victim != -1:
-            self.drop_l1(victim)
-        return victim
-
 
 class _Service:
     """Past-the-L1 service for RAC machines and out-of-order CPUs.
 
     :meth:`miss` transcribes ``DirectoryProtocol.handle_eviction``,
     ``service_miss`` and ``_rac_evict``, RAC paths included, onto the
-    flat node states, driving the real directory and RACs through
-    their own methods; :meth:`write` is ``ensure_owner``, skipped on
-    a one-node machine as the scalar loop skips it.
+    flat node states, the directory's own dicts (``dsh`` maps line ->
+    sharer set, ``down`` line -> owning node) and each RAC's cache
+    sets, moving every counter the RAC objects keep as their methods
+    would; :meth:`upgrade` is ``ensure_owner`` for a write hit at a
+    node that does not own the line (the ordered walk skips it on a
+    one-node machine, as the scalar loop does).
     These machines skip the census' private-line shortcut, so the
     directory tracks every line.  An out-of-order CPU's events go into
     the ordered log through ``rec``; the counts fold into each walk's
@@ -229,11 +183,14 @@ class _Service:
     """
 
     COUNTS = ("l2h", "l_i", "l_d", "u_l", "inv", "intervs", "wbacks")
-    __slots__ = ("states", "directory", "nn", "rec", "base", *COUNTS)
+    __slots__ = ("states", "directory", "dsh", "down", "nn", "rec", "base",
+                 *COUNTS)
 
     def __init__(self, states, directory, nn, rec):
         self.states = states
         self.directory = directory
+        self.dsh = directory._sharers
+        self.down = directory._owner
         self.nn = nn
         self.rec = rec
         self.base = 0  # the ordered walk's first position
@@ -250,17 +207,18 @@ class _Service:
 
     def own(self, nid: int, line: int) -> None:
         """Invalidate every other copy and make ``nid`` the owner."""
-        for other in self.directory.sharers(line):
-            if other != nid:
-                self.states[other].invalidate(line)
-                self.inv += 1
-        self.directory.set_owner(line, nid)
+        s = self.dsh.get(line)
+        if s:
+            for other in tuple(s):
+                if other != nid:
+                    self.states[other].invalidate(line)
+                    self.inv += 1
+        self.dsh[line] = {nid}
+        self.down[line] = nid
 
-    def write(self, st, nid, line, f, pos, cpu) -> None:
-        """A write hit: mark it dirty and take ownership if needed."""
-        st.dirty.add(line)
-        if self.nn == 1 or self.directory.owner(line) == nid:
-            return
+    def upgrade(self, nid, line, f, pos, cpu) -> None:
+        """A write hit at a node that does not own ``line``: take
+        ownership (``ensure_owner``) and log the upgrade."""
         self.own(nid, line)
         if f & 8:
             self.u_l += 1
@@ -272,30 +230,82 @@ class _Service:
 
     def miss(self, st, nid, line, f, s2, cpu, pos=0) -> None:
         """An L2 miss of ``line`` (flag word ``f``) at node ``nid``."""
+        dsh = self.dsh
+        down = self.down
+        dirty = st.dirty
         rac = st.rac
-        directory = self.directory
-        victim = st.fill_l2(line, s2)
+        dmset = st.dmset
+        if dmset is not None:
+            victim = dmset[s2]
+            dmset[s2] = line
+        else:
+            ways = st.sets2[s2]
+            victim = -1
+            if len(ways) >= st.l2_assoc:
+                victim = ways.pop()
+                st.resident.remove(victim)
+            ways.insert(0, line)
+            st.resident.add(line)
         if victim != -1:
-            vdirty = st.downgrade(victim)
-            if rac is not None and rac.holds(victim):
+            vs = victim % st.l1_n
+            ia, ib, da, db = st.ia, st.ib, st.da, st.db
+            if ia[vs] == victim:
+                ia[vs] = ib[vs]
+                ib[vs] = -1
+            elif ib[vs] == victim:
+                ib[vs] = -1
+            if da[vs] == victim:
+                da[vs] = db[vs]
+                db[vs] = -1
+            elif db[vs] == victim:
+                db[vs] = -1
+            vdirty = victim in dirty
+            if vdirty:
+                dirty.remove(victim)
+            if rac is not None and victim in rac.cache._sets[
+                    victim % rac.cache.num_sets]:
                 # The node keeps its copy in the RAC (which holds
                 # remote-home lines only); dirty data migrates there.
                 if vdirty:
-                    rac.allocate(victim, dirty=True)
+                    rac.cache._dirty[victim % rac.cache.num_sets].add(victim)
             else:
                 self.wbacks += vdirty
-                directory.remove_node(victim, nid)
+                s = dsh.get(victim)
+                if s is not None:
+                    s.discard(nid)
+                    if not s:
+                        del dsh[victim]
+                    if down.get(victim) == nid:
+                        del down[victim]
         write = f & 1
         if write:
-            st.dirty.add(line)
+            dirty.add(line)
         nn = self.nn
         row = f >> 4
         ev = EV_LOCAL
         slot = None  # the hop-tally slot of a remote event
         from_rac = False  # dirty data out of the owner's RAC
-        owner = directory.owner(line)
+        owner = down.get(line)
         probe = rac is not None and not f & 8
-        if probe and rac.lookup(line, write):
+        hit = False
+        if probe:
+            # RemoteAccessCache.lookup: a write hit dirties the copy.
+            rac.probes += 1
+            rcache = rac.cache
+            ri = line % rcache.num_sets
+            rways = rcache._sets[ri]
+            hit = line in rways
+            if hit:
+                rcache.hits += 1
+                rac.hits += 1
+                if rways[0] != line:
+                    rways.remove(line)
+                    rways.insert(0, line)
+                if write:
+                    rcache._dirty[ri].add(line)
+            else:
+                rcache.misses += 1
+        if hit:
             if not write or owner == nid:
                 cpu.rac_hits += 1
                 ev = EV_RAC_HIT
@@ -308,7 +318,7 @@ class _Service:
             if owner == nid:
                 # Stale ownership (should be unreachable — evictions
                 # notify the directory); recover like the protocol.
-                directory.remove_node(line, nid)
+                self.directory.remove_node(line, nid)
                 owner = None
             if owner is not None:
                 # A remote node owns the line: intervene.
@@ -316,32 +326,58 @@ class _Service:
                 ost = self.states[owner]
                 orac = ost.rac
                 in_l2 = line in ost.dirty
-                from_rac = (not in_l2 and orac is not None
-                            and orac.holds_dirty(line))
+                if orac is not None:
+                    odirty = orac.cache._dirty[line % orac.cache.num_sets]
+                    from_rac = not in_l2 and line in odirty
                 if write:
                     ost.invalidate(line)
                     self.inv += 1
-                    directory.set_owner(line, nid)
+                    dsh[line] = {nid}
+                    down[line] = nid
                 else:
-                    ost.downgrade(line)
+                    if in_l2:
+                        ost.dirty.remove(line)  # downgrade
                     if orac is not None:
-                        orac.cache.clean(line)
+                        odirty.discard(line)
                     self.wbacks += in_l2 or from_rac  # sharing writeback
-                    directory.clear_owner(line)
-                    directory.add_sharer(line, nid)
+                    del down[line]
+                    s = dsh.get(line)
+                    if s is None:
+                        dsh[line] = {nid}
+                    else:
+                        s.add(nid)
                 if in_l2 or from_rac:
                     slot = 3 * nn + row * nn + owner
             elif write:
                 self.own(nid, line)
             else:
-                directory.add_sharer(line, nid)
+                s = dsh.get(line)
+                if s is None:
+                    dsh[line] = {nid}
+                else:
+                    s.add(nid)
             if slot is None and not f & 8:
                 slot = row
             if probe:
-                fill = rac.allocate(line, dirty=write)
-                if fill.victim is not None and not st.holds(fill.victim):
-                    directory.remove_node(fill.victim, nid)
-                    self.wbacks += fill.victim_dirty
+                # Allocate in the RAC (SetAssocCache.fill).  The probe
+                # just missed, and nothing since touched this node's
+                # RAC, so the line is not resident.
+                if len(rways) >= rcache.assoc:
+                    rvictim = rways.pop()
+                    rcache.evictions += 1
+                    rdset = rcache._dirty[ri]
+                    rdirty = rvictim in rdset
+                    if rdirty:
+                        rdset.remove(rvictim)
+                        rcache.writebacks += 1
+                    if (rvictim not in st.resident if dmset is None
+                            else dmset[rvictim % st.l2_n] != rvictim):
+                        # The node no longer holds the victim at all.
+                        self.wbacks += rdirty
+                        self.directory.remove_node(rvictim, nid)
+                rways.insert(0, line)
+                if write:
+                    rcache._dirty[ri].add(line)
         if slot is None:
             if f & 2:
                 self.l_i += 1
@@ -780,6 +816,9 @@ def _walk_ordered(L, E, S1, S2, nid, states, directory, cpu, nn, xs):
     st = states[nid]
     ia, ib, da, db = st.ia, st.ib, st.da, st.db
     dmset, sets2, resident = st.dmset, st.sets2, st.resident
+    dirty = st.dirty
+    down_get = directory._owner.get
+    mp = nn > 1  # one node: a write hit takes no ownership upgrade
     rec = xs.rec
     i_l1m = d_l1m = l2h = 0
     for pos, (line, f, s1, s2) in enumerate(zip(L, E, S1, S2), xs.base):
@@ -797,7 +836,9 @@ def _walk_ordered(L, E, S1, S2, nid, states, directory, cpu, nn, xs):
                     db[s1] = a
                     da[s1] = line
                 if f & 1:
-                    xs.write(st, nid, line, f, pos, cpu)
+                    dirty.add(line)
+                    if mp and down_get(line) != nid:
+                        xs.upgrade(nid, line, f, pos, cpu)
                 continue
         if dmset is not None:
             hit = dmset[s2] == line
@@ -811,7 +852,9 @@ def _walk_ordered(L, E, S1, S2, nid, states, directory, cpu, nn, xs):
         if hit:
             l2h += 1
             if f & 1:
-                xs.write(st, nid, line, f, pos, cpu)
+                dirty.add(line)
+                if mp and down_get(line) != nid:
+                    xs.upgrade(nid, line, f, pos, cpu)
             rec(pos << REC_SHIFT | EV_L2_HIT)
         else:
             xs.miss(st, nid, line, f, s2, cpu, pos)
@@ -1076,6 +1119,7 @@ def replay_multiprocessor(system, trace, protocol, counters) -> None:
         # nest inside the live engine span (their sum <= elapsed).
         tracer.add_span("mp.walks", loop_start, t_walk, mode="batch",
                         walk=walk.__name__[len("_walk_"):],
+                        path="inline" if xs is None else "service",
                         refs=len(L_all))
         tracer.add_span("mp.coherence", loop_start + t_walk, t_coh,
                         mode="batch")

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.machine import MachineConfig
 from repro.core.system import System, simulate
+from repro.cpu.events import FLAG_INSTR
 from repro.experiments.cli import main
 from repro.obs import (
     MetricsRegistry,
@@ -119,14 +120,19 @@ class TestEngineSpans:
             assert span.ts >= engine.ts
             assert span.ts + span.dur <= engine.ts + engine.dur + 1e-6
 
-    @pytest.mark.parametrize("kw,walk", [
-        ({}, "dm"), ({"l2_assoc": 4}, "assoc"), ({"cpu_model": "ooo"},
-                                                  "ordered")])
-    def test_mp_walks_span_names_its_walk(self, mp8_trace, kw, walk):
-        _, tracer, _ = traced_run(base_machine(8, **kw), mp8_trace,
-                                  "vectorized-mp")
+    @pytest.mark.parametrize("machine,walk,path", [
+        (base_machine(8), "dm", "inline"),
+        (base_machine(8, l2_assoc=4), "assoc", "inline"),
+        (base_machine(8, cpu_model="ooo"), "ordered", "service"),
+        (MachineConfig.fully_integrated(8, rac_size=256 * KB, scale=SCALE),
+         "assoc", "service")],
+        ids=["dm", "assoc", "ooo", "rac"])
+    def test_mp_walks_span_names_its_walk_and_miss_path(self, mp8_trace,
+                                                        machine, walk, path):
+        # RAC machines and out-of-order CPUs miss through _Service.
+        _, tracer, _ = traced_run(machine, mp8_trace, "vectorized-mp")
         (span,) = [s for s in tracer.spans if s.name == "mp.walks"]
-        assert span.args == {"mode": "batch", "walk": walk,
+        assert span.args == {"mode": "batch", "walk": walk, "path": path,
                              "refs": mp8_trace.total_refs}
 
     def test_mp_ordered_timing_span(self, mp8_trace):
@@ -142,6 +148,14 @@ class TestEngineSpans:
         (retime,) = [s for s in tracer.spans if s.name == "retime"]
         assert retime.ts <= ordered.ts
         assert ordered.ts + ordered.dur <= retime.ts + retime.dur + 1e-6
+        # It counts what it priced: the log's records and the trace's
+        # instruction fetches.
+        system = System(machine, engine="vectorized-mp")
+        system.run(mp8_trace)
+        log = system.profile.ordered
+        assert ordered.args["records"] == len(log.pos) > 0
+        assert ordered.args["fetches"] == sum(
+            1 for q in mp8_trace.quanta for r in q.refs if r & FLAG_INSTR) > 0
 
     def test_trace_build_span(self):
         tracer = Tracer()
